@@ -22,8 +22,6 @@ from .core import (
 from .data import AssumptionSet, PanelDataset
 from .errors import EmptyCell, InvalidAssumptions, VacuousIdentification
 
-STRATA_NAMES = ("OOO", "ONO", "ONN", "NOO", "NNO", "NNN")
-
 
 @dataclass
 class MixingProportions:
@@ -84,19 +82,15 @@ class BoundsResult:
         return out
 
 
+def _cell_y(data: PanelDataset, d: int, s0: int, s1: int, period: int) -> np.ndarray:
+    if data.cells.count(d, s0, s1) == 0:
+        raise EmptyCell(f"no units with d={d}, s0={s0}, s1={s1}", d=d, s0=s0, s1=s1)
+    return data.cells.values(period, d, s0, s1)
+
+
 def _delta_y(data: PanelDataset, d: int) -> np.ndarray:
     """Delta Y for units observed in both periods within arm d, row order."""
-    mask = (data.d == d) & (data.s0 == 1) & (data.s1 == 1)
-    if not mask.any():
-        raise EmptyCell(f"no units with d={d}, s0=1, s1=1", d=d, s0=1, s1=1)
-    return data.y1[mask] - data.y0[mask]
-
-
-def _cell_y(data: PanelDataset, d: int, s0: int, s1: int, period: int) -> np.ndarray:
-    mask = (data.d == d) & (data.s0 == s0) & (data.s1 == s1)
-    if not mask.any():
-        raise EmptyCell(f"no units with d={d}, s0={s0}, s1={s1}", d=d, s0=s0, s1=s1)
-    return (data.y0 if period == 0 else data.y1)[mask]
+    return _cell_y(data, d, 1, 1, period=1) - _cell_y(data, d, 1, 1, period=0)
 
 
 def naive_did(data: PanelDataset) -> float:
@@ -133,25 +127,20 @@ def mixing_mono(data: PanelDataset, direction: str = "positive") -> MixingPropor
     """Point-identified weights under monotone sample selection + PTS(a)."""
     p0 = cond_prob_s1(data, d=0, s0=1)
     p1 = cond_prob_s1(data, d=1, s0=1)
-    warns = []
     if direction == "positive":
         if p1.value == 0.0:
             raise EmptyCell("no treated units observed in both periods", d=1, s0=1, s1=1)
         raw = p0.value / p1.value
-        p_ooo1, p_ooo0 = raw, 1.0
     elif direction == "negative":
         if p0.value == 0.0:
             raise EmptyCell("no control units observed in both periods", d=0, s0=1, s1=1)
         raw = p1.value / p0.value
-        p_ooo1, p_ooo0 = 1.0, raw
     else:
         raise InvalidAssumptions(f"unknown direction {direction!r}")
-    if raw > 1.0:
-        warns.append("MonotonicityViolatedInSample")
-        if direction == "positive":
-            p_ooo1 = 1.0
-        else:
-            p_ooo0 = 1.0
+    # the arm whose retention the treatment raises is trimmed, to at most 1
+    warns = ["MonotonicityViolatedInSample"] if raw > 1.0 else []
+    trimmed = min(raw, 1.0)
+    p_ooo1, p_ooo0 = (trimmed, 1.0) if direction == "positive" else (1.0, trimmed)
     return MixingProportions(
         p_ooo1=p_ooo1, p_ooo0=p_ooo0, source="Monotone+PTSa", warnings=warns
     )
@@ -192,13 +181,14 @@ def strata_proportions(data: PanelDataset) -> MixingProportions:
     to 0 with a warning. Pre-clamp arm totals equal P[D=d] by construction.
     """
     n = data.n
+    cells = data.cells
     warns: list = []
 
     def cellp(s0, s1, d):
-        return float(np.sum((data.s0 == s0) & (data.s1 == s1) & (data.d == d))) / n
+        return cells.count(d, s0, s1) / n
 
     def armp(s0, d):
-        return float(np.sum((data.s0 == s0) & (data.d == d))) / n
+        return cells.count(d, s0) / n
 
     stay_c = cond_prob_s1(data, d=0, s0=1).value      # P[S1=1|S0=1,D=0]
     drop_t = 1.0 - cond_prob_s1(data, d=1, s0=1).value  # P[S1=0|S0=1,D=1]
@@ -249,52 +239,41 @@ def group_proportion(mix: MixingProportions, group: str) -> float:
 def _support_minima(data: PanelDataset, overrides: dict | None = None) -> dict:
     """Observed support minima for the pre/post outcome distributions."""
     out = {}
+    # key -> (period, the (d, s0, s1) cells whose outcomes it ranges over)
     specs = {
-        "y00_lb": ((data.d == 0) & (data.s0 == 1), data.y0),
-        "y01_lb": ((data.d == 0) & (data.s1 == 1), data.y1),
-        "y10_lb": ((data.d == 1) & (data.s0 == 1), data.y0),
+        "y00_lb": (0, ((0, 1, 0), (0, 1, 1))),
+        "y01_lb": (1, ((0, 0, 1), (0, 1, 1))),
+        "y10_lb": (0, ((1, 1, 0), (1, 1, 1))),
     }
-    for key, (mask, arr) in specs.items():
+    for key, (period, members) in specs.items():
         if overrides and key in overrides and overrides[key] is not None:
             out[key] = float(overrides[key])
             continue
-        if not mask.any():
+        values = np.concatenate([data.cells.values(period, *c) for c in members])
+        if values.size == 0:
             raise EmptyCell(f"no observations available for {key}", field=key)
-        out[key] = float(np.min(arr[mask]))
+        out[key] = float(np.min(values))
     return out
 
 
 def bounds_tau_ooo(data: PanelDataset, assumptions: AssumptionSet) -> BoundsResult:
-    """Trimming bounds for the always-observed group."""
+    """Trimming bounds for the always-observed group.
+
+    Under monotonicity one of the weights is 1, and a mean trimmed at share 1
+    is the plain mean bit for bit, so one formula serves every assumption set.
+    """
     treated = _delta_y(data, 1)
     control = _delta_y(data, 0)
-    if not assumptions.monotone:
-        mix = mixing_no_mono(data)
-        if mix.p_ooo1 <= 0.0 or mix.p_ooo0 <= 0.0:
-            raise VacuousIdentification(
-                "Frechet lower weight is zero; data uninformative about the "
-                "always-observed group"
-            )
-        lb = trimmed_mean_lower(treated, mix.p_ooo1) - trimmed_mean_upper(
-            control, mix.p_ooo0
-        )
-        ub = trimmed_mean_upper(treated, mix.p_ooo1) - trimmed_mean_lower(
-            control, mix.p_ooo0
-        )
-    else:
+    if assumptions.monotone:
         mix = mixing_mono(data, assumptions.direction)
-        if assumptions.direction == "positive":
-            if mix.p_ooo1 <= 0.0:
-                raise VacuousIdentification("p_ooo1 is zero")
-            control_mean = float(np.mean(control))
-            lb = trimmed_mean_lower(treated, mix.p_ooo1) - control_mean
-            ub = trimmed_mean_upper(treated, mix.p_ooo1) - control_mean
-        else:
-            if mix.p_ooo0 <= 0.0:
-                raise VacuousIdentification("p_ooo0 is zero")
-            treated_mean = float(np.mean(treated))
-            lb = treated_mean - trimmed_mean_upper(control, mix.p_ooo0)
-            ub = treated_mean - trimmed_mean_lower(control, mix.p_ooo0)
+    else:
+        mix = mixing_no_mono(data)
+    for name in ("p_ooo1", "p_ooo0"):
+        if getattr(mix, name) <= 0.0:
+            raise VacuousIdentification(f"{name} is zero")
+    p1, p0 = mix.p_ooo1, mix.p_ooo0
+    lb = trimmed_mean_lower(treated, p1) - trimmed_mean_upper(control, p0)
+    ub = trimmed_mean_upper(treated, p1) - trimmed_mean_lower(control, p0)
     return BoundsResult(
         parameter="tau_OOO",
         assumptions=assumptions,
@@ -305,7 +284,27 @@ def bounds_tau_ooo(data: PanelDataset, assumptions: AssumptionSet) -> BoundsResu
     )
 
 
-def _require_other_group_assumptions(assumptions: AssumptionSet, dominance: str):
+# trim shares identified under joint independence, by name
+_JOINT_SHARES = {"p_ono0": _p_ono0, "p_nno1": _p_nno1}
+
+
+def _other_group_bound(
+    parameter: str,
+    data: PanelDataset,
+    assumptions: AssumptionSet,
+    dominance: str,
+    joint_independence: bool,
+    shares: tuple,
+    formula,
+) -> BoundsResult:
+    """Steps every other-group bound shares around its formula.
+
+    Checks the assumptions, identifies p_ooo1 under positive monotonicity,
+    then identifies each of ``shares`` in order ("p_ooo1", a name of
+    ``_JOINT_SHARES``, or "1 - " one of those); a joint share below 0 is
+    clamped to 0 with a warning, and a share that is not positive makes the
+    bound vacuous. ``formula(p)`` maps the shares to ``(lb, ub, minima)``.
+    """
     if not (
         assumptions.monotone
         and assumptions.direction == "positive"
@@ -315,6 +314,36 @@ def _require_other_group_assumptions(assumptions: AssumptionSet, dominance: str)
             f"this bound requires with_monotonicity(positive) and mean "
             f"dominance {dominance}"
         )
+    if joint_independence and not assumptions.joint_independence:
+        raise InvalidAssumptions(f"{parameter} requires joint_independence")
+    mono = mixing_mono(data, "positive")
+    warns = list(mono.warnings)
+    p = {"p_ooo1": mono.p_ooo1}
+    for name in shares:
+        base = name.removeprefix("1 - ")
+        if base not in p:
+            p[base] = _JOINT_SHARES[base](data, warns)
+        p[name] = p[base] if name == base else 1.0 - p[base]
+        if p[name] <= 0.0:
+            raise VacuousIdentification(f"{name} is zero")
+    lb, ub, minima = formula(p)
+    mix = MixingProportions(
+        p_ooo1=mono.p_ooo1,
+        p_ooo0=1.0,
+        source="Joint",
+        p_ono0=p.get("p_ono0"),
+        p_nno1=p.get("p_nno1"),
+        warnings=warns,
+    )
+    return BoundsResult(
+        parameter=parameter,
+        assumptions=assumptions,
+        lb=lb,
+        ub=ub,
+        proportions=mix,
+        support_minima=minima,
+        warnings=list(warns),
+    )
 
 
 def bounds_tau_ono(
@@ -323,45 +352,26 @@ def bounds_tau_ono(
     support_overrides: dict | None = None,
 ) -> BoundsResult:
     """Bounds for units observed only when untreated (ONO)."""
-    _require_other_group_assumptions(assumptions, "5a")
-    if not assumptions.joint_independence:
-        raise InvalidAssumptions("tau_ONO requires joint_independence")
-    warns: list = []
-    mono = mixing_mono(data, "positive")
-    warns.extend(mono.warnings)
-    trim = 1.0 - mono.p_ooo1
-    if trim <= 0.0:
-        raise VacuousIdentification("1 - p_ooo1 is zero; no ONO mass in the treated cell")
-    p_ono0 = _p_ono0(data, warns)
-    if p_ono0 <= 0.0:
-        raise VacuousIdentification("p_ono0 is zero after clamping")
 
-    treated = _delta_y(data, 1)
-    control_post = _cell_y(data, d=0, s0=1, s1=1, period=1)
-    attrit_pre = _cell_y(data, d=0, s0=1, s1=0, period=0)
-    minima = _support_minima(data, support_overrides)
+    def formula(p):
+        treated = _delta_y(data, 1)
+        control_post = _cell_y(data, d=0, s0=1, s1=1, period=1)
+        attrit_pre = _cell_y(data, d=0, s0=1, s1=0, period=0)
+        minima = _support_minima(data, support_overrides)
+        lb = (
+            trimmed_mean_lower(treated, p["1 - p_ooo1"])
+            - float(np.mean(control_post))
+            + trimmed_mean_lower(attrit_pre, p["p_ono0"])
+        )
+        ub = (
+            trimmed_mean_upper(treated, p["1 - p_ooo1"])
+            - minima["y01_lb"]
+            + trimmed_mean_upper(attrit_pre, p["p_ono0"])
+        )
+        return lb, ub, minima
 
-    lb = (
-        trimmed_mean_lower(treated, trim)
-        - float(np.mean(control_post))
-        + trimmed_mean_lower(attrit_pre, p_ono0)
-    )
-    ub = (
-        trimmed_mean_upper(treated, trim)
-        - minima["y01_lb"]
-        + trimmed_mean_upper(attrit_pre, p_ono0)
-    )
-    mix = MixingProportions(
-        p_ooo1=mono.p_ooo1, p_ooo0=1.0, source="Joint", p_ono0=p_ono0, warnings=warns
-    )
-    return BoundsResult(
-        parameter="tau_ONO",
-        assumptions=assumptions,
-        lb=lb,
-        ub=ub,
-        proportions=mix,
-        support_minima=minima,
-        warnings=list(warns),
+    return _other_group_bound(
+        "tau_ONO", data, assumptions, "5a", True, ("1 - p_ooo1", "p_ono0"), formula
     )
 
 
@@ -371,56 +381,30 @@ def bounds_tau_nno(
     support_overrides: dict | None = None,
 ) -> BoundsResult:
     """Bounds for units unobserved at baseline, observed only when treated (NNO)."""
-    _require_other_group_assumptions(assumptions, "5b")
-    if not assumptions.joint_independence:
-        raise InvalidAssumptions("tau_NNO requires joint_independence")
-    warns: list = []
-    mono = mixing_mono(data, "positive")
-    warns.extend(mono.warnings)
-    trim_ooo = 1.0 - mono.p_ooo1
-    if trim_ooo <= 0.0:
-        raise VacuousIdentification("1 - p_ooo1 is zero")
-    p_nno1 = _p_nno1(data, warns)
-    if p_nno1 <= 0.0:
-        raise VacuousIdentification("p_nno1 is zero after clamping")
-    p_ono0 = _p_ono0(data, warns)
-    if p_ono0 <= 0.0:
-        raise VacuousIdentification("p_ono0 is zero after clamping")
 
-    joiner_post = _cell_y(data, d=1, s0=0, s1=1, period=1)
-    both_pre = _cell_y(data, d=1, s0=1, s1=1, period=0)
-    control_joiner_post = _cell_y(data, d=0, s0=0, s1=1, period=1)
-    attrit_pre = _cell_y(data, d=0, s0=1, s1=0, period=0)
-    minima = _support_minima(data, support_overrides)
+    def formula(p):
+        joiner_post = _cell_y(data, d=1, s0=0, s1=1, period=1)
+        both_pre = _cell_y(data, d=1, s0=1, s1=1, period=0)
+        control_joiner_post = _cell_y(data, d=0, s0=0, s1=1, period=1)
+        attrit_pre = _cell_y(data, d=0, s0=1, s1=0, period=0)
+        minima = _support_minima(data, support_overrides)
+        lb = (
+            trimmed_mean_lower(joiner_post, p["p_nno1"])
+            - trimmed_mean_lower(both_pre, p["1 - p_ooo1"])
+            - float(np.mean(control_joiner_post))
+            + minima["y00_lb"]
+        )
+        ub = (
+            trimmed_mean_upper(joiner_post, p["p_nno1"])
+            - minima["y10_lb"]
+            - minima["y01_lb"]
+            + trimmed_mean_lower(attrit_pre, p["p_ono0"])
+        )
+        return lb, ub, minima
 
-    lb = (
-        trimmed_mean_lower(joiner_post, p_nno1)
-        - trimmed_mean_lower(both_pre, trim_ooo)
-        - float(np.mean(control_joiner_post))
-        + minima["y00_lb"]
-    )
-    ub = (
-        trimmed_mean_upper(joiner_post, p_nno1)
-        - minima["y10_lb"]
-        - minima["y01_lb"]
-        + trimmed_mean_lower(attrit_pre, p_ono0)
-    )
-    mix = MixingProportions(
-        p_ooo1=mono.p_ooo1,
-        p_ooo0=1.0,
-        source="Joint",
-        p_ono0=p_ono0,
-        p_nno1=p_nno1,
-        warnings=warns,
-    )
-    return BoundsResult(
-        parameter="tau_NNO",
-        assumptions=assumptions,
-        lb=lb,
-        ub=ub,
-        proportions=mix,
-        support_minima=minima,
-        warnings=list(warns),
+    return _other_group_bound(
+        "tau_NNO", data, assumptions, "5b", True,
+        ("1 - p_ooo1", "p_nno1", "p_ono0"), formula,
     )
 
 
@@ -430,44 +414,27 @@ def bounds_tau_noo(
     support_overrides: dict | None = None,
 ) -> BoundsResult:
     """Bounds for units unobserved at baseline, observed either way after (NOO)."""
-    _require_other_group_assumptions(assumptions, "5c")
-    warns: list = []
-    mono = mixing_mono(data, "positive")
-    warns.extend(mono.warnings)
-    if mono.p_ooo1 <= 0.0:
-        raise VacuousIdentification("p_ooo1 is zero")
-    p_nno1 = _p_nno1(data, warns)
-    trim = 1.0 - p_nno1
-    if trim <= 0.0:
-        raise VacuousIdentification("1 - p_nno1 is zero")
 
-    joiner_post = _cell_y(data, d=1, s0=0, s1=1, period=1)
-    both_pre = _cell_y(data, d=1, s0=1, s1=1, period=0)
-    control_joiner_post = _cell_y(data, d=0, s0=0, s1=1, period=1)
-    control_both_pre = _cell_y(data, d=0, s0=1, s1=1, period=0)
-    minima = _support_minima(data, support_overrides)
+    def formula(p):
+        joiner_post = _cell_y(data, d=1, s0=0, s1=1, period=1)
+        both_pre = _cell_y(data, d=1, s0=1, s1=1, period=0)
+        control_joiner_post = _cell_y(data, d=0, s0=0, s1=1, period=1)
+        control_both_pre = _cell_y(data, d=0, s0=1, s1=1, period=0)
+        minima = _support_minima(data, support_overrides)
+        lb = (
+            trimmed_mean_lower(joiner_post, p["1 - p_nno1"])
+            - trimmed_mean_lower(both_pre, p["p_ooo1"])
+            - float(np.mean(control_joiner_post))
+            + minima["y00_lb"]
+        )
+        ub = (
+            trimmed_mean_upper(joiner_post, p["1 - p_nno1"])
+            - minima["y10_lb"]
+            - float(np.mean(control_joiner_post))
+            + float(np.mean(control_both_pre))
+        )
+        return lb, ub, minima
 
-    lb = (
-        trimmed_mean_lower(joiner_post, trim)
-        - trimmed_mean_lower(both_pre, mono.p_ooo1)
-        - float(np.mean(control_joiner_post))
-        + minima["y00_lb"]
-    )
-    ub = (
-        trimmed_mean_upper(joiner_post, trim)
-        - minima["y10_lb"]
-        - float(np.mean(control_joiner_post))
-        + float(np.mean(control_both_pre))
-    )
-    mix = MixingProportions(
-        p_ooo1=mono.p_ooo1, p_ooo0=1.0, source="Joint", p_nno1=p_nno1, warnings=warns
-    )
-    return BoundsResult(
-        parameter="tau_NOO",
-        assumptions=assumptions,
-        lb=lb,
-        ub=ub,
-        proportions=mix,
-        support_minima=minima,
-        warnings=list(warns),
+    return _other_group_bound(
+        "tau_NOO", data, assumptions, "5c", False, ("p_ooo1", "1 - p_nno1"), formula
     )

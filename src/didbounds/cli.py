@@ -92,8 +92,6 @@ def _add_ci_flags(sub):
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--legacy-se-scaling", action="store_true")
     sub.add_argument("--output", choices=["json", "csv"], default="json")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="advisory worker cap; results are thread-count-invariant")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stag.add_argument("--gamma", type=int, required=True)
     p_stag.add_argument("--t", type=int, required=True)
     p_stag.add_argument("--assumptions", default="mono-pos")
-    _add_ci_flags(p_stag)
+    p_stag.add_argument("--output", choices=["json", "csv"], default="json")
 
     p_naive = commands.add_parser("naive", help="naive DiD on observed units")
     p_naive.add_argument("--data", required=True)
@@ -139,14 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--coverage", choices=["att", "interval"], default="att")
     p_sim.add_argument("--oracle-draws", type=int, default=2_000_000)
     p_sim.add_argument("--att", type=float, default=4.0)
-    p_sim.add_argument("--threads", type=int, default=None)
 
     p_oracle = commands.add_parser("oracle", help="true values by numerical integration")
     p_oracle.add_argument("--mc-draws", type=int, default=10_000_000)
     p_oracle.add_argument("--seed", type=int, required=True)
     p_oracle.add_argument("--att", type=float, default=4.0)
     p_oracle.add_argument("--selection-shift", type=float, default=1.5)
-    p_oracle.add_argument("--threads", type=int, default=None)
     return parser
 
 

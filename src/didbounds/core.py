@@ -32,11 +32,10 @@ class FrechetInterval:
 
 def cond_prob_s1(data: PanelDataset, d: int, s0: int) -> ProbEstimate:
     """P[S1=1 | D=d, S0=s0] as an exact count ratio."""
-    cell = (data.d == d) & (data.s0 == s0)
-    denom = int(np.sum(cell))
+    denom = data.cells.count(d, s0)
     if denom == 0:
         raise EmptyCell(f"no units with d={d}, s0={s0}", d=d, s0=s0)
-    num = int(np.sum(cell & (data.s1 == 1)))
+    num = data.cells.count(d, s0, 1)
     return ProbEstimate(num / denom, num, denom)
 
 

@@ -12,6 +12,7 @@ import csv
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,30 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+class PanelCells:
+    """Summary of a panel over its eight (d, s0, s1) cells.
+
+    Every panel quantity is a count ratio, a (trimmed) mean or a minimum over
+    these cells. ``counts[d, s0, s1]`` are exact integers from one
+    ``bincount`` of the code ``4*d + 2*s0 + s1``. A cell's outcomes are taken
+    by mask, in row order, so a mean over a cell reduces in the same order as
+    one over a mask of the full arrays.
+    """
+
+    def __init__(self, data: "PanelDataset"):
+        self.code = 4 * data.d + 2 * data.s0 + data.s1
+        self.counts = np.bincount(self.code, minlength=8).reshape(2, 2, 2)
+        self._y = (data.y0, data.y1)
+
+    def count(self, d: int, s0: int, s1=slice(None)) -> int:
+        """Rows in cell (d, s0, s1); without ``s1``, in both cells of (d, s0)."""
+        return int(self.counts[d, s0, s1].sum())
+
+    def values(self, period: int, d: int, s0: int, s1: int) -> np.ndarray:
+        """Outcomes in ``period`` (0 or 1) of the rows in cell (d, s0, s1)."""
+        return self._y[period][self.code == 4 * d + 2 * s0 + s1]
+
+
 @dataclass(frozen=True)
 class PanelDataset:
     """Two-period panel: per unit (id, D, S0, S1, Y0, Y1)."""
@@ -125,6 +150,11 @@ class PanelDataset:
     @property
     def n(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def cells(self) -> PanelCells:
+        """The cell summary, built on first use and kept with the dataset."""
+        return PanelCells(self)
 
     def take(self, indices) -> "PanelDataset":
         """Row subset/resample (used by the bootstrap); ids carried over."""
@@ -275,6 +305,7 @@ def load_multi_csv(path) -> MultiPeriodPanel:
     rows = _read_rows(path, MULTI_HEADER)
     ids, gvar, t, s, y = [], [], [], [], []
     seen_gvar: dict = {}
+    seen_t: dict = {}  # id -> the periods it has a row for
     for i, row in enumerate(rows):
         line = i + 2
         if len(row) != 5:
@@ -287,19 +318,25 @@ def load_multi_csv(path) -> MultiPeriodPanel:
             raise MalformedRow(f"line {line}: gvar/t must be integers", line=line)
         if g < 0 or per < 0:
             raise MalformedRow(f"line {line}: gvar/t must be non-negative", line=line)
-        if uid in seen_gvar and seen_gvar[uid] != g:
+        if uid not in seen_gvar:
+            seen_gvar[uid] = g
+            seen_t[uid] = set()
+        elif seen_gvar[uid] != g:
             raise InconsistentGvar(
                 f"line {line}: id {uid} has gvar {g} but earlier gvar {seen_gvar[uid]}",
                 id=uid,
             )
-        seen_gvar[uid] = g
+        elif per in seen_t[uid]:
+            raise MalformedRow(
+                f"line {line}: id {uid} already has a row for t={per}", line=line, id=uid
+            )
+        seen_t[uid].add(per)
         ids.append(uid)
         gvar.append(g)
         t.append(per)
         s.append(_parse_binary(row[3], line, "s"))
         y.append(_parse_outcome(row[4], s[-1], line, "y"))
-    has_period0 = {uid for uid, per in zip(ids, t) if per == 0}
-    missing = [uid for uid in seen_gvar if uid not in has_period0]
+    missing = [uid for uid, periods in seen_t.items() if 0 not in periods]
     if missing:
         raise MissingBaseline(f"ids without a period-0 row: {missing[:5]}", ids=missing)
     return MultiPeriodPanel(
@@ -339,11 +376,9 @@ def write_panel_csv(data: PanelDataset, path) -> None:
 
 def cell_counts(data: PanelDataset) -> dict:
     """Counts by (s0, s1, d); the 8 cells always sum to n."""
-    counts = {}
-    for s0 in (0, 1):
-        for s1 in (0, 1):
-            for d in (0, 1):
-                counts[(s0, s1, d)] = int(
-                    np.sum((data.s0 == s0) & (data.s1 == s1) & (data.d == d))
-                )
-    return counts
+    return {
+        (s0, s1, d): data.cells.count(d, s0, s1)
+        for s0 in (0, 1)
+        for s1 in (0, 1)
+        for d in (0, 1)
+    }

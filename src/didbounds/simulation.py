@@ -14,9 +14,9 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import bounds as _bounds
 from .data import (
@@ -194,9 +194,10 @@ def oracle_true_values(
     sigma_w = math.sqrt(mu2 - mu1**2)
     mu_w = config.outcome_intercept + config.att + mu1
     control_mean = config.outcome_intercept + mu3
-    z_p = float(ndtri(p_true))
+    inv_cdf = NormalDist().inv_cdf
+    z_p = inv_cdf(p_true)
     lb_true = mu_w - sigma_w * _norm_pdf(z_p) / p_true - control_mean
-    ub_true = mu_w + sigma_w * _norm_pdf(float(ndtri(1.0 - p_true))) / p_true - control_mean
+    ub_true = mu_w + sigma_w * _norm_pdf(inv_cdf(1.0 - p_true)) / p_true - control_mean
     return OracleResult(
         p_true=p_true,
         lb_true=lb_true,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from didbounds import PanelDataset, RcsDataset
 
@@ -18,6 +19,27 @@ def make_panel(rows):
         y1.append(np.nan if row[4] is None else float(row[4]))
     ids = [str(i + 1) for i in range(len(rows))]
     return PanelDataset.from_records(ids, d, s0, s1, y0, y1)
+
+
+# an outcome drawn from a small integer grid as often as not, so ties are common
+_outcome = st.one_of(
+    st.integers(-3, 3).map(float), st.floats(-10, 10, allow_nan=False)
+)
+
+# (d, s0, s1, y0, y1) rows for make_panel, one to eight in each of the eight
+# cells, cell by cell; an outcome is present exactly when it is selected
+panel_rows = st.tuples(
+    *[
+        st.lists(st.tuples(_outcome, _outcome), min_size=1, max_size=8).map(
+            lambda ys, d=d, s0=s0, s1=s1: [
+                (d, s0, s1, y0 if s0 else None, y1 if s1 else None) for y0, y1 in ys
+            ]
+        )
+        for d in (0, 1)
+        for s0 in (0, 1)
+        for s1 in (0, 1)
+    ]
+).map(lambda cells: [row for cell in cells for row in cell])
 
 
 def make_rcs(rows):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from didbounds import (
     MONO_NEGATIVE,
@@ -18,12 +20,13 @@ from didbounds import (
     strata_proportions,
 )
 from didbounds.errors import (
+    DidBoundsError,
     EmptyCell,
     InvalidAssumptions,
     VacuousIdentification,
 )
 
-from conftest import make_panel
+from conftest import make_panel, panel_rows
 
 DOMINANCE = {
     "ono": AssumptionSet("with_monotonicity", "positive",
@@ -241,3 +244,41 @@ class TestStrataProportions:
         mix = mixing_mono(mixed_panel, "positive")
         with pytest.raises(InvalidAssumptions):
             group_proportion(mix, "OOO")
+
+
+ALL_BOUNDS = {
+    "ooo-nomono": lambda d: bounds_tau_ooo(d, WITHOUT_MONOTONICITY),
+    "ooo-mono-pos": lambda d: bounds_tau_ooo(d, MONO_POSITIVE),
+    "ooo-mono-neg": lambda d: bounds_tau_ooo(d, MONO_NEGATIVE),
+    "ono": lambda d: bounds_tau_ono(d, DOMINANCE["ono"]),
+    "nno": lambda d: bounds_tau_nno(d, DOMINANCE["nno"]),
+    "noo": lambda d: bounds_tau_noo(d, DOMINANCE["noo"]),
+}
+
+
+def _outcome(fn, data):
+    try:
+        return fn(data)
+    except DidBoundsError as exc:
+        return exc.code
+
+
+@given(rows=panel_rows, data=st.data())
+def test_bounds_invariant_to_row_order(rows, data):
+    order = data.draw(st.permutations(range(len(rows))))
+    panel = make_panel(rows)
+    shuffled = make_panel([rows[i] for i in order])
+    # summation order moves the last ulp, which is relative to the outcomes'
+    # size, not to a bound that may sit near 0
+    scale = 1.0 + max((abs(v) for r in rows for v in r[3:] if v is not None), default=0.0)
+    for name, fn in ALL_BOUNDS.items():
+        ref, got = _outcome(fn, panel), _outcome(fn, shuffled)
+        if isinstance(ref, str):
+            assert got == ref, name
+            continue
+        assert got.lb == pytest.approx(ref.lb, rel=1e-12, abs=1e-12 * scale), name
+        assert got.ub == pytest.approx(ref.ub, rel=1e-12, abs=1e-12 * scale), name
+        # weights and support minima are count ratios and minima: exact
+        assert got.proportions.to_dict() == ref.proportions.to_dict(), name
+        assert got.support_minima == ref.support_minima, name
+        assert got.warnings == ref.warnings, name

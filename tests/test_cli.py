@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +236,69 @@ def test_cli_matches_library_on_generated_data(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["lb"] <= payload["ub"]
+
+
+class TestRejectedFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--data", "PANEL", "--threads", "2"],
+            ["bounds-rcs", "--data", "RCS", "--threads", "2"],
+            ["bounds-staggered", "--data", "MULTI", "--gamma", "1", "--t", "1",
+             "--threads", "2"],
+            ["simulate", "--n", "300", "--reps", "1", "--seed", "1", "--threads", "2"],
+            ["oracle", "--seed", "1", "--threads", "2"],
+            ["bounds-staggered", "--data", "MULTI", "--gamma", "1", "--t", "1",
+             "--ci", "im"],
+            ["bounds-staggered", "--data", "MULTI", "--gamma", "1", "--t", "1",
+             "--boot", "50"],
+            ["bounds-staggered", "--data", "MULTI", "--gamma", "1", "--t", "1",
+             "--seed", "1"],
+            ["bounds-staggered", "--data", "MULTI", "--gamma", "1", "--t", "1",
+             "--legacy-se-scaling"],
+        ],
+    )
+    def test_exits_2(self, tmp_path, capsys, argv):
+        files = {
+            "PANEL": _panel(tmp_path),
+            "RCS": _panel(tmp_path, RCS_CSV, "rcs.csv"),
+            "MULTI": _panel(tmp_path, MULTI_CSV, "multi.csv"),
+        }
+        code, out, err = _run(capsys, [files.get(a, a) for a in argv])
+        assert code == 2
+        assert out == "" and "unrecognized arguments" in err
+
+    def test_duplicate_id_period_row_exits_2(self, tmp_path, capsys):
+        # unit 1 has two period-1 rows; the second (y=50.0) used to win silently
+        text = (
+            "id,gvar,t,s,y\n"
+            "1,1,0,1,0.0\n1,1,1,1,5.0\n1,1,1,1,50.0\n"
+            "2,1,0,1,0.0\n2,1,1,1,1.0\n"
+            "3,0,0,1,0.0\n3,0,1,1,0.5\n"
+            "4,0,0,1,0.0\n4,0,1,1,0.0\n"
+        )
+        path = _panel(tmp_path, text, "multi.csv")
+        code, out, err = _run(
+            capsys, ["bounds-staggered", "--data", path, "--gamma", "1", "--t", "1"]
+        )
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["code"] == "MalformedRow"
+        assert payload["context"] == {"line": 4, "id": "1"}
+
+
+# stdout of each panel command on generate_panel(DgpConfig(n=300, seed=7)),
+# recorded from the CLI when every bound built its own masks over the full
+# arrays; regenerate it only for a change of output that is meant
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "panel_cli.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_panel_commands_match_golden_stdout(tmp_path, capsys, command):
+    path = tmp_path / "panel.csv"
+    write_panel_csv(generate_panel(DgpConfig(n=300, seed=7)), path)
+    code, out, err = _run(capsys, command.split() + ["--data", str(path)])
+    assert code == 0 and err == ""
+    assert out == GOLDEN[command]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
 from didbounds import (
     MONO_NEGATIVE,
@@ -24,7 +25,7 @@ from didbounds.errors import (
     MissingOutcome,
 )
 
-from conftest import make_panel
+from conftest import make_panel, panel_rows
 
 PANEL_CSV = """id,d,s0,s1,y0,y1
 a,1,1,1,1.5,2.5
@@ -181,3 +182,12 @@ def test_take_resamples_rows(mixed_panel):
     assert sub.n == 3
     assert sub.ids == ("1", "1", "3")
     assert list(sub.d) == [1, 1, 1]
+
+
+@given(rows=panel_rows)
+def test_cell_counts_match_rows_and_sum_to_n(rows):
+    data = make_panel(rows)
+    counts = cell_counts(data)
+    assert sum(counts.values()) == data.n
+    for (s0, s1, d), count in counts.items():
+        assert count == sum(1 for r in rows if r[:3] == (d, s0, s1))
