@@ -256,6 +256,12 @@ def _support_minima(data: PanelDataset, overrides: dict | None = None) -> dict:
     return out
 
 
+def _require_positive(name: str, value: float) -> float:
+    if value <= 0.0:
+        raise VacuousIdentification(f"{name} is zero")
+    return value
+
+
 def bounds_tau_ooo(data: PanelDataset, assumptions: AssumptionSet) -> BoundsResult:
     """Trimming bounds for the always-observed group.
 
@@ -268,10 +274,8 @@ def bounds_tau_ooo(data: PanelDataset, assumptions: AssumptionSet) -> BoundsResu
         mix = mixing_mono(data, assumptions.direction)
     else:
         mix = mixing_no_mono(data)
-    for name in ("p_ooo1", "p_ooo0"):
-        if getattr(mix, name) <= 0.0:
-            raise VacuousIdentification(f"{name} is zero")
-    p1, p0 = mix.p_ooo1, mix.p_ooo0
+    p1 = _require_positive("p_ooo1", mix.p_ooo1)
+    p0 = _require_positive("p_ooo0", mix.p_ooo0)
     lb = trimmed_mean_lower(treated, p1) - trimmed_mean_upper(control, p0)
     ub = trimmed_mean_upper(treated, p1) - trimmed_mean_lower(control, p0)
     return BoundsResult(
@@ -284,27 +288,14 @@ def bounds_tau_ooo(data: PanelDataset, assumptions: AssumptionSet) -> BoundsResu
     )
 
 
-# trim shares identified under joint independence, by name
-_JOINT_SHARES = {"p_ono0": _p_ono0, "p_nno1": _p_nno1}
-
-
-def _other_group_bound(
-    parameter: str,
+def _other_group_mono(
     data: PanelDataset,
     assumptions: AssumptionSet,
+    parameter: str,
     dominance: str,
-    joint_independence: bool,
-    shares: tuple,
-    formula,
-) -> BoundsResult:
-    """Steps every other-group bound shares around its formula.
-
-    Checks the assumptions, identifies p_ooo1 under positive monotonicity,
-    then identifies each of ``shares`` in order ("p_ooo1", a name of
-    ``_JOINT_SHARES``, or "1 - " one of those); a joint share below 0 is
-    clamped to 0 with a warning, and a share that is not positive makes the
-    bound vacuous. ``formula(p)`` maps the shares to ``(lb, ub, minima)``.
-    """
+    joint_independence: bool = True,
+) -> tuple:
+    """Check an other-group bound's assumptions; return its mono weights and warnings."""
     if not (
         assumptions.monotone
         and assumptions.direction == "positive"
@@ -317,22 +308,18 @@ def _other_group_bound(
     if joint_independence and not assumptions.joint_independence:
         raise InvalidAssumptions(f"{parameter} requires joint_independence")
     mono = mixing_mono(data, "positive")
-    warns = list(mono.warnings)
-    p = {"p_ooo1": mono.p_ooo1}
-    for name in shares:
-        base = name.removeprefix("1 - ")
-        if base not in p:
-            p[base] = _JOINT_SHARES[base](data, warns)
-        p[name] = p[base] if name == base else 1.0 - p[base]
-        if p[name] <= 0.0:
-            raise VacuousIdentification(f"{name} is zero")
-    lb, ub, minima = formula(p)
+    return mono, list(mono.warnings)
+
+
+def _other_group_result(
+    parameter, assumptions, lb, ub, mono, warns, minima, p_ono0=None, p_nno1=None
+) -> BoundsResult:
     mix = MixingProportions(
         p_ooo1=mono.p_ooo1,
         p_ooo0=1.0,
         source="Joint",
-        p_ono0=p.get("p_ono0"),
-        p_nno1=p.get("p_nno1"),
+        p_ono0=p_ono0,
+        p_nno1=p_nno1,
         warnings=warns,
     )
     return BoundsResult(
@@ -352,26 +339,25 @@ def bounds_tau_ono(
     support_overrides: dict | None = None,
 ) -> BoundsResult:
     """Bounds for units observed only when untreated (ONO)."""
-
-    def formula(p):
-        treated = _delta_y(data, 1)
-        control_post = _cell_y(data, d=0, s0=1, s1=1, period=1)
-        attrit_pre = _cell_y(data, d=0, s0=1, s1=0, period=0)
-        minima = _support_minima(data, support_overrides)
-        lb = (
-            trimmed_mean_lower(treated, p["1 - p_ooo1"])
-            - float(np.mean(control_post))
-            + trimmed_mean_lower(attrit_pre, p["p_ono0"])
-        )
-        ub = (
-            trimmed_mean_upper(treated, p["1 - p_ooo1"])
-            - minima["y01_lb"]
-            + trimmed_mean_upper(attrit_pre, p["p_ono0"])
-        )
-        return lb, ub, minima
-
-    return _other_group_bound(
-        "tau_ONO", data, assumptions, "5a", True, ("1 - p_ooo1", "p_ono0"), formula
+    mono, warns = _other_group_mono(data, assumptions, "tau_ONO", "5a")
+    trim = _require_positive("1 - p_ooo1", 1.0 - mono.p_ooo1)
+    p_ono0 = _require_positive("p_ono0", _p_ono0(data, warns))
+    treated = _delta_y(data, 1)
+    control_post = _cell_y(data, d=0, s0=1, s1=1, period=1)
+    attrit_pre = _cell_y(data, d=0, s0=1, s1=0, period=0)
+    minima = _support_minima(data, support_overrides)
+    lb = (
+        trimmed_mean_lower(treated, trim)
+        - float(np.mean(control_post))
+        + trimmed_mean_lower(attrit_pre, p_ono0)
+    )
+    ub = (
+        trimmed_mean_upper(treated, trim)
+        - minima["y01_lb"]
+        + trimmed_mean_upper(attrit_pre, p_ono0)
+    )
+    return _other_group_result(
+        "tau_ONO", assumptions, lb, ub, mono, warns, minima, p_ono0=p_ono0
     )
 
 
@@ -381,30 +367,29 @@ def bounds_tau_nno(
     support_overrides: dict | None = None,
 ) -> BoundsResult:
     """Bounds for units unobserved at baseline, observed only when treated (NNO)."""
-
-    def formula(p):
-        joiner_post = _cell_y(data, d=1, s0=0, s1=1, period=1)
-        both_pre = _cell_y(data, d=1, s0=1, s1=1, period=0)
-        control_joiner_post = _cell_y(data, d=0, s0=0, s1=1, period=1)
-        attrit_pre = _cell_y(data, d=0, s0=1, s1=0, period=0)
-        minima = _support_minima(data, support_overrides)
-        lb = (
-            trimmed_mean_lower(joiner_post, p["p_nno1"])
-            - trimmed_mean_lower(both_pre, p["1 - p_ooo1"])
-            - float(np.mean(control_joiner_post))
-            + minima["y00_lb"]
-        )
-        ub = (
-            trimmed_mean_upper(joiner_post, p["p_nno1"])
-            - minima["y10_lb"]
-            - minima["y01_lb"]
-            + trimmed_mean_lower(attrit_pre, p["p_ono0"])
-        )
-        return lb, ub, minima
-
-    return _other_group_bound(
-        "tau_NNO", data, assumptions, "5b", True,
-        ("1 - p_ooo1", "p_nno1", "p_ono0"), formula,
+    mono, warns = _other_group_mono(data, assumptions, "tau_NNO", "5b")
+    trim_ooo = _require_positive("1 - p_ooo1", 1.0 - mono.p_ooo1)
+    p_nno1 = _require_positive("p_nno1", _p_nno1(data, warns))
+    p_ono0 = _require_positive("p_ono0", _p_ono0(data, warns))
+    joiner_post = _cell_y(data, d=1, s0=0, s1=1, period=1)
+    both_pre = _cell_y(data, d=1, s0=1, s1=1, period=0)
+    control_joiner_post = _cell_y(data, d=0, s0=0, s1=1, period=1)
+    attrit_pre = _cell_y(data, d=0, s0=1, s1=0, period=0)
+    minima = _support_minima(data, support_overrides)
+    lb = (
+        trimmed_mean_lower(joiner_post, p_nno1)
+        - trimmed_mean_lower(both_pre, trim_ooo)
+        - float(np.mean(control_joiner_post))
+        + minima["y00_lb"]
+    )
+    ub = (
+        trimmed_mean_upper(joiner_post, p_nno1)
+        - minima["y10_lb"]
+        - minima["y01_lb"]
+        + trimmed_mean_lower(attrit_pre, p_ono0)
+    )
+    return _other_group_result(
+        "tau_NNO", assumptions, lb, ub, mono, warns, minima, p_ono0=p_ono0, p_nno1=p_nno1
     )
 
 
@@ -414,27 +399,29 @@ def bounds_tau_noo(
     support_overrides: dict | None = None,
 ) -> BoundsResult:
     """Bounds for units unobserved at baseline, observed either way after (NOO)."""
-
-    def formula(p):
-        joiner_post = _cell_y(data, d=1, s0=0, s1=1, period=1)
-        both_pre = _cell_y(data, d=1, s0=1, s1=1, period=0)
-        control_joiner_post = _cell_y(data, d=0, s0=0, s1=1, period=1)
-        control_both_pre = _cell_y(data, d=0, s0=1, s1=1, period=0)
-        minima = _support_minima(data, support_overrides)
-        lb = (
-            trimmed_mean_lower(joiner_post, p["1 - p_nno1"])
-            - trimmed_mean_lower(both_pre, p["p_ooo1"])
-            - float(np.mean(control_joiner_post))
-            + minima["y00_lb"]
-        )
-        ub = (
-            trimmed_mean_upper(joiner_post, p["1 - p_nno1"])
-            - minima["y10_lb"]
-            - float(np.mean(control_joiner_post))
-            + float(np.mean(control_both_pre))
-        )
-        return lb, ub, minima
-
-    return _other_group_bound(
-        "tau_NOO", data, assumptions, "5c", False, ("p_ooo1", "1 - p_nno1"), formula
+    mono, warns = _other_group_mono(
+        data, assumptions, "tau_NOO", "5c", joint_independence=False
+    )
+    p_ooo1 = _require_positive("p_ooo1", mono.p_ooo1)
+    p_nno1 = _p_nno1(data, warns)
+    trim = _require_positive("1 - p_nno1", 1.0 - p_nno1)
+    joiner_post = _cell_y(data, d=1, s0=0, s1=1, period=1)
+    both_pre = _cell_y(data, d=1, s0=1, s1=1, period=0)
+    control_joiner_post = _cell_y(data, d=0, s0=0, s1=1, period=1)
+    control_both_pre = _cell_y(data, d=0, s0=1, s1=1, period=0)
+    minima = _support_minima(data, support_overrides)
+    lb = (
+        trimmed_mean_lower(joiner_post, trim)
+        - trimmed_mean_lower(both_pre, p_ooo1)
+        - float(np.mean(control_joiner_post))
+        + minima["y00_lb"]
+    )
+    ub = (
+        trimmed_mean_upper(joiner_post, trim)
+        - minima["y10_lb"]
+        - float(np.mean(control_joiner_post))
+        + float(np.mean(control_both_pre))
+    )
+    return _other_group_result(
+        "tau_NOO", assumptions, lb, ub, mono, warns, minima, p_nno1=p_nno1
     )

@@ -13,6 +13,7 @@ from .errors import (
     EmptyCell,
     EmptyGroup,
     InvalidAssumptions,
+    MalformedRow,
     MissingPeriod,
     VacuousIdentification,
 )
@@ -158,12 +159,12 @@ def panel_from_staggered(
     pre: dict = {}
     post: dict = {}
     for uid, per, s, y in zip(data.ids, data.t, data.s, data.y):
-        if uid not in keep:
+        if uid not in keep or per not in (0, target.t):
             continue
-        if per == 0:
-            pre[uid] = (int(s), float(y))
-        elif per == target.t:
-            post[uid] = (int(s), float(y))
+        have = pre if per == 0 else post
+        if uid in have:
+            raise MalformedRow(f"id {uid} has more than one row for t={per}", id=uid)
+        have[uid] = (int(s), float(y))
     for period, have in ((0, pre), (target.t, post)):
         missing = [u for u in data.unit_ids if u in keep and u not in have]
         if missing:

@@ -34,6 +34,13 @@ def _norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
+def _norm_ppf(p: float) -> float:
+    """Standard normal quantile, with p = 0 and p = 1 mapped to -inf and inf."""
+    if p <= 0.0 or p >= 1.0:
+        return -math.inf if p <= 0.0 else math.inf
+    return NormalDist().inv_cdf(p)
+
+
 @dataclass(frozen=True)
 class DgpConfig:
     n: int = 1000
@@ -194,10 +201,8 @@ def oracle_true_values(
     sigma_w = math.sqrt(mu2 - mu1**2)
     mu_w = config.outcome_intercept + config.att + mu1
     control_mean = config.outcome_intercept + mu3
-    inv_cdf = NormalDist().inv_cdf
-    z_p = inv_cdf(p_true)
-    lb_true = mu_w - sigma_w * _norm_pdf(z_p) / p_true - control_mean
-    ub_true = mu_w + sigma_w * _norm_pdf(inv_cdf(1.0 - p_true)) / p_true - control_mean
+    lb_true = mu_w - sigma_w * _norm_pdf(_norm_ppf(p_true)) / p_true - control_mean
+    ub_true = mu_w + sigma_w * _norm_pdf(_norm_ppf(1.0 - p_true)) / p_true - control_mean
     return OracleResult(
         p_true=p_true,
         lb_true=lb_true,

@@ -223,6 +223,17 @@ class TestOtherCommands:
         assert 0.68 < payload["p_true"] < 0.73
         assert payload["lb_true"] < payload["ub_true"]
 
+    def test_oracle_point_identified_without_selection_shift(self, capsys):
+        # shift 0 leaves no ONO units, so p_true is exactly 1 and the bounds meet
+        code, out, _ = _run(
+            capsys,
+            ["oracle", "--seed", "1", "--selection-shift", "0", "--mc-draws", "100000"],
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["p_true"] == 1.0
+        assert payload["lb_true"] == payload["ub_true"]
+
     def test_unknown_command_flag(self, capsys):
         code, _, _ = _run(capsys, ["bounds", "--nope"])
         assert code == 2

@@ -17,6 +17,7 @@ from didbounds.errors import (
     EmptyCell,
     EmptyGroup,
     InvalidAssumptions,
+    MalformedRow,
     MissingPeriod,
 )
 from didbounds.extensions import panel_from_staggered
@@ -169,3 +170,20 @@ class TestStaggered:
     def test_missing_period(self):
         with pytest.raises(MissingPeriod):
             panel_from_staggered(multi_fixture(), StaggeredTarget(1, 3))
+
+    def test_duplicate_id_period_row(self):
+        # a second period-2 row for t1, built in code rather than read from a file
+        data = multi_fixture()
+        dup = MultiPeriodPanel(
+            ids=data.ids + ("t1",),
+            gvar=np.append(data.gvar, 1),
+            t=np.append(data.t, 2),
+            s=np.append(data.s, np.int8(1)),
+            y=np.append(data.y, 50.0),
+            unit_ids=data.unit_ids,
+        )
+        with pytest.raises(MalformedRow) as exc:
+            panel_from_staggered(dup, StaggeredTarget(1, 2))
+        assert exc.value.context == {"id": "t1"}
+        # a duplicate in a period the target does not read is left alone
+        assert panel_from_staggered(dup, StaggeredTarget(1, 1)).n == 6
