@@ -110,9 +110,11 @@ def mixing_no_mono(data: PanelDataset) -> MixingProportions:
     warns = []
     if joint.lo == 0.0:
         warns.append("VacuousIdentification")
-    # weights are shares of a cell, so keep them at most 1 whatever rounding
-    p_ooo1 = min(joint.lo / p1.value, 1.0)
-    p_ooo0 = min(joint.lo / p0.value, 1.0)
+    # weights are shares of a cell, so at most 1 whatever rounding, and exactly
+    # 1 when the other arm keeps every unit (its two counts are equal)
+    kept0, kept1 = (p.numerator_count == p.denominator_count for p in (p0, p1))
+    p_ooo1 = 1.0 if kept0 else min(joint.lo / p1.value, 1.0)
+    p_ooo0 = 1.0 if kept1 else min(joint.lo / p0.value, 1.0)
     return MixingProportions(
         p_ooo1=p_ooo1,
         p_ooo0=p_ooo0,

@@ -12,8 +12,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
+from functools import partial
 
 from . import bounds as _bounds
 from . import extensions as _ext
@@ -57,16 +59,20 @@ def _parse_assumptions(name: str, param: str) -> AssumptionSet:
     )
 
 
-def _emit(payload: dict, output: str) -> None:
+def _emit(payload: dict, output: str) -> str:
+    """The text of a payload: indented JSON, or a CSV header and one row.
+
+    A NaN or infinity is refused (``ValueError``), never printed.
+    """
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if output == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        flat = _flatten(payload)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(flat.keys())
-        writer.writerow(flat.values())
-        sys.stdout.write(buf.getvalue())
+        return text
+    flat = _flatten(payload)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(flat.keys())
+    writer.writerow(flat.values())
+    return buf.getvalue()
 
 
 def _flatten(d: dict, prefix: str = "") -> dict:
@@ -86,6 +92,13 @@ def _collect_warnings(caught) -> list:
     return [str(w.message) for w in caught if issubclass(w.category, DataWarning)]
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _add_ci_flags(sub):
     sub.add_argument("--ci", choices=["none", "union", "im"], default="none")
     sub.add_argument("--boot", type=int, default=200)
@@ -102,16 +115,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--data", required=True)
     p_bounds.add_argument("--param", choices=["ooo", "ono", "nno", "noo"], default="ooo")
     p_bounds.add_argument("--assumptions", default="mono-pos")
-    p_bounds.add_argument("--support-y00", type=float, default=None)
-    p_bounds.add_argument("--support-y01", type=float, default=None)
-    p_bounds.add_argument("--support-y10", type=float, default=None)
+    p_bounds.add_argument("--support-y00", type=_finite_float, default=None)
+    p_bounds.add_argument("--support-y01", type=_finite_float, default=None)
+    p_bounds.add_argument("--support-y10", type=_finite_float, default=None)
     _add_ci_flags(p_bounds)
+    p_bounds.set_defaults(handler=partial(_bound_command, load_panel_csv, _panel_fn))
 
     p_rcs = commands.add_parser("bounds-rcs", help="repeated cross-section bounds")
     p_rcs.add_argument("--data", required=True)
     p_rcs.add_argument("--variant", choices=["level", "trend"], default="level")
     p_rcs.add_argument("--assumptions", choices=["nomono", "mono-pos"], default="mono-pos")
     _add_ci_flags(p_rcs)
+    p_rcs.set_defaults(handler=partial(_bound_command, load_rcs_csv, _rcs_fn))
 
     p_stag = commands.add_parser("bounds-staggered", help="staggered 2x2 bounds")
     p_stag.add_argument("--data", required=True)
@@ -119,15 +134,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_stag.add_argument("--t", type=int, required=True)
     p_stag.add_argument("--assumptions", default="mono-pos")
     p_stag.add_argument("--output", choices=["json", "csv"], default="json")
+    p_stag.set_defaults(handler=partial(_bound_command, load_multi_csv, _staggered_fn))
 
     p_naive = commands.add_parser("naive", help="naive DiD on observed units")
     p_naive.add_argument("--data", required=True)
     p_naive.add_argument("--design", choices=["panel", "rcs"], default="panel")
     p_naive.add_argument("--output", choices=["json", "csv"], default="json")
+    p_naive.set_defaults(handler=_naive_command)
 
     p_strata = commands.add_parser("strata", help="latent strata proportions")
     p_strata.add_argument("--data", required=True)
     p_strata.add_argument("--output", choices=["json", "csv"], default="json")
+    p_strata.set_defaults(handler=_strata_command)
 
     p_sim = commands.add_parser("simulate", help="Monte Carlo replication study")
     p_sim.add_argument("--n", type=int, required=True)
@@ -136,52 +154,87 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--assumptions", default="mono-pos,nomono")
     p_sim.add_argument("--coverage", choices=["att", "interval"], default="att")
     p_sim.add_argument("--oracle-draws", type=int, default=2_000_000)
-    p_sim.add_argument("--att", type=float, default=4.0)
+    p_sim.add_argument("--att", type=_finite_float, default=4.0)
+    p_sim.set_defaults(handler=_simulate_command)
 
     p_oracle = commands.add_parser("oracle", help="true values by numerical integration")
     p_oracle.add_argument("--mc-draws", type=int, default=10_000_000)
     p_oracle.add_argument("--seed", type=int, required=True)
-    p_oracle.add_argument("--att", type=float, default=4.0)
-    p_oracle.add_argument("--selection-shift", type=float, default=1.5)
+    p_oracle.add_argument("--att", type=_finite_float, default=4.0)
+    p_oracle.add_argument("--selection-shift", type=_finite_float, default=1.5)
+    p_oracle.set_defaults(handler=_oracle_command)
     return parser
 
 
-def _panel_bound(args, data):
+def _panel_fn(args):
     assumptions = _parse_assumptions(args.assumptions, args.param)
-    overrides = {
-        "y00_lb": args.support_y00,
-        "y01_lb": args.support_y01,
-        "y10_lb": args.support_y10,
-    }
-    fn = {
-        "ooo": lambda d: _bounds.bounds_tau_ooo(d, assumptions),
-        "ono": lambda d: _bounds.bounds_tau_ono(d, assumptions, overrides),
-        "nno": lambda d: _bounds.bounds_tau_nno(d, assumptions, overrides),
-        "noo": lambda d: _bounds.bounds_tau_noo(d, assumptions, overrides),
-    }[args.param]
-    return fn, fn(data)
+    bound = getattr(_bounds, f"bounds_tau_{args.param}")
+    if args.param == "ooo":
+        return lambda d: bound(d, assumptions)
+    overrides = {"y00_lb": args.support_y00, "y01_lb": args.support_y01,
+                 "y10_lb": args.support_y10}
+    return lambda d: bound(d, assumptions, overrides)
 
 
-def _attach_ci(args, data, fn, result) -> dict:
+def _rcs_fn(args):
+    variant = {"level": "LevelEquality", "trend": "TrendEquality"}[args.variant]
+    assumptions = ASSUMPTION_FLAGS[args.assumptions]
+    return lambda d: _ext.bounds_tau_oo_rcs(d, variant, assumptions)
+
+
+def _staggered_fn(args):
+    assumptions = _parse_assumptions(args.assumptions, "ooo")
+    target = _ext.StaggeredTarget(args.gamma, args.t)
+    return lambda d: _ext.bounds_staggered(d, target, assumptions)
+
+
+def _bound_command(load, build, args, caught) -> str:
+    """Load, bound, attach a CI where the command has ``--ci``, and emit."""
+    data = load(args.data)
+    fn = build(args)
+    result = fn(data)
     payload = {"schema": SCHEMA, **result.to_dict()}
-    if args.ci != "none":
+    if getattr(args, "ci", "none") != "none":
         if args.seed is None:
             raise ValidationError("--seed is required when a CI is requested")
         boot = _inf.bootstrap_ses(data, fn, _inf.BootstrapSpec(args.boot, args.seed))
-        if args.ci == "union":
-            ci = _inf.ci_union(
-                result.lb, result.ub, boot.se_lb, boot.se_ub,
-                n=data.n, legacy_se_scaling=args.legacy_se_scaling,
-            )
-        else:
-            ci = _inf.ci_imbens_manski(
-                result.lb, result.ub, boot.se_lb, boot.se_ub, data.n,
-                legacy_se_scaling=args.legacy_se_scaling,
-            )
-        ci.reps_used = boot.reps_used
-        ci.failed_reps = boot.failed_reps
+        method = _inf.ci_union if args.ci == "union" else _inf.ci_imbens_manski
+        ci = method(result.lb, result.ub, boot.se_lb, boot.se_ub, n=data.n,
+                    legacy_se_scaling=args.legacy_se_scaling)
+        ci.reps_used, ci.failed_reps = boot.reps_used, boot.failed_reps
         payload["ci"] = ci.to_dict()
-    return payload
+    payload["warnings"] = _collect_warnings(caught) + payload["warnings"]
+    return _emit(payload, args.output)
+
+
+def _naive_command(args, caught) -> str:
+    load, naive = {"panel": (load_panel_csv, _bounds.naive_did),
+                   "rcs": (load_rcs_csv, _ext.naive_did_rcs)}[args.design]
+    value = naive(load(args.data))
+    return _emit({"schema": SCHEMA, "naive_did": value,
+                  "warnings": _collect_warnings(caught)}, args.output)
+
+
+def _strata_command(args, caught) -> str:
+    data = load_panel_csv(args.data)
+    mix = _bounds.strata_proportions(data)
+    counts = {f"s0={s0},s1={s1},d={d}": v for (s0, s1, d), v in cell_counts(data).items()}
+    return _emit({"schema": SCHEMA, "proportions": mix.to_dict(), "cell_counts": counts,
+                  "warnings": _collect_warnings(caught) + mix.warnings}, args.output)
+
+
+def _simulate_command(args, caught) -> str:
+    config = _sim.DgpConfig(n=args.n, att=args.att, seed=args.seed)
+    names = [a.strip() for a in args.assumptions.split(",") if a.strip()]
+    return _sim.monte_carlo_csv(_sim.run_monte_carlo(
+        config, args.reps, names, coverage=args.coverage, oracle_draws=args.oracle_draws
+    ))
+
+
+def _oracle_command(args, caught) -> str:
+    config = _sim.DgpConfig(n=2, att=args.att, selection_shift=args.selection_shift)
+    result = _sim.oracle_true_values(config, args.mc_draws, seed=args.seed)
+    return _emit({"schema": SCHEMA, **result.to_dict()}, "json")
 
 
 def run(argv) -> int:
@@ -194,75 +247,10 @@ def run(argv) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", DataWarning)
-            if args.command == "bounds":
-                data = load_panel_csv(args.data)
-                fn, result = _panel_bound(args, data)
-                payload = _attach_ci(args, data, fn, result)
-                payload["warnings"] = _collect_warnings(caught) + payload["warnings"]
-                _emit(payload, args.output)
-            elif args.command == "bounds-rcs":
-                data = load_rcs_csv(args.data)
-                variant = {"level": "LevelEquality", "trend": "TrendEquality"}[args.variant]
-                assumptions = ASSUMPTION_FLAGS[args.assumptions]
-                fn = lambda d: _ext.bounds_tau_oo_rcs(d, variant, assumptions)
-                result = fn(data)
-                payload = _attach_ci(args, data, fn, result)
-                payload["warnings"] = _collect_warnings(caught) + payload["warnings"]
-                _emit(payload, args.output)
-            elif args.command == "bounds-staggered":
-                data = load_multi_csv(args.data)
-                assumptions = _parse_assumptions(args.assumptions, "ooo")
-                target = _ext.StaggeredTarget(args.gamma, args.t)
-                result = _ext.bounds_staggered(data, target, assumptions)
-                payload = {"schema": SCHEMA, **result.to_dict()}
-                payload["warnings"] = _collect_warnings(caught) + payload["warnings"]
-                _emit(payload, args.output)
-            elif args.command == "naive":
-                if args.design == "panel":
-                    value = _bounds.naive_did(load_panel_csv(args.data))
-                else:
-                    value = _ext.naive_did_rcs(load_rcs_csv(args.data))
-                _emit({"schema": SCHEMA, "naive_did": value,
-                       "warnings": _collect_warnings(caught)}, args.output)
-            elif args.command == "strata":
-                data = load_panel_csv(args.data)
-                mix = _bounds.strata_proportions(data)
-                _emit(
-                    {
-                        "schema": SCHEMA,
-                        "proportions": mix.to_dict(),
-                        "cell_counts": {
-                            f"s0={k[0]},s1={k[1]},d={k[2]}": v
-                            for k, v in cell_counts(data).items()
-                        },
-                        "warnings": _collect_warnings(caught) + mix.warnings,
-                    },
-                    args.output,
-                )
-            elif args.command == "simulate":
-                config = _sim.DgpConfig(n=args.n, att=args.att, seed=args.seed)
-                rows = _sim.run_monte_carlo(
-                    config,
-                    args.reps,
-                    [a.strip() for a in args.assumptions.split(",") if a.strip()],
-                    coverage=args.coverage,
-                    oracle_draws=args.oracle_draws,
-                )
-                sys.stdout.write(_sim.monte_carlo_csv(rows))
-            elif args.command == "oracle":
-                config = _sim.DgpConfig(
-                    n=2, att=args.att, selection_shift=args.selection_shift
-                )
-                result = _sim.oracle_true_values(config, args.mc_draws, seed=args.seed)
-                sys.stdout.write(
-                    json.dumps({"schema": SCHEMA, **result.to_dict()}, indent=2) + "\n"
-                )
-    except ValidationError as exc:
+            sys.stdout.write(args.handler(args, caught))
+    except (ValidationError, EstimationError) as exc:
         sys.stderr.write(json.dumps(exc.to_dict()) + "\n")
-        return 2
-    except EstimationError as exc:
-        sys.stderr.write(json.dumps(exc.to_dict()) + "\n")
-        return 3
+        return 2 if isinstance(exc, ValidationError) else 3
     except OSError as exc:
         sys.stderr.write(
             json.dumps({"code": "IOError", "message": str(exc), "context": {}}) + "\n"

@@ -9,8 +9,9 @@ share across threads.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import cached_property
 
@@ -82,12 +83,7 @@ class AssumptionSet:
         return self.variant == "with_monotonicity"
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "direction": self.direction,
-            "joint_independence": self.joint_independence,
-            "mean_dominance": self.mean_dominance,
-        }
+        return asdict(self)
 
 
 WITHOUT_MONOTONICITY = AssumptionSet("without_monotonicity")
@@ -95,10 +91,33 @@ MONO_POSITIVE = AssumptionSet("with_monotonicity", "positive")
 MONO_NEGATIVE = AssumptionSet("with_monotonicity", "negative")
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
+def _frozen_array(values, dtype=None) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _id_array(ids) -> np.ndarray:
+    """Ids as a read-only object array of the ids' own ``str`` values."""
+    return _frozen_array(np.fromiter(map(str, ids), dtype=object))
+
+
+def _take_rows(self, indices):
+    """Row subset/resample (used by the bootstrap): every column, ids included."""
+    idx = np.asarray(indices, dtype=np.intp)
+    return type(self)(
+        **{f.name: _frozen_array(getattr(self, f.name)[idx]) for f in fields(self)}
+    )
+
+
+def _first_seen(ids) -> tuple:
+    """Distinct ids in the order they first appear, and each row's index into them."""
+    uniq, first, inverse = np.unique(np.asarray(ids, dtype=object),
+                                     return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return uniq[order], rank[inverse]
 
 
 class PanelCells:
@@ -127,9 +146,9 @@ class PanelCells:
 
 @dataclass(frozen=True)
 class PanelDataset:
-    """Two-period panel: per unit (id, D, S0, S1, Y0, Y1)."""
+    """Two-period panel: per unit (id, D, S0, S1, Y0, Y1), one read-only array each."""
 
-    ids: tuple
+    ids: np.ndarray
     d: np.ndarray
     s0: np.ndarray
     s1: np.ndarray
@@ -139,7 +158,7 @@ class PanelDataset:
     @classmethod
     def from_records(cls, ids, d, s0, s1, y0, y1) -> "PanelDataset":
         return cls(
-            ids=tuple(str(i) for i in ids),
+            ids=_id_array(ids),
             d=_frozen_array(d, np.int8),
             s0=_frozen_array(s0, np.int8),
             s1=_frozen_array(s1, np.int8),
@@ -149,31 +168,21 @@ class PanelDataset:
 
     @property
     def n(self) -> int:
-        return len(self.ids)
+        return self.d.size
 
     @cached_property
     def cells(self) -> PanelCells:
         """The cell summary, built on first use and kept with the dataset."""
         return PanelCells(self)
 
-    def take(self, indices) -> "PanelDataset":
-        """Row subset/resample (used by the bootstrap); ids carried over."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return PanelDataset(
-            ids=tuple(self.ids[i] for i in idx),
-            d=_frozen_array(self.d[idx], np.int8),
-            s0=_frozen_array(self.s0[idx], np.int8),
-            s1=_frozen_array(self.s1[idx], np.int8),
-            y0=_frozen_array(self.y0[idx], np.float64),
-            y1=_frozen_array(self.y1[idx], np.float64),
-        )
+    take = _take_rows
 
 
 @dataclass(frozen=True)
 class RcsDataset:
-    """Repeated cross-sections: per row (id, T, D, S, Y)."""
+    """Repeated cross-sections: per row (id, T, D, S, Y), one read-only array each."""
 
-    ids: tuple
+    ids: np.ndarray
     t: np.ndarray
     d: np.ndarray
     s: np.ndarray
@@ -181,34 +190,30 @@ class RcsDataset:
 
     @property
     def n(self) -> int:
-        return len(self.ids)
+        return self.d.size
 
     @property
     def lam(self) -> float:
         """Share of rows sampled in the post-treatment period."""
         return float(np.mean(self.t))
 
-    def take(self, indices) -> "RcsDataset":
-        idx = np.asarray(indices, dtype=np.intp)
-        return RcsDataset(
-            ids=tuple(self.ids[i] for i in idx),
-            t=_frozen_array(self.t[idx], np.int8),
-            d=_frozen_array(self.d[idx], np.int8),
-            s=_frozen_array(self.s[idx], np.int8),
-            y=_frozen_array(self.y[idx], np.float64),
-        )
+    take = _take_rows
 
 
 @dataclass(frozen=True)
 class MultiPeriodPanel:
-    """Long-format staggered panel; gvar=0 encodes never-treated."""
+    """Long-format staggered panel, one row per (id, t); gvar=0 encodes never-treated."""
 
-    ids: tuple          # row-level id tokens
+    ids: np.ndarray
     gvar: np.ndarray
     t: np.ndarray
     s: np.ndarray
     y: np.ndarray
-    unit_ids: tuple = field(default=())   # distinct ids in first-seen order
+
+    @property
+    def unit_ids(self) -> tuple:
+        """Distinct ids in the order they first appear in the rows."""
+        return tuple(_first_seen(self.ids)[0])
 
     @property
     def periods(self) -> tuple:
@@ -216,6 +221,7 @@ class MultiPeriodPanel:
 
 
 def _read_rows(path, header):
+    """Yield (line number, fields) of each data row, header and width checked."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -230,7 +236,12 @@ def _read_rows(path, header):
         rows = list(reader)
     if not rows:
         raise EmptyFile(f"{path}: no data rows", path=str(path))
-    return rows
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise MalformedRow(
+                f"line {line}: expected {len(header)} fields, got {len(row)}", line=line
+            )
+        yield line, row
 
 
 def _parse_binary(raw, line, col):
@@ -249,6 +260,8 @@ def _parse_outcome(raw, s, line, col):
         value = float(raw)
     except ValueError:
         raise MalformedRow(f"line {line}: {col} not numeric: {raw!r}", line=line)
+    if not math.isfinite(value):
+        raise MalformedRow(f"line {line}: {col} not finite: {raw!r}", line=line)
     if s == 0:
         warnings.warn(
             f"line {line}: {col} present but unit not selected; value dropped",
@@ -260,12 +273,8 @@ def _parse_outcome(raw, s, line, col):
 
 
 def load_panel_csv(path) -> PanelDataset:
-    rows = _read_rows(path, PANEL_HEADER)
     ids, d, s0, s1, y0, y1 = [], [], [], [], [], []
-    for i, row in enumerate(rows):
-        line = i + 2
-        if len(row) != 6:
-            raise MalformedRow(f"line {line}: expected 6 fields, got {len(row)}", line=line)
+    for line, row in _read_rows(path, PANEL_HEADER):
         ids.append(row[0])
         d.append(_parse_binary(row[1], line, "d"))
         s0.append(_parse_binary(row[2], line, "s0"))
@@ -276,40 +285,32 @@ def load_panel_csv(path) -> PanelDataset:
 
 
 def load_rcs_csv(path) -> RcsDataset:
-    rows = _read_rows(path, RCS_HEADER)
     ids, t, d, s, y = [], [], [], [], []
-    for i, row in enumerate(rows):
-        line = i + 2
-        if len(row) != 5:
-            raise MalformedRow(f"line {line}: expected 5 fields, got {len(row)}", line=line)
+    for line, row in _read_rows(path, RCS_HEADER):
         ids.append(row[0])
         t.append(_parse_binary(row[1], line, "t"))
         d.append(_parse_binary(row[2], line, "d"))
         s.append(_parse_binary(row[3], line, "s"))
         y.append(_parse_outcome(row[4], s[-1], line, "y"))
-    lam = sum(t) / len(t)
-    if lam <= 0.0 or lam >= 1.0:
-        raise DegenerateSampling(
-            f"post-period sampling share must lie strictly in (0,1), got {lam}", lam=lam
-        )
-    return RcsDataset(
-        ids=tuple(ids),
+    data = RcsDataset(
+        ids=_id_array(ids),
         t=_frozen_array(t, np.int8),
         d=_frozen_array(d, np.int8),
         s=_frozen_array(s, np.int8),
         y=_frozen_array(y, np.float64),
     )
+    if not 0.0 < data.lam < 1.0:
+        raise DegenerateSampling(
+            f"post-period sampling share must lie strictly in (0,1), got {data.lam}",
+            lam=data.lam,
+        )
+    return data
 
 
 def load_multi_csv(path) -> MultiPeriodPanel:
-    rows = _read_rows(path, MULTI_HEADER)
     ids, gvar, t, s, y = [], [], [], [], []
-    seen_gvar: dict = {}
-    seen_t: dict = {}  # id -> the periods it has a row for
-    for i, row in enumerate(rows):
-        line = i + 2
-        if len(row) != 5:
-            raise MalformedRow(f"line {line}: expected 5 fields, got {len(row)}", line=line)
+    seen: dict = {}  # id -> (its gvar, the periods it has a row for)
+    for line, row in _read_rows(path, MULTI_HEADER):
         uid = row[0]
         try:
             g = int(row[1])
@@ -318,34 +319,32 @@ def load_multi_csv(path) -> MultiPeriodPanel:
             raise MalformedRow(f"line {line}: gvar/t must be integers", line=line)
         if g < 0 or per < 0:
             raise MalformedRow(f"line {line}: gvar/t must be non-negative", line=line)
-        if uid not in seen_gvar:
-            seen_gvar[uid] = g
-            seen_t[uid] = set()
-        elif seen_gvar[uid] != g:
+        if uid not in seen:
+            seen[uid] = (g, set())
+        first_g, periods = seen[uid]
+        if first_g != g:
             raise InconsistentGvar(
-                f"line {line}: id {uid} has gvar {g} but earlier gvar {seen_gvar[uid]}",
-                id=uid,
+                f"line {line}: id {uid} has gvar {g} but earlier gvar {first_g}", id=uid
             )
-        elif per in seen_t[uid]:
+        if per in periods:
             raise MalformedRow(
                 f"line {line}: id {uid} already has a row for t={per}", line=line, id=uid
             )
-        seen_t[uid].add(per)
+        periods.add(per)
         ids.append(uid)
         gvar.append(g)
         t.append(per)
         s.append(_parse_binary(row[3], line, "s"))
         y.append(_parse_outcome(row[4], s[-1], line, "y"))
-    missing = [uid for uid, periods in seen_t.items() if 0 not in periods]
+    missing = [uid for uid, (_, periods) in seen.items() if 0 not in periods]
     if missing:
         raise MissingBaseline(f"ids without a period-0 row: {missing[:5]}", ids=missing)
     return MultiPeriodPanel(
-        ids=tuple(ids),
+        ids=_id_array(ids),
         gvar=_frozen_array(gvar, np.int64),
         t=_frozen_array(t, np.int64),
         s=_frozen_array(s, np.int8),
         y=_frozen_array(y, np.float64),
-        unit_ids=tuple(seen_gvar),
     )
 
 
@@ -357,7 +356,7 @@ def _format_outcome(v) -> str:
 
 def write_panel_csv(data: PanelDataset, path) -> None:
     """Canonical writer: rows sorted by id, shortest round-trip floats."""
-    order = sorted(range(data.n), key=lambda i: data.ids[i])
+    order = sorted(range(data.n), key=data.ids.__getitem__)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PANEL_HEADER)

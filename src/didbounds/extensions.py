@@ -8,7 +8,13 @@ import numpy as np
 
 from .bounds import BoundsResult, MixingProportions, bounds_tau_ooo
 from .core import trimmed_mean_lower, trimmed_mean_upper
-from .data import AssumptionSet, MultiPeriodPanel, PanelDataset, RcsDataset
+from .data import (
+    AssumptionSet,
+    MultiPeriodPanel,
+    PanelDataset,
+    RcsDataset,
+    _first_seen,
+)
 from .errors import (
     EmptyCell,
     EmptyGroup,
@@ -147,41 +153,44 @@ def bounds_tau_oo_rcs(
 def panel_from_staggered(
     data: MultiPeriodPanel, target: StaggeredTarget
 ) -> PanelDataset:
-    """Build the 2x2 comparison: cohort gamma vs never-treated, period 0 vs t."""
-    treated_units = {u for u, g in zip(data.ids, data.gvar) if g == target.gamma}
-    control_units = {u for u, g in zip(data.ids, data.gvar) if g == 0}
-    if not treated_units:
-        raise EmptyGroup(f"no units first treated in period {target.gamma}", gamma=target.gamma)
-    if not control_units:
-        raise EmptyGroup("no never-treated units", gamma=0)
+    """Build the 2x2 comparison: cohort gamma vs never-treated, period 0 vs t.
 
-    keep = treated_units | control_units
-    pre: dict = {}
-    post: dict = {}
-    for uid, per, s, y in zip(data.ids, data.t, data.s, data.y):
-        if uid not in keep or per not in (0, target.t):
-            continue
-        have = pre if per == 0 else post
-        if uid in have:
-            raise MalformedRow(f"id {uid} has more than one row for t={per}", id=uid)
-        have[uid] = (int(s), float(y))
-    for period, have in ((0, pre), (target.t, post)):
-        missing = [u for u in data.unit_ids if u in keep and u not in have]
+    Units keep the order in which their ids first appear in the rows, so a
+    cell's outcomes keep the rows' order.
+    """
+    unit_ids, unit = _first_seen(data.ids)
+    treated = np.zeros(unit_ids.size, dtype=bool)
+    treated[unit[data.gvar == target.gamma]] = True
+    control = np.zeros(unit_ids.size, dtype=bool)
+    control[unit[data.gvar == 0]] = True
+    if not treated.any():
+        raise EmptyGroup(f"no units first treated in period {target.gamma}", gamma=target.gamma)
+    if not control.any():
+        raise EmptyGroup("no never-treated units", gamma=0)
+    keep = treated | control
+
+    rows = np.flatnonzero(keep[unit] & ((data.t == 0) | (data.t == target.t)))
+    is_post = data.t[rows] != 0
+    _, first = np.unique(2 * unit[rows] + is_post, return_index=True)
+    if first.size < rows.size:
+        repeat = np.ones(rows.size, dtype=bool)
+        repeat[first] = False
+        row = rows[np.argmax(repeat)]
+        uid = unit_ids[unit[row]]
+        raise MalformedRow(f"id {uid} has more than one row for t={data.t[row]}", id=uid)
+    at = np.full((2, unit_ids.size), -1)   # [pre/post, unit] -> row
+    at[is_post.astype(np.intp), unit[rows]] = rows
+    for period, have in ((0, at[0]), (target.t, at[1])):
+        missing = unit_ids[keep & (have < 0)].tolist()
         if missing:
             raise MissingPeriod(
                 f"period {period} missing for ids {missing[:5]}", t=period, ids=missing
             )
-    ids, d, s0, s1, y0, y1 = [], [], [], [], [], []
-    for uid in data.unit_ids:
-        if uid not in keep:
-            continue
-        ids.append(uid)
-        d.append(1 if uid in treated_units else 0)
-        s0.append(pre[uid][0])
-        y0.append(pre[uid][1])
-        s1.append(post[uid][0])
-        y1.append(post[uid][1])
-    return PanelDataset.from_records(ids, d, s0, s1, y0, y1)
+    units = np.flatnonzero(keep)
+    pre, post = at[:, units]
+    return PanelDataset.from_records(
+        unit_ids[units], treated[units], data.s[pre], data.s[post], data.y[pre], data.y[post]
+    )
 
 
 def bounds_staggered(

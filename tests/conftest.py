@@ -50,7 +50,7 @@ def make_rcs(rows):
         d.append(row[1])
         s.append(row[2])
         y.append(np.nan if row[3] is None else float(row[3]))
-    ids = tuple(str(i + 1) for i in range(len(rows)))
+    ids = np.array([str(i + 1) for i in range(len(rows))], dtype=object)
     arr = lambda v, dt: np.asarray(v, dtype=dt)
     return RcsDataset(ids=ids, t=arr(t, np.int8), d=arr(d, np.int8),
                       s=arr(s, np.int8), y=arr(y, np.float64))

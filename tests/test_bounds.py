@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,11 +10,14 @@ from didbounds import (
     MONO_POSITIVE,
     WITHOUT_MONOTONICITY,
     AssumptionSet,
+    MultiPeriodPanel,
     PanelDataset,
+    StaggeredTarget,
     bounds_tau_nno,
     bounds_tau_noo,
     bounds_tau_ono,
     bounds_tau_ooo,
+    bounds_staggered,
     group_proportion,
     mixing_mono,
     mixing_no_mono,
@@ -282,3 +287,78 @@ def test_bounds_invariant_to_row_order(rows, data):
         assert got.proportions.to_dict() == ref.proportions.to_dict(), name
         assert got.support_minima == ref.support_minima, name
         assert got.warnings == ref.warnings, name
+
+
+def _relabel(ids, labels):
+    """Rename ids so that the k-th id in lexical order becomes labels[k]."""
+    rank = {uid: k for k, uid in enumerate(sorted(ids))}
+    return [labels[rank[uid]] for uid in ids]
+
+
+def _same_outcome(ref, got, name):
+    if isinstance(ref, str):
+        assert got == ref, name
+        return
+    assert (got.lb, got.ub) == (ref.lb, ref.ub), name
+    assert got.proportions.to_dict() == ref.proportions.to_dict(), name
+    assert got.support_minima == ref.support_minima, name
+    assert got.warnings == ref.warnings, name
+
+
+@given(rows=panel_rows, data=st.data())
+def test_bounds_invariant_to_id_relabeling(rows, data):
+    panel = make_panel(rows)
+    ids = list(panel.ids)
+    labels = [f"u{k:04d}" for k in range(len(ids))]
+    renamings = {
+        "reversed": _relabel(ids, labels[::-1]),
+        "shuffled": _relabel(ids, data.draw(st.permutations(labels))),
+    }
+    # the staggered file: cohort 2 against never-treated, periods 0 and 2,
+    # period-2 rows first and period-0 rows in reverse, so units are first
+    # seen neither in id order nor in lexical order
+    def staggered(unit_ids):
+        long = [(u, 2 * r[0], 2, r[2], r[4]) for u, r in zip(unit_ids, rows)]
+        long += [(u, 2 * r[0], 0, r[1], r[3]) for u, r in zip(unit_ids, rows)][::-1]
+        cols = list(zip(*long))
+        return MultiPeriodPanel(
+            ids=np.array(cols[0], dtype=object), gvar=np.array(cols[1]),
+            t=np.array(cols[2]), s=np.array(cols[3], dtype=np.int8),
+            y=np.array([np.nan if v is None else v for v in cols[4]]),
+        )
+
+    target = StaggeredTarget(2, 2)
+    for how, new_ids in renamings.items():
+        renamed = PanelDataset.from_records(
+            new_ids, panel.d, panel.s0, panel.s1, panel.y0, panel.y1
+        )
+        for name, fn in ALL_BOUNDS.items():
+            _same_outcome(_outcome(fn, panel), _outcome(fn, renamed), f"{how} {name}")
+        for aset in (WITHOUT_MONOTONICITY, MONO_POSITIVE, MONO_NEGATIVE):
+            fn = lambda d: bounds_staggered(d, target, aset)
+            _same_outcome(
+                _outcome(fn, staggered(ids)), _outcome(fn, staggered(new_ids)),
+                f"{how} staggered {aset.variant} {aset.direction}",
+            )
+
+
+@given(data=st.data())
+def test_weights_are_one_exactly_when_their_rational_value_is(data):
+    # (kept, attriters) per arm, each arm under 200 rows, at least one kept
+    num0, num1 = data.draw(st.integers(1, 199)), data.draw(st.integers(1, 199))
+    den0 = data.draw(st.integers(num0, 199))
+    den1 = data.draw(st.integers(num1, 199))
+    rows = [(1, 1, 1, 0.0, 0.0)] * num1 + [(1, 1, 0, 0.0, None)] * (den1 - num1)
+    rows += [(0, 1, 1, 0.0, 0.0)] * num0 + [(0, 1, 0, 0.0, None)] * (den0 - num0)
+    panel = make_panel(rows)
+    p0, p1 = Fraction(num0, den0), Fraction(num1, den1)
+    joint = max(p0 + p1 - 1, Fraction(0))
+    exact = {
+        "nomono": (mixing_no_mono(panel), joint / p1, joint / p0),
+        "mono-pos": (mixing_mono(panel, "positive"), min(p0 / p1, Fraction(1)), 1),
+        "mono-neg": (mixing_mono(panel, "negative"), 1, min(p1 / p0, Fraction(1))),
+    }
+    for name, (mix, w1, w0) in exact.items():
+        for got, want in ((mix.p_ooo1, w1), (mix.p_ooo0, w0)):
+            assert 0.0 <= got <= 1.0, name
+            assert (got == 1.0) == (want == 1), (name, got, want)

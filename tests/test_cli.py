@@ -1,10 +1,12 @@
+import argparse
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from didbounds import generate_panel, write_panel_csv, DgpConfig
-from didbounds.cli import run
+from didbounds.cli import _emit, build_parser, run
 
 PANEL_CSV = """id,d,s0,s1,y0,y1
 a1,1,1,1,10,11
@@ -313,3 +315,135 @@ def test_panel_commands_match_golden_stdout(tmp_path, capsys, command):
     code, out, err = _run(capsys, command.split() + ["--data", str(path)])
     assert code == 0 and err == ""
     assert out == GOLDEN[command]
+
+
+def _golden_inputs(tmp_path) -> dict:
+    """Panel, repeated cross-section and staggered files, all drawn from
+    generate_panel(DgpConfig(n=300, seed=7)), by argv placeholder."""
+    panel = generate_panel(DgpConfig(n=300, seed=7))
+    fmt = lambda v: "" if np.isnan(v) else repr(float(v))
+    by_period = ((panel.s0, panel.y0), (panel.s1, panel.y1))
+    # unit i is sampled in period i % 2 only, with that period's outcome
+    rcs = ["id,t,d,s,y"] + [
+        f"{uid},{i % 2},{panel.d[i]},{by_period[i % 2][0][i]},{fmt(by_period[i % 2][1][i])}"
+        for i, uid in enumerate(panel.ids)
+    ]
+    # treated units alternate between cohorts 1 and 2; period 2 repeats
+    # period 1 shifted by 0.5; rows shuffled so first-seen order is not id order
+    multi = [
+        f"{uid},{(1 + i % 2) * panel.d[i]},{t},{s[i]},{fmt(y[i] + shift)}"
+        for i, uid in enumerate(panel.ids)
+        for t, (s, y), shift in ((0, by_period[0], 0.0), (1, by_period[1], 0.0),
+                                 (2, by_period[1], 0.5))
+    ]
+    order = np.random.default_rng(11).permutation(len(multi))
+    multi = ["id,gvar,t,s,y"] + [multi[k] for k in order]
+    files = {name: tmp_path / f"{name.lower()}.csv" for name in ("PANEL", "RCS", "MULTI")}
+    write_panel_csv(panel, files["PANEL"])
+    files["RCS"].write_text("\n".join(rcs) + "\n", encoding="utf-8")
+    files["MULTI"].write_text("\n".join(multi) + "\n", encoding="utf-8")
+    return {name: str(path) for name, path in files.items()}
+
+
+# stdout of the commands that share the CLI's load/bound/CI/emit path, on the
+# files of _golden_inputs, recorded from the CLI when each command had its own
+# branch in cli.run and the staggered pivot read a stored unit list
+GOLDEN_COMMANDS = json.loads(
+    (Path(__file__).parent / "golden" / "cli_commands.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
+def test_commands_match_golden_stdout(tmp_path, capsys, command):
+    files = _golden_inputs(tmp_path)
+    code, out, err = _run(capsys, [files.get(a, a) for a in command.split()])
+    assert code == 0 and err == ""
+    assert out == GOLDEN_COMMANDS[command]
+
+
+
+@pytest.mark.parametrize(
+    "full, partial, attrit_d, lb, ub",
+    [((3, 2), (1, 2), 0, 1.0, 1.5), ((3, 2), (1, 1), 0, 1.5, 2.0),
+     ((3, 2), (1, 2), 1, -1.5, -1.0), ((3, 2), (1, 1), 1, -2.0, -1.5)],
+    ids=["control-attrits", "control-attrits-tied", "treated-attrits",
+         "treated-attrits-tied"],
+)
+def test_weight_is_exactly_one_when_other_arm_keeps_every_unit(
+    tmp_path, capsys, full, partial, attrit_d, lb, ub
+):
+    # the arm that keeps every unit (retention exactly 1) has dY `full`; the
+    # other has dY `partial` and one attriter, so its weight must be exactly 1.0
+    # and its mean untrimmed (the tied cases exited 3 with EmptyTrimSet)
+    rows = [f"k{i},{1 - attrit_d},1,1,0,{dy}" for i, dy in enumerate(full)]
+    rows += [f"p{i},{attrit_d},1,1,0,{dy}" for i, dy in enumerate(partial)]
+    rows.append(f"x,{attrit_d},1,0,0,")
+    text = "id,d,s0,s1,y0,y1\n" + "\n".join(rows) + "\n"
+    code, out, err = _run(
+        capsys, ["bounds", "--data", _panel(tmp_path, text), "--assumptions", "nomono"]
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert (payload["lb"], payload["ub"]) == (lb, ub)
+    assert payload["proportions"][("p_ooo0", "p_ooo1")[attrit_d]] == 1.0
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
+def test_non_finite_outcome_exits_2(tmp_path, capsys, raw):
+    text = PANEL_CSV.replace("a1,1,1,1,10,11", f"a1,1,1,1,10,{raw}")
+    code, out, err = _run(capsys, ["naive", "--data", _panel(tmp_path, text)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "MalformedRow"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--data", "PANEL", "--param", "ono", "--support-y01", "inf"],
+        ["bounds", "--data", "PANEL", "--param", "nno", "--support-y00", "nan"],
+        ["oracle", "--seed", "1", "--att", "nan"],
+        ["oracle", "--seed", "1", "--selection-shift=-inf"],
+        ["simulate", "--n", "300", "--reps", "1", "--seed", "1", "--att", "inf"],
+    ],
+)
+def test_non_finite_float_flag_exits_2(tmp_path, capsys, argv):
+    code, out, err = _run(capsys, [_panel(tmp_path) if a == "PANEL" else a for a in argv])
+    assert code == 2 and out == ""
+    assert "not a finite number" in err
+
+
+def test_emit_refuses_non_finite_values():
+    for output in ("json", "csv"):
+        with pytest.raises(ValueError):
+            _emit({"schema": 1, "lb": float("nan")}, output)
+        with pytest.raises(ValueError):
+            _emit({"schema": 1, "ci": {"hi": float("inf")}}, output)
+
+
+# every subcommand's option strings; a new flag shows up here as a test diff
+CLI_SURFACE = {
+    "bounds": ["--assumptions", "--boot", "--ci", "--data", "--legacy-se-scaling",
+               "--output", "--param", "--seed", "--support-y00", "--support-y01",
+               "--support-y10"],
+    "bounds-rcs": ["--assumptions", "--boot", "--ci", "--data", "--legacy-se-scaling",
+                   "--output", "--seed", "--variant"],
+    "bounds-staggered": ["--assumptions", "--data", "--gamma", "--output", "--t"],
+    "naive": ["--data", "--design", "--output"],
+    "strata": ["--data", "--output"],
+    "simulate": ["--assumptions", "--att", "--coverage", "--n", "--oracle-draws",
+                 "--reps", "--seed"],
+    "oracle": ["--att", "--mc-draws", "--seed", "--selection-shift"],
+}
+
+
+def test_cli_surface():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: sorted(
+            opt for action in sub._actions for opt in action.option_strings
+            if opt not in ("-h", "--help")
+        )
+        for name, sub in commands.choices.items()
+    }
+    assert surface == CLI_SURFACE

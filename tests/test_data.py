@@ -8,6 +8,8 @@ from didbounds import (
     WITHOUT_MONOTONICITY,
     AssumptionSet,
     LatentGroup,
+    PanelDataset,
+    RcsDataset,
     cell_counts,
     load_multi_csv,
     load_panel_csv,
@@ -45,7 +47,7 @@ class TestPanelLoader:
     def test_round_values(self, tmp_path):
         data = load_panel_csv(_write(tmp_path, PANEL_CSV))
         assert data.n == 4
-        assert data.ids == ("a", "b", "c", "d")
+        assert tuple(data.ids) == ("a", "b", "c", "d")
         assert list(data.d) == [1, 0, 0, 1]
         assert data.y0[0] == 1.5
         assert np.isnan(data.y1[1]) and np.isnan(data.y0[2])
@@ -93,12 +95,28 @@ class TestPanelLoader:
         with pytest.raises(MalformedRow):
             load_panel_csv(path)
 
+    @pytest.mark.parametrize(
+        "load, text",
+        [
+            (load_panel_csv, "id,d,s0,s1,y0,y1\na,1,1,1,nan,2.0\n"),
+            (load_panel_csv, "id,d,s0,s1,y0,y1\na,1,1,0,1.0,inf\n"),
+            (load_rcs_csv, "id,t,d,s,y\na,0,1,1,-inf\nb,1,1,1,2.0\n"),
+            (load_multi_csv, "id,gvar,t,s,y\na,1,0,1,NaN\n"),
+        ],
+        ids=["panel-nan", "panel-inf-unselected", "rcs-minus-inf", "multi-nan"],
+    )
+    def test_non_finite_outcome(self, tmp_path, load, text):
+        # even where the unit is not selected: a missing outcome is a blank field
+        with pytest.raises(MalformedRow) as exc:
+            load(_write(tmp_path, text))
+        assert exc.value.context == {"line": 2}
+
     def test_write_then_load_round_trip(self, tmp_path):
         data = load_panel_csv(_write(tmp_path, PANEL_CSV))
         out = tmp_path / "out.csv"
         write_panel_csv(data, out)
         again = load_panel_csv(out)
-        assert again.ids == data.ids
+        assert tuple(again.ids) == tuple(data.ids)
         assert np.array_equal(again.d, data.d)
         np.testing.assert_array_equal(again.y0, data.y0)
         np.testing.assert_array_equal(again.y1, data.y1)
@@ -180,8 +198,20 @@ def test_latent_group_enum_covers_all_selection_patterns():
 def test_take_resamples_rows(mixed_panel):
     sub = mixed_panel.take([0, 0, 2])
     assert sub.n == 3
-    assert sub.ids == ("1", "1", "3")
+    assert tuple(sub.ids) == ("1", "1", "3")
     assert list(sub.d) == [1, 1, 1]
+
+
+def test_one_row_take_for_panels_and_cross_sections(tmp_path):
+    assert vars(PanelDataset)["take"] is vars(RcsDataset)["take"]
+    data = load_rcs_csv(_write(tmp_path, "id,t,d,s,y\na,0,1,1,1.0\nb,1,0,0,\nc,1,1,1,3.0\n"))
+    sub = data.take([2, 2, 1])
+    assert sub.n == 3 and tuple(sub.ids) == ("c", "c", "b")
+    assert list(sub.t) == [1, 1, 1] and list(sub.s) == [1, 1, 0]
+    for name in ("ids", "t", "d", "s", "y"):
+        col = getattr(sub, name)
+        assert isinstance(col, np.ndarray) and not col.flags.writeable
+        assert col.dtype == getattr(data, name).dtype
 
 
 @given(rows=panel_rows)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from didbounds import (
     MONO_NEGATIVE,
@@ -134,7 +136,7 @@ def multi_fixture():
     arr = lambda v, dt: np.asarray(v, dtype=dt)
     return MultiPeriodPanel(
         ids=tuple(ids), gvar=arr(gvar, np.int64), t=arr(t, np.int64),
-        s=arr(s, np.int8), y=arr(y, np.float64), unit_ids=("t1", "t2", "t3", "c1", "c2", "c3"),
+        s=arr(s, np.int8), y=arr(y, np.float64),
     )
 
 
@@ -152,6 +154,14 @@ class TestStaggered:
         by_id = dict(zip(panel.ids, zip(panel.d, panel.s0, panel.s1)))
         assert by_id["t1"] == (1, 1, 1)
         assert by_id["c3"] == (0, 0, 0)
+
+    def test_units_derived_from_rows(self):
+        # built in code, with no unit list beside the rows: every unit is kept,
+        # in the order its id first appears
+        data = multi_fixture()
+        assert data.unit_ids == ("t1", "t2", "t3", "c1", "c2", "c3")
+        panel = panel_from_staggered(data, StaggeredTarget(1, 2))
+        assert tuple(panel.ids) == data.unit_ids
 
     def test_delegates_to_panel_bound_bitwise(self):
         data = multi_fixture()
@@ -180,10 +190,82 @@ class TestStaggered:
             t=np.append(data.t, 2),
             s=np.append(data.s, np.int8(1)),
             y=np.append(data.y, 50.0),
-            unit_ids=data.unit_ids,
         )
         with pytest.raises(MalformedRow) as exc:
             panel_from_staggered(dup, StaggeredTarget(1, 2))
         assert exc.value.context == {"id": "t1"}
         # a duplicate in a period the target does not read is left alone
         assert panel_from_staggered(dup, StaggeredTarget(1, 1)).n == 6
+
+
+def _pivot_by_rows(data, target):
+    """The row-by-row pivot, kept as the reference: (ids, d, s0, s1, y0, y1)."""
+    unit_ids = list(dict.fromkeys(data.ids))
+    treated = {u for u, g in zip(data.ids, data.gvar) if g == target.gamma}
+    control = {u for u, g in zip(data.ids, data.gvar) if g == 0}
+    if not treated:
+        raise EmptyGroup("no treated units", gamma=target.gamma)
+    if not control:
+        raise EmptyGroup("no never-treated units", gamma=0)
+    keep = treated | control
+    pre, post = {}, {}
+    for uid, per, s, y in zip(data.ids, data.t, data.s, data.y):
+        if uid not in keep or per not in (0, target.t):
+            continue
+        have = pre if per == 0 else post
+        if uid in have:
+            raise MalformedRow("duplicate row", id=uid)
+        have[uid] = (int(s), float(y))
+    for period, have in ((0, pre), (target.t, post)):
+        missing = [u for u in unit_ids if u in keep and u not in have]
+        if missing:
+            raise MissingPeriod("missing period", t=period, ids=missing)
+    units = [u for u in unit_ids if u in keep]
+    return (
+        units, [int(u in treated) for u in units],
+        [pre[u][0] for u in units], [post[u][0] for u in units],
+        [pre[u][1] for u in units], [post[u][1] for u in units],
+    )
+
+
+# per unit: an id, a cohort (0 = never treated), (s, y) in periods 0-2, and
+# two draws in 0-29 that below 3 name a period to leave out and one to repeat,
+# so every error of the pivot is drawn as well as valid panels
+_unit = st.tuples(
+    st.text("abc", min_size=1, max_size=3),
+    st.sampled_from([0, 1, 2]),
+    st.lists(st.tuples(st.integers(0, 1), st.integers(-3, 3).map(float)),
+             min_size=3, max_size=3),
+    st.integers(0, 29),
+    st.integers(0, 29),
+)
+
+
+@given(units=st.lists(_unit, min_size=2, max_size=8, unique_by=lambda u: u[0]),
+       data=st.data())
+def test_pivot_matches_row_by_row_reference(units, data):
+    rows = []
+    for uid, g, obs, drop, repeat in units:
+        rows += [(uid, g, t, s, y if s else np.nan)
+                 for t, (s, y) in enumerate(obs) if t != drop]
+        rows += [(uid, g, repeat, 1, 9.0)] if repeat < 3 else []
+    rows = data.draw(st.permutations(rows))
+    gamma = data.draw(st.sampled_from(sorted({u[1] for u in units} - {0}) or [1]))
+    target = StaggeredTarget(gamma, data.draw(st.integers(gamma, 2)))
+    cols = list(zip(*rows))
+    panel = MultiPeriodPanel(
+        ids=np.array(cols[0], dtype=object), gvar=np.array(cols[1]), t=np.array(cols[2]),
+        s=np.array(cols[3], dtype=np.int8), y=np.array(cols[4], dtype=np.float64),
+    )
+    try:
+        want = _pivot_by_rows(panel, target)
+    except (EmptyGroup, MalformedRow, MissingPeriod) as exc:
+        with pytest.raises(type(exc)) as got:
+            panel_from_staggered(panel, target)
+        assert got.value.context == exc.context
+        return
+    got = panel_from_staggered(panel, target)
+    assert list(got.ids) == want[0]
+    assert [list(col) for col in (got.d, got.s0, got.s1)] == list(want[1:4])
+    for col, ref in ((got.y0, want[4]), (got.y1, want[5])):
+        assert np.array_equal(col, np.array(ref), equal_nan=True)

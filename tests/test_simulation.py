@@ -37,7 +37,7 @@ class TestGenerator:
     def test_deterministic_given_seed(self):
         a = generate_panel(DgpConfig(n=500, seed=9))
         b = generate_panel(DgpConfig(n=500, seed=9))
-        assert a.ids == b.ids
+        assert tuple(a.ids) == tuple(b.ids)
         for field in ("d", "s0", "s1"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         np.testing.assert_array_equal(a.y0, b.y0)
