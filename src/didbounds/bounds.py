@@ -14,8 +14,10 @@ import numpy as np
 
 from .core import (
     FrechetInterval,
+    Sample,
     cond_prob_s1,
     frechet_interval,
+    require_finite,
     trimmed_mean_lower,
     trimmed_mean_upper,
 )
@@ -68,6 +70,12 @@ class BoundsResult:
     warnings: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # an overflowed endpoint is an estimation error, so that a bootstrap
+        # replicate that overflows counts as failed
+        require_finite(f"{self.parameter} lb", self.lb)
+        require_finite(f"{self.parameter} ub", self.ub)
+
     def to_dict(self) -> dict:
         out = {
             "parameter": self.parameter,
@@ -95,7 +103,8 @@ def _delta_y(data: PanelDataset, d: int) -> np.ndarray:
 
 def naive_did(data: PanelDataset) -> float:
     """DiD contrast on units observed in both periods, ignoring selection."""
-    return float(np.mean(_delta_y(data, 1))) - float(np.mean(_delta_y(data, 0)))
+    value = float(np.mean(_delta_y(data, 1))) - float(np.mean(_delta_y(data, 0)))
+    return require_finite("naive_did", value)
 
 
 def mixing_no_mono(data: PanelDataset) -> MixingProportions:
@@ -270,8 +279,8 @@ def bounds_tau_ooo(data: PanelDataset, assumptions: AssumptionSet) -> BoundsResu
     Under monotonicity one of the weights is 1, and a mean trimmed at share 1
     is the plain mean bit for bit, so one formula serves every assumption set.
     """
-    treated = _delta_y(data, 1)
-    control = _delta_y(data, 0)
+    treated = Sample(_delta_y(data, 1))
+    control = Sample(_delta_y(data, 0))
     if assumptions.monotone:
         mix = mixing_mono(data, assumptions.direction)
     else:
@@ -344,9 +353,9 @@ def bounds_tau_ono(
     mono, warns = _other_group_mono(data, assumptions, "tau_ONO", "5a")
     trim = _require_positive("1 - p_ooo1", 1.0 - mono.p_ooo1)
     p_ono0 = _require_positive("p_ono0", _p_ono0(data, warns))
-    treated = _delta_y(data, 1)
+    treated = Sample(_delta_y(data, 1))
     control_post = _cell_y(data, d=0, s0=1, s1=1, period=1)
-    attrit_pre = _cell_y(data, d=0, s0=1, s1=0, period=0)
+    attrit_pre = Sample(_cell_y(data, d=0, s0=1, s1=0, period=0))
     minima = _support_minima(data, support_overrides)
     lb = (
         trimmed_mean_lower(treated, trim)
@@ -373,7 +382,7 @@ def bounds_tau_nno(
     trim_ooo = _require_positive("1 - p_ooo1", 1.0 - mono.p_ooo1)
     p_nno1 = _require_positive("p_nno1", _p_nno1(data, warns))
     p_ono0 = _require_positive("p_ono0", _p_ono0(data, warns))
-    joiner_post = _cell_y(data, d=1, s0=0, s1=1, period=1)
+    joiner_post = Sample(_cell_y(data, d=1, s0=0, s1=1, period=1))
     both_pre = _cell_y(data, d=1, s0=1, s1=1, period=0)
     control_joiner_post = _cell_y(data, d=0, s0=0, s1=1, period=1)
     attrit_pre = _cell_y(data, d=0, s0=1, s1=0, period=0)
@@ -407,7 +416,7 @@ def bounds_tau_noo(
     p_ooo1 = _require_positive("p_ooo1", mono.p_ooo1)
     p_nno1 = _p_nno1(data, warns)
     trim = _require_positive("1 - p_nno1", 1.0 - p_nno1)
-    joiner_post = _cell_y(data, d=1, s0=0, s1=1, period=1)
+    joiner_post = Sample(_cell_y(data, d=1, s0=0, s1=1, period=1))
     both_pre = _cell_y(data, d=1, s0=1, s1=1, period=0)
     control_joiner_post = _cell_y(data, d=0, s0=0, s1=1, period=1)
     control_both_pre = _cell_y(data, d=0, s0=1, s1=1, period=0)

@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .data import PanelDataset
-from .errors import EmptyCell, EmptyTrimSet, OutOfRange, PZero, QOutOfRange
+from .errors import (
+    EmptyCell,
+    EmptyTrimSet,
+    NonFiniteEstimate,
+    OutOfRange,
+    PZero,
+    QOutOfRange,
+)
 
 
 @dataclass(frozen=True)
@@ -52,17 +60,24 @@ def frechet_interval(p_a: float, p_b: float) -> FrechetInterval:
     return FrechetInterval(min(max(p_a + p_b - 1.0, 0.0), hi), hi)
 
 
-def empirical_quantile(values, q: float) -> float:
-    """Smallest sample value whose empirical CDF weakly exceeds q.
+class Sample:
+    """A cell's values in row order, and their sort once it is first needed.
 
-    Type-1 / left-continuous inverse restricted to sample points; q in (0,1].
+    Trimmed means of both tails of one cell share the sort: pass the same
+    ``Sample`` to ``trimmed_mean_lower`` and ``trimmed_mean_upper``.
     """
-    if not (0.0 < q <= 1.0) or math.isnan(q):
-        raise QOutOfRange(f"q must be in (0,1], got {q}", q=q)
-    arr = np.sort(np.asarray(values, dtype=np.float64))
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    @cached_property
+    def sorted(self) -> np.ndarray:
+        return np.sort(self.values)
+
+
+def _sorted_quantile(arr, q: float) -> float:
+    """``empirical_quantile`` of a sorted, non-empty sample; q in (0,1]."""
     n = arr.size
-    if n == 0:
-        raise EmptyCell("empirical_quantile of empty sample")
     # first k with (k+1)/n >= q, using the same float comparison as the
     # definition's indicator sums
     cdf = np.arange(1, n + 1) / n
@@ -72,6 +87,19 @@ def empirical_quantile(values, q: float) -> float:
     return float(arr[k])
 
 
+def empirical_quantile(values, q: float) -> float:
+    """Smallest sample value whose empirical CDF weakly exceeds q.
+
+    Type-1 / left-continuous inverse restricted to sample points; q in (0,1].
+    """
+    if not (0.0 < q <= 1.0) or math.isnan(q):
+        raise QOutOfRange(f"q must be in (0,1], got {q}", q=q)
+    arr = np.sort(np.asarray(values, dtype=np.float64))
+    if arr.size == 0:
+        raise EmptyCell("empirical_quantile of empty sample")
+    return _sorted_quantile(arr, q)
+
+
 def _check_p(p: float) -> None:
     if p <= 0.0 or math.isnan(p):
         raise PZero(f"trim share must be positive, got {p}", p=p)
@@ -79,18 +107,23 @@ def _check_p(p: float) -> None:
         raise OutOfRange(f"trim share must be <= 1, got {p}", p=p)
 
 
+def _sample(values, p: float, name: str) -> Sample:
+    _check_p(p)
+    sample = values if isinstance(values, Sample) else Sample(values)
+    if sample.values.size == 0:
+        raise EmptyCell(f"{name} of empty sample")
+    return sample
+
+
 def trimmed_mean_lower(values, p: float) -> float:
     """Mean over {v : v <= empirical_quantile(values, p)}.
 
     Selection is by mask in original order, so p=1 reproduces the plain mean
-    bit-for-bit (same reduction order).
+    bit-for-bit (same reduction order). ``values`` is an array or a ``Sample``.
     """
-    _check_p(p)
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise EmptyCell("trimmed_mean_lower of empty sample")
-    thr = empirical_quantile(arr, p)
-    return float(np.mean(arr[arr <= thr]))
+    sample = _sample(values, p, "trimmed_mean_lower")
+    arr = sample.values
+    return float(np.mean(arr[arr <= _sorted_quantile(sample.sorted, p)]))
 
 
 def trimmed_mean_upper(values, p: float) -> float:
@@ -98,17 +131,22 @@ def trimmed_mean_upper(values, p: float) -> float:
 
     The p=1 case is the analytic limit (the quantile domain excludes q=0).
     With heavy ties the strict tail can be empty; that is an estimation error.
+    ``values`` is an array or a ``Sample``.
     """
-    _check_p(p)
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise EmptyCell("trimmed_mean_upper of empty sample")
+    sample = _sample(values, p, "trimmed_mean_upper")
+    arr = sample.values
     if p == 1.0:
         return float(np.mean(arr))
-    thr = empirical_quantile(arr, 1.0 - p)
-    mask = arr > thr
+    mask = arr > _sorted_quantile(sample.sorted, 1.0 - p)
     if not mask.any():
         raise EmptyTrimSet(
             f"upper tail beyond quantile({1.0 - p}) is empty (ties at maximum)", p=p
         )
     return float(np.mean(arr[mask]))
+
+
+def require_finite(name: str, value: float) -> float:
+    """An estimate, or ``NonFiniteEstimate`` if it overflowed to inf or NaN."""
+    if not math.isfinite(value):
+        raise NonFiniteEstimate(f"{name} is not finite ({value})", estimate=name)
+    return value

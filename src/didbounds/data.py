@@ -103,7 +103,10 @@ def _id_array(ids) -> np.ndarray:
 
 
 def _take_rows(self, indices):
-    """Row subset/resample (used by the bootstrap): every column, ids included."""
+    """Row subset/resample: a copy of every column, ids included.
+
+    A bootstrap replicate (``Resample``) reads the same rows without the copy.
+    """
     idx = np.asarray(indices, dtype=np.intp)
     return type(self)(
         **{f.name: _frozen_array(getattr(self, f.name)[idx]) for f in fields(self)}
@@ -120,28 +123,71 @@ def _first_seen(ids) -> tuple:
     return uniq[order], rank[inverse]
 
 
-class PanelCells:
-    """Summary of a panel over its eight (d, s0, s1) cells.
+class Cells:
+    """Summary of a dataset over the eight cells of three binary columns.
 
-    Every panel quantity is a count ratio, a (trimmed) mean or a minimum over
-    these cells. ``counts[d, s0, s1]`` are exact integers from one
-    ``bincount`` of the code ``4*d + 2*s0 + s1``. A cell's outcomes are taken
-    by mask, in row order, so a mean over a cell reduces in the same order as
-    one over a mask of the full arrays.
+    A panel's cells are (d, s0, s1) and its outcome columns (y0, y1); a
+    repeated cross-section's cells are (d, t, s) and its one outcome column y.
+    Every bound is a count ratio, a (trimmed) mean or a minimum over these
+    cells. ``counts[a, b, c]`` are exact integers from one ``bincount`` of the
+    code ``4*a + 2*b + c``. A cell's outcomes keep row order, so a mean over a
+    cell reduces in the same order as one over a mask of the full arrays.
+
+    ``take`` resamples the rows without copying the dataset: it keeps the
+    parent's outcome columns and maps each row to its parent row.
     """
 
-    def __init__(self, data: "PanelDataset"):
-        self.code = 4 * data.d + 2 * data.s0 + data.s1
-        self.counts = np.bincount(self.code, minlength=8).reshape(2, 2, 2)
-        self._y = (data.y0, data.y1)
+    def __init__(self, code: np.ndarray, outcomes: tuple, parent_rows=None):
+        self.code = code
+        self.counts = np.bincount(code, minlength=8).reshape(2, 2, 2)
+        self._outcomes = outcomes
+        self._parent_rows = parent_rows
+        self._cell_rows = {}  # code -> that cell's outcome-column rows
 
-    def count(self, d: int, s0: int, s1=slice(None)) -> int:
-        """Rows in cell (d, s0, s1); without ``s1``, in both cells of (d, s0)."""
-        return int(self.counts[d, s0, s1].sum())
+    def count(self, a: int, b: int, c=slice(None)) -> int:
+        """Rows in cell (a, b, c); without ``c``, in both cells of (a, b)."""
+        return int(self.counts[a, b, c].sum())
 
-    def values(self, period: int, d: int, s0: int, s1: int) -> np.ndarray:
-        """Outcomes in ``period`` (0 or 1) of the rows in cell (d, s0, s1)."""
-        return self._y[period][self.code == 4 * d + 2 * s0 + s1]
+    def values(self, column: int, a: int, b: int, c: int) -> np.ndarray:
+        """Outcome column ``column`` (a panel's period) of the rows in cell (a, b, c)."""
+        key = 4 * a + 2 * b + c
+        if key not in self._cell_rows:
+            rows = np.flatnonzero(self.code == key)
+            parent = self._parent_rows
+            self._cell_rows[key] = rows if parent is None else parent[rows]
+        return self._outcomes[column][self._cell_rows[key]]
+
+    def take(self, indices) -> "Cells":
+        """The cells of rows ``indices``, as ``take(indices).cells`` would give them."""
+        idx = np.asarray(indices, dtype=np.intp)
+        parent = idx if self._parent_rows is None else self._parent_rows[idx]
+        return Cells(self.code[idx], self._outcomes, parent)
+
+
+class Resample:
+    """Rows ``indices`` of a dataset, as a bootstrap replicate.
+
+    ``cells`` and ``n`` are all any bound reads; the cells re-index the
+    parent's (``Cells.take``). A column is gathered on its first read, and
+    anything else (a property, ``take``) is read from a ``take`` of the rows.
+    """
+
+    def __init__(self, data, indices):
+        self._data = data
+        self._idx = np.asarray(indices, dtype=np.intp)
+        self.n = self._idx.size
+        self.cells = data.cells.take(self._idx)
+
+    def __getattr__(self, name):
+        # only reached for what __init__ did not set
+        if name.startswith("_"):
+            raise AttributeError(name)
+        if name in {f.name for f in fields(self._data)}:
+            value = _frozen_array(getattr(self._data, name)[self._idx])
+        else:
+            value = getattr(self._data.take(self._idx), name)
+        setattr(self, name, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -171,9 +217,9 @@ class PanelDataset:
         return self.d.size
 
     @cached_property
-    def cells(self) -> PanelCells:
-        """The cell summary, built on first use and kept with the dataset."""
-        return PanelCells(self)
+    def cells(self) -> Cells:
+        """The (d, s0, s1) cell summary, built on first use and kept with the dataset."""
+        return Cells(4 * self.d + 2 * self.s0 + self.s1, (self.y0, self.y1))
 
     take = _take_rows
 
@@ -196,6 +242,11 @@ class RcsDataset:
     def lam(self) -> float:
         """Share of rows sampled in the post-treatment period."""
         return float(np.mean(self.t))
+
+    @cached_property
+    def cells(self) -> Cells:
+        """The (d, t, s) cell summary, built on first use and kept with the dataset."""
+        return Cells(4 * self.d + 2 * self.t + self.s, (self.y,))
 
     take = _take_rows
 

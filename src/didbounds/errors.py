@@ -101,5 +101,9 @@ class RootNotBracketed(EstimationError):
     code = "RootNotBracketed"
 
 
+class NonFiniteEstimate(EstimationError):
+    code = "NonFiniteEstimate"
+
+
 class DataWarning(UserWarning):
     """Warning category used by the CSV loaders."""

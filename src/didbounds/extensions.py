@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundsResult, MixingProportions, bounds_tau_ooo
-from .core import trimmed_mean_lower, trimmed_mean_upper
+from .core import Sample, require_finite, trimmed_mean_lower, trimmed_mean_upper
 from .data import (
     AssumptionSet,
     MultiPeriodPanel,
@@ -41,27 +41,27 @@ class StaggeredTarget:
 
 def _rcs_cell(data: RcsDataset, d: int, t: int) -> np.ndarray:
     """Observed outcomes in the (d, t) cell, row order."""
-    mask = (data.d == d) & (data.t == t) & (data.s == 1)
-    if not mask.any():
+    if data.cells.count(d, t, 1) == 0:
         raise EmptyCell(f"no selected rows with d={d}, t={t}", d=d, t=t)
-    return data.y[mask]
+    return data.cells.values(0, d, t, 1)
 
 
 def _rcs_select_rate(data: RcsDataset, d: int, t: int) -> float:
-    mask = (data.d == d) & (data.t == t)
-    if not mask.any():
+    rows = data.cells.count(d, t)
+    if rows == 0:
         raise EmptyCell(f"no rows with d={d}, t={t}", d=d, t=t)
-    return float(np.mean(data.s[mask]))
+    return data.cells.count(d, t, 1) / rows
 
 
 def naive_did_rcs(data: RcsDataset) -> float:
     """Four-mean DiD contrast on selected rows."""
-    return (
+    value = (
         float(np.mean(_rcs_cell(data, 1, 1)))
         - float(np.mean(_rcs_cell(data, 1, 0)))
         - float(np.mean(_rcs_cell(data, 0, 1)))
         + float(np.mean(_rcs_cell(data, 0, 0)))
     )
+    return require_finite("naive_did", value)
 
 
 def rcs_weights(data: RcsDataset, variant: str, mono: bool) -> MixingProportions:
@@ -123,7 +123,7 @@ def bounds_tau_oo_rcs(
     if assumptions.monotone and assumptions.direction != "positive":
         raise InvalidAssumptions("RCS bounds support positive monotonicity only")
     weights = rcs_weights(data, variant, mono=assumptions.monotone)
-    treated_post = _rcs_cell(data, 1, 1)
+    treated_post = Sample(_rcs_cell(data, 1, 1))
     control_post = _rcs_cell(data, 0, 1)
     pre_terms = -float(np.mean(_rcs_cell(data, 1, 0))) + float(
         np.mean(_rcs_cell(data, 0, 0))

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import require_finite
+from .data import Resample
 from .errors import EstimationError, RootNotBracketed, TooManyFailedReps, ValidationError
 
 SQRT2 = math.sqrt(2.0)
@@ -56,6 +58,10 @@ class ConfidenceInterval:
     failed_reps: int = 0
     warnings: list = field(default_factory=list)
 
+    def __post_init__(self):
+        require_finite(f"{self.method} CI lo", self.lo)
+        require_finite(f"{self.method} CI hi", self.hi)
+
     def to_dict(self) -> dict:
         return {
             "method": self.method,
@@ -74,15 +80,18 @@ def bootstrap_ses(data, bound_fn, spec: BootstrapSpec) -> BootstrapResult:
     """Unit-level resampling with per-replicate counter-seeded streams.
 
     ``bound_fn`` maps a dataset to anything exposing (lb, ub) — a BoundsResult
-    or a 2-tuple. Replicates where it raises an estimation error (e.g. an
-    empty resampled cell) are dropped and counted.
+    or a 2-tuple. Each replicate it receives is a ``Resample`` of ``data``:
+    its ``cells`` and ``n`` come without copying the rows, and any other
+    attribute reads as it would on ``data.take(indices)``. Replicates where
+    ``bound_fn`` raises an estimation error (e.g. an empty resampled cell, an
+    overflow) are dropped and counted.
     """
     n = data.n
     replicates = []
     failed = 0
     for rep in range(spec.reps):
         rng = np.random.default_rng([spec.seed, rep])
-        sample = data.take(rng.integers(0, n, size=n))
+        sample = Resample(data, rng.integers(0, n, size=n))
         try:
             res = bound_fn(sample)
         except EstimationError:

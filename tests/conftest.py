@@ -22,7 +22,7 @@ def make_panel(rows):
 
 
 # an outcome drawn from a small integer grid as often as not, so ties are common
-_outcome = st.one_of(
+outcomes = st.one_of(
     st.integers(-3, 3).map(float), st.floats(-10, 10, allow_nan=False)
 )
 
@@ -30,7 +30,7 @@ _outcome = st.one_of(
 # cells, cell by cell; an outcome is present exactly when it is selected
 panel_rows = st.tuples(
     *[
-        st.lists(st.tuples(_outcome, _outcome), min_size=1, max_size=8).map(
+        st.lists(st.tuples(outcomes, outcomes), min_size=1, max_size=8).map(
             lambda ys, d=d, s0=s0, s1=s1: [
                 (d, s0, s1, y0 if s0 else None, y1 if s1 else None) for y0, y1 in ys
             ]
@@ -54,6 +54,20 @@ def make_rcs(rows):
     arr = lambda v, dt: np.asarray(v, dtype=dt)
     return RcsDataset(ids=ids, t=arr(t, np.int8), d=arr(d, np.int8),
                       s=arr(s, np.int8), y=arr(y, np.float64))
+
+
+# (t, d, s, y) rows for make_rcs, one to eight in each of the eight (d, t, s)
+# cells, cell by cell; an outcome is present exactly when it is selected
+rcs_rows = st.tuples(
+    *[
+        st.lists(outcomes, min_size=1, max_size=8).map(
+            lambda ys, d=d, t=t, s=s: [(t, d, s, y if s else None) for y in ys]
+        )
+        for d in (0, 1)
+        for t in (0, 1)
+        for s in (0, 1)
+    ]
+).map(lambda cells: [row for cell in cells for row in cell])
 
 
 @pytest.fixture

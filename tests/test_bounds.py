@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from didbounds import (
@@ -17,6 +17,7 @@ from didbounds import (
     bounds_tau_noo,
     bounds_tau_ono,
     bounds_tau_ooo,
+    bounds_tau_oo_rcs,
     bounds_staggered,
     group_proportion,
     mixing_mono,
@@ -24,14 +25,16 @@ from didbounds import (
     naive_did,
     strata_proportions,
 )
+from didbounds.data import Resample
 from didbounds.errors import (
     DidBoundsError,
     EmptyCell,
     InvalidAssumptions,
     VacuousIdentification,
 )
+from didbounds.extensions import RCS_VARIANTS
 
-from conftest import make_panel, panel_rows
+from conftest import make_panel, make_rcs, outcomes, panel_rows, rcs_rows
 
 DOMINANCE = {
     "ono": AssumptionSet("with_monotonicity", "positive",
@@ -362,3 +365,70 @@ def test_weights_are_one_exactly_when_their_rational_value_is(data):
         for got, want in ((mix.p_ooo1, w1), (mix.p_ooo0, w0)):
             assert 0.0 <= got <= 1.0, name
             assert (got == 1.0) == (want == 1), (name, got, want)
+
+
+RCS_BOUNDS = {
+    f"rcs-{variant}-{aset.variant}": (
+        lambda d, variant=variant, aset=aset: bounds_tau_oo_rcs(d, variant, aset)
+    )
+    for variant in RCS_VARIANTS
+    for aset in (WITHOUT_MONOTONICITY, MONO_POSITIVE)
+}
+
+
+@given(rows=panel_rows, seed=st.integers(0, 2**32 - 1))
+def test_panel_replicate_matches_take(rows, seed):
+    # a bootstrap replicate's cells re-index the parent's; every bound on it
+    # must equal, bit for bit, the bound on the copied rows of data.take
+    panel = make_panel(rows)
+    idx = np.random.default_rng(seed).integers(0, panel.n, size=panel.n)
+    bounds = {**ALL_BOUNDS, "naive": naive_did}
+    for name, fn in bounds.items():
+        ref, got = _outcome(fn, panel.take(idx)), _outcome(fn, Resample(panel, idx))
+        if isinstance(ref, float):
+            assert got == ref, name
+            continue
+        _same_outcome(ref, got, name)
+
+
+@given(rows=rcs_rows, seed=st.integers(0, 2**32 - 1))
+def test_rcs_replicate_matches_take(rows, seed):
+    data = make_rcs(rows)
+    idx = np.random.default_rng(seed).integers(0, data.n, size=data.n)
+    for name, fn in RCS_BOUNDS.items():
+        _same_outcome(_outcome(fn, data.take(idx)), _outcome(fn, Resample(data, idx)), name)
+
+
+def _kept_arm(d):
+    """Rows of arm d observed at baseline: one to eight kept, fewer attriters
+    than kept, so retention exceeds 1/2 and the Frechet shares are positive."""
+    return st.lists(st.tuples(outcomes, outcomes), min_size=1, max_size=8).flatmap(
+        lambda kept: st.integers(0, len(kept) - 1).map(
+            lambda gone: [(d, 1, 1, y0, y1) for y0, y1 in kept]
+            + [(d, 1, 0, y0, None) for y0, _ in kept[:gone]]
+        )
+    )
+
+
+@given(treated=_kept_arm(1), control=_kept_arm(0))
+def test_mono_pos_nested_in_nomono_on_random_panels(treated, control):
+    # swap the arms where needed so that positive monotonicity holds in the
+    # sample: treated retention at least control retention, compared exactly
+    kept1, kept0 = (sum(r[2] for r in arm) for arm in (treated, control))
+    if kept1 * len(control) < kept0 * len(treated):
+        treated, control = ([(1 - r[0], *r[1:]) for r in arm] for arm in (control, treated))
+    rows = treated + control
+    panel = make_panel(rows)
+    mono = _outcome(ALL_BOUNDS["ooo-mono-pos"], panel)
+    nomono = _outcome(ALL_BOUNDS["ooo-nomono"], panel)
+    # ties can empty an upper tail (EmptyTrimSet) under either assumption set
+    assume(not isinstance(mono, str) and not isinstance(nomono, str))
+    # the Frechet shares are at most the monotone ones, and trimmed means are
+    # monotone in the share; but a mean over a tail plus larger values can
+    # still round an ulp lower (five 0.1 and one 0.1 + ulp average to
+    # 0.09999999999999999, five 0.1 to 0.1), relative to the outcomes' size
+    scale = 1.0 + max((abs(v) for r in rows for v in r[3:] if v is not None), default=0.0)
+    slack = 1e-12 * scale
+    assert mono.proportions.p_ooo1 >= nomono.proportions.p_ooo1
+    assert nomono.lb <= mono.lb + slack
+    assert mono.ub <= nomono.ub + slack

@@ -388,6 +388,18 @@ def test_weight_is_exactly_one_when_other_arm_keeps_every_unit(
     assert payload["proportions"][("p_ooo0", "p_ooo1")[attrit_d]] == 1.0
 
 
+@pytest.mark.parametrize(
+    "argv", [["naive"], ["bounds", "--assumptions", "mono-pos"]], ids=["naive", "bounds"]
+)
+def test_overflowing_estimate_exits_3(tmp_path, capsys, argv):
+    # finite outcomes whose mean overflows: a structured error, not a traceback
+    text = "id,d,s0,s1,y0,y1\na,1,1,1,0,1e308\nb,1,1,1,0,1e308\n"
+    text += "c,0,1,1,0,1\nd,0,1,1,0,2\ne,0,0,0,,\n"
+    code, out, err = _run(capsys, argv + ["--data", _panel(tmp_path, text)])
+    assert code == 3 and out == ""
+    assert json.loads(err)["code"] == "NonFiniteEstimate"
+
+
 @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
 def test_non_finite_outcome_exits_2(tmp_path, capsys, raw):
     text = PANEL_CSV.replace("a1,1,1,1,10,11", f"a1,1,1,1,10,{raw}")

@@ -4,7 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from didbounds import (
+    WITHOUT_MONOTONICITY,
     FrechetInterval,
+    bounds_tau_ooo,
     cond_prob_s1,
     empirical_quantile,
     frechet_interval,
@@ -18,6 +20,7 @@ from didbounds.errors import (
     PZero,
     QOutOfRange,
 )
+from didbounds.core import Sample
 
 from conftest import make_panel
 
@@ -129,6 +132,41 @@ class TestTrimmedMeans:
     def test_lower_tail_mean_monotone_in_share(self, values, p1, p2):
         lo, hi = min(p1, p2), max(p1, p2)
         assert trimmed_mean_lower(values, lo) <= trimmed_mean_lower(values, hi) + 1e-9
+
+
+    @given(
+        values=st.lists(
+            st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6)),
+            max_size=30,
+        ),
+        p=st.one_of(st.floats(0.0, 1.0), st.sampled_from([1.0, 1.5, float("nan")])),
+    )
+    def test_sample_gives_the_array_results_bitwise(self, values, p):
+        # one Sample serves both tails; each result or error code is that of
+        # the plain array
+        sample = Sample(values)
+        for fn in (trimmed_mean_lower, trimmed_mean_upper):
+            want, got = [], []
+            for arg, out in ((values, want), (sample, got)):
+                try:
+                    out.append(fn(arg, p))
+                except (EmptyCell, EmptyTrimSet, OutOfRange, PZero) as exc:
+                    out.append(exc.code)
+            assert got == want, fn.__name__
+
+    def test_bound_sorts_each_cell_once(self, mixed_panel, monkeypatch):
+        # both tails of the treated and the control dY share one sort each
+        sorts = []
+        real_sort = np.sort
+
+        def counting_sort(a, *args, **kwargs):
+            sorts.append(len(a))
+            return real_sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        res = bounds_tau_ooo(mixed_panel, WITHOUT_MONOTONICITY)
+        assert res.proportions.p_ooo1 < 1.0 and res.proportions.p_ooo0 < 1.0
+        assert sorted(sorts) == [3, 5]
 
 
 class TestFrechet:

@@ -22,9 +22,9 @@ from didbounds.errors import (
     MalformedRow,
     MissingPeriod,
 )
-from didbounds.extensions import panel_from_staggered
+from didbounds.extensions import _rcs_select_rate, panel_from_staggered
 
-from conftest import make_rcs
+from conftest import make_rcs, rcs_rows
 
 
 def rcs_fixture():
@@ -113,6 +113,16 @@ class TestRcsBounds:
         rows = [(0, 0, 1, 1.0), (1, 0, 1, 2.0), (1, 1, 1, 3.0)]
         with pytest.raises(EmptyCell):
             bounds_tau_oo_rcs(make_rcs(rows), "LevelEquality", MONO_POSITIVE)
+
+
+@given(rows=rcs_rows)
+def test_select_rate_from_counts_is_the_mean_of_s(rows):
+    # a count ratio from the cell summary is the mask mean it replaced, bit for bit
+    data = make_rcs(rows)
+    for d in (0, 1):
+        for t in (0, 1):
+            mask = (data.d == d) & (data.t == t)
+            assert _rcs_select_rate(data, d, t) == float(np.mean(data.s[mask]))
 
 
 def multi_fixture():

@@ -12,9 +12,15 @@ from didbounds import (
     bounds_tau_ooo,
     ci_imbens_manski,
     ci_union,
+    naive_did,
     solve_c_n,
 )
-from didbounds.errors import EmptyCell, TooManyFailedReps, ValidationError
+from didbounds.errors import (
+    EmptyCell,
+    NonFiniteEstimate,
+    TooManyFailedReps,
+    ValidationError,
+)
 from didbounds.inference import Z_95, Z_975, norm_cdf
 
 from conftest import make_panel
@@ -138,6 +144,22 @@ class TestBootstrap:
         data = _bootstrap_panel()
         res = bootstrap_ses(data, lambda d: (0.0, 1.0), BootstrapSpec(5, 0))
         assert res.se_lb == 0.0 and res.se_ub == 0.0
+
+    def test_overflowing_replicate_counts_as_failed(self):
+        # a treated dY of 0.6e308 drawn three times or more overflows the sum
+        rows = [(1, 1, 1, 0.0, 0.6e308)] + [(1, 1, 1, 0.0, 1.0)] * 19
+        rows += [(0, 1, 1, 0.0, 2.0)] * 20
+        data = make_panel(rows)
+        with np.errstate(over="ignore"):
+            res = bootstrap_ses(data, lambda d: (naive_did(d), 0.0), BootstrapSpec(50, 1))
+        assert 0 < res.failed_reps and res.reps_used + res.failed_reps == 50
+        assert all(math.isfinite(lb) for lb, _ in res.replicates)
+
+    def test_non_finite_interval_is_an_estimation_error(self):
+        with pytest.raises(NonFiniteEstimate):
+            ci_union(-1e308, 1e308, 1e308, 0.0)
+        with pytest.raises(NonFiniteEstimate):
+            ci_imbens_manski(0.0, 1.0, float("inf"), 0.0, n=10)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
