@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import require_finite
-from .data import Resample
 from .errors import EstimationError, RootNotBracketed, TooManyFailedReps, ValidationError
 
 SQRT2 = math.sqrt(2.0)
@@ -80,18 +79,18 @@ def bootstrap_ses(data, bound_fn, spec: BootstrapSpec) -> BootstrapResult:
     """Unit-level resampling with per-replicate counter-seeded streams.
 
     ``bound_fn`` maps a dataset to anything exposing (lb, ub) — a BoundsResult
-    or a 2-tuple. Each replicate it receives is a ``Resample`` of ``data``:
-    its ``cells`` and ``n`` come without copying the rows, and any other
-    attribute reads as it would on ``data.take(indices)``. Replicates where
-    ``bound_fn`` raises an estimation error (e.g. an empty resampled cell, an
-    overflow) are dropped and counted.
+    or a 2-tuple. Each replicate it receives is ``data.take(indices)``, whose
+    ``cells`` re-index the parent's and whose columns are gathered only when
+    read. Replicates where ``bound_fn`` raises an estimation error (e.g. an
+    empty resampled cell, an overflow) are dropped and counted. A standard
+    error that overflows raises ``NonFiniteEstimate``.
     """
     n = data.n
     replicates = []
     failed = 0
     for rep in range(spec.reps):
         rng = np.random.default_rng([spec.seed, rep])
-        sample = Resample(data, rng.integers(0, n, size=n))
+        sample = data.take(rng.integers(0, n, size=n))
         try:
             res = bound_fn(sample)
         except EstimationError:
@@ -106,8 +105,8 @@ def bootstrap_ses(data, bound_fn, spec: BootstrapSpec) -> BootstrapResult:
         )
     arr = np.asarray(replicates, dtype=np.float64)
     return BootstrapResult(
-        se_lb=float(np.std(arr[:, 0], ddof=1)),
-        se_ub=float(np.std(arr[:, 1], ddof=1)),
+        se_lb=require_finite("bootstrap se_lb", float(np.std(arr[:, 0], ddof=1))),
+        se_ub=require_finite("bootstrap se_ub", float(np.std(arr[:, 1], ddof=1))),
         replicates=replicates,
         reps_used=len(replicates),
         failed_reps=failed,

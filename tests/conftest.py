@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -40,6 +42,13 @@ panel_rows = st.tuples(
         for s1 in (0, 1)
     ]
 ).map(lambda cells: [row for cell in cells for row in cell])
+
+
+def copy_rows(data, indices):
+    """Rows ``indices`` of a dataset copied into a new one, whose cells are
+    built from its own columns: the reference a ``take`` is checked against."""
+    return type(data)(**{f.name: getattr(data, f.name)[np.asarray(indices)]
+                         for f in fields(data)})
 
 
 def make_rcs(rows):

@@ -25,7 +25,6 @@ from didbounds import (
     naive_did,
     strata_proportions,
 )
-from didbounds.data import Resample
 from didbounds.errors import (
     DidBoundsError,
     EmptyCell,
@@ -34,7 +33,7 @@ from didbounds.errors import (
 )
 from didbounds.extensions import RCS_VARIANTS
 
-from conftest import make_panel, make_rcs, outcomes, panel_rows, rcs_rows
+from conftest import copy_rows, make_panel, make_rcs, outcomes, panel_rows, rcs_rows
 
 DOMINANCE = {
     "ono": AssumptionSet("with_monotonicity", "positive",
@@ -377,14 +376,14 @@ RCS_BOUNDS = {
 
 
 @given(rows=panel_rows, seed=st.integers(0, 2**32 - 1))
-def test_panel_replicate_matches_take(rows, seed):
-    # a bootstrap replicate's cells re-index the parent's; every bound on it
-    # must equal, bit for bit, the bound on the copied rows of data.take
+def test_panel_take_matches_copied_rows(rows, seed):
+    # a bootstrap replicate (data.take) re-indexes the parent's cells; every
+    # bound on it must equal, bit for bit, the bound on a copy of its rows
     panel = make_panel(rows)
     idx = np.random.default_rng(seed).integers(0, panel.n, size=panel.n)
     bounds = {**ALL_BOUNDS, "naive": naive_did}
     for name, fn in bounds.items():
-        ref, got = _outcome(fn, panel.take(idx)), _outcome(fn, Resample(panel, idx))
+        ref, got = _outcome(fn, copy_rows(panel, idx)), _outcome(fn, panel.take(idx))
         if isinstance(ref, float):
             assert got == ref, name
             continue
@@ -392,11 +391,11 @@ def test_panel_replicate_matches_take(rows, seed):
 
 
 @given(rows=rcs_rows, seed=st.integers(0, 2**32 - 1))
-def test_rcs_replicate_matches_take(rows, seed):
+def test_rcs_take_matches_copied_rows(rows, seed):
     data = make_rcs(rows)
     idx = np.random.default_rng(seed).integers(0, data.n, size=data.n)
     for name, fn in RCS_BOUNDS.items():
-        _same_outcome(_outcome(fn, data.take(idx)), _outcome(fn, Resample(data, idx)), name)
+        _same_outcome(_outcome(fn, copy_rows(data, idx)), _outcome(fn, data.take(idx)), name)
 
 
 def _kept_arm(d):

@@ -16,7 +16,6 @@ from didbounds import (
     load_rcs_csv,
     write_panel_csv,
 )
-from didbounds.data import Resample
 from didbounds.errors import (
     DataWarning,
     DegenerateSampling,
@@ -28,7 +27,7 @@ from didbounds.errors import (
     MissingOutcome,
 )
 
-from conftest import make_panel, panel_rows
+from conftest import copy_rows, make_panel, panel_rows
 
 PANEL_CSV = """id,d,s0,s1,y0,y1
 a,1,1,1,1.5,2.5
@@ -215,36 +214,43 @@ def test_one_row_take_for_panels_and_cross_sections(tmp_path):
         assert col.dtype == getattr(data, name).dtype
 
 
-def test_resample_gathers_columns_only_when_read(mixed_panel, tmp_path):
+def test_take_gathers_columns_only_when_read(mixed_panel, tmp_path):
     idx = [3, 3, 0, 7]
-    sample = Resample(mixed_panel, idx)
-    assert sample.n == 4 and set(vars(sample)) == {"_data", "_idx", "n", "cells"}
-    ref = mixed_panel.take(idx)
+    sample = mixed_panel.take(idx)
+    assert set(vars(sample)) == {"_rows", "cells"}
+    ref = copy_rows(mixed_panel, idx)
     assert tuple(sample.ids) == tuple(ref.ids) == ("4", "4", "1", "8")
-    assert set(vars(sample)) == {"_data", "_idx", "n", "cells", "ids"}
+    assert set(vars(sample)) == {"_rows", "cells", "ids"}
     for name in ("d", "s0", "s1", "y0", "y1"):
         col = getattr(sample, name)
         np.testing.assert_array_equal(col, getattr(ref, name))
         assert not col.flags.writeable
     np.testing.assert_array_equal(sample.cells.counts, ref.cells.counts)
-    # anything else reads as it would on the copied rows
-    assert tuple(sample.take([1, 2]).ids) == ("4", "1")
+    assert sample.n == 4 and tuple(sample.take([1, 2]).ids) == ("4", "1")
     rcs = load_rcs_csv(_write(tmp_path, "id,t,d,s,y\na,0,1,1,1.0\nb,1,0,0,\nc,1,1,1,3.0\n"))
-    assert Resample(rcs, [1, 2, 2, 0]).lam == 0.75
-    with pytest.raises(AttributeError):
-        sample.no_such_column
+    assert rcs.take([1, 2, 2, 0]).lam == 0.75
+    # a name that is not a column raises without gathering anything
+    fresh = mixed_panel.take(idx)
+    for obj in (fresh, mixed_panel):
+        with pytest.raises(AttributeError):
+            obj.no_such_column
+    assert set(vars(fresh)) == {"_rows", "cells"}
+    with pytest.raises(IndexError):
+        mixed_panel.take([mixed_panel.n])
 
 
-def test_resampled_cells_reindex_the_parent(mixed_panel):
-    # nested resamples map each row back to the parent's outcome columns
+def test_taken_cells_reindex_the_parent(mixed_panel):
+    # nested takes map each row back to the first parent's outcome columns
     first, second = [5, 0, 0, 9, 12], [4, 1, 1, 0]
-    cells = mixed_panel.cells.take(first).take(second)
-    ref = mixed_panel.take(first).take(second).cells
-    np.testing.assert_array_equal(cells.code, ref.code)
-    for key in np.ndindex(2, 2, 2):
-        assert cells.count(*key) == ref.count(*key)
-        for period in (0, 1):
-            np.testing.assert_array_equal(cells.values(period, *key), ref.values(period, *key))
+    ref = copy_rows(copy_rows(mixed_panel, first), second).cells
+    for cells in (mixed_panel.cells.take(first).take(second),
+                  mixed_panel.take(first).take(second).cells):
+        np.testing.assert_array_equal(cells.code, ref.code)
+        for key in np.ndindex(2, 2, 2):
+            assert cells.count(*key) == ref.count(*key)
+            for period in (0, 1):
+                np.testing.assert_array_equal(cells.values(period, *key),
+                                              ref.values(period, *key))
 
 
 @given(rows=panel_rows)

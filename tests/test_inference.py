@@ -151,9 +151,16 @@ class TestBootstrap:
         rows += [(0, 1, 1, 0.0, 2.0)] * 20
         data = make_panel(rows)
         with np.errstate(over="ignore"):
-            res = bootstrap_ses(data, lambda d: (naive_did(d), 0.0), BootstrapSpec(50, 1))
+            # scaled down, so that the replicates that do not overflow have a
+            # finite spread
+            res = bootstrap_ses(data, lambda d: (naive_did(d) / 1e300, 0.0),
+                                BootstrapSpec(50, 1))
         assert 0 < res.failed_reps and res.reps_used + res.failed_reps == 50
         assert all(math.isfinite(lb) for lb, _ in res.replicates)
+        # finite replicates whose spread overflows the variance
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteEstimate):
+            bootstrap_ses(data, lambda d: (d.cells.count(1, 1, 1) * 1e306, 0.0),
+                          BootstrapSpec(50, 1))
 
     def test_non_finite_interval_is_an_estimation_error(self):
         with pytest.raises(NonFiniteEstimate):
