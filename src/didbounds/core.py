@@ -79,11 +79,13 @@ def _sorted_quantile(arr, q: float) -> float:
     """``empirical_quantile`` of a sorted, non-empty sample; q in (0,1]."""
     n = arr.size
     # first k with (k+1)/n >= q, using the same float comparison as the
-    # definition's indicator sums
-    cdf = np.arange(1, n + 1) / n
-    k = int(np.searchsorted(cdf, q, side="left"))
-    if k >= n:
-        k = n - 1
+    # definition's indicator sums, else n - 1; ceil(q * n) - 1 is within a
+    # step of it, since (k+1)/n rises with k
+    k = min(max(math.ceil(q * n) - 1, 0), n - 1)
+    while k > 0 and k / n >= q:
+        k -= 1
+    while k < n - 1 and (k + 1) / n < q:
+        k += 1
     return float(arr[k])
 
 

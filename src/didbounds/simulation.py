@@ -29,6 +29,10 @@ from .errors import EmptyCell, EstimationError, ValidationError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# antithetic pairs the oracle draws at once; its memory grows with this, not
+# with mc_draws, and its results do not depend on it
+_ORACLE_BLOCK = 62_500
+
 
 def _norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
@@ -144,7 +148,8 @@ def oracle_true_values(
         raise ValidationError("mc_draws must be >= 1e5")
     rng = np.random.default_rng(seed)
     half = (mc_draws + 1) // 2
-    chunk = 1_000_000
+    # pairs per partial sum of the du columns; it fixes their summation order
+    reduction = 1_000_000
     shift = config.selection_shift
 
     def stats_matrix(lat: dict, sign: float) -> np.ndarray:
@@ -163,21 +168,29 @@ def oracle_true_values(
              (cond_c & cond_t).astype(float)]
         )
 
-    # accumulated sums over antithetic pair-averages
+    # accumulated sums over antithetic pair-averages. sq, cross and the
+    # indicator columns are sums of multiples of 1/4, exact in any order. The
+    # du columns (3, 4, 6) are summed row after row within each reduction
+    # block: a block drawn in pieces carries its running sum into the first row
+    # of the next piece, as acc.sum(axis=0) over the whole block would add it.
     sums = np.zeros(8)
     sq = np.zeros(2)   # for the delta-method se of p_true
     cross = 0.0
     pairs = 0
-    done = 0
-    while done < half:
-        m = min(chunk, half - done)
-        lat = _latents(rng, m, config)
-        acc = 0.5 * (stats_matrix(lat, 1.0) + stats_matrix(lat, -1.0))
-        sums += acc.sum(axis=0)
-        sq += (acc[:, :2] ** 2).sum(axis=0)
-        cross += float((acc[:, 0] * acc[:, 1]).sum())
-        pairs += m
-        done += m
+    while pairs < half:
+        end = min(pairs + reduction, half)
+        part = None
+        while pairs < end:
+            m = min(_ORACLE_BLOCK, end - pairs)
+            lat = _latents(rng, m, config)
+            acc = 0.5 * (stats_matrix(lat, 1.0) + stats_matrix(lat, -1.0))
+            sq += (acc[:, :2] ** 2).sum(axis=0)
+            cross += float((acc[:, 0] * acc[:, 1]).sum())
+            if part is not None:
+                acc[0] += part
+            part = acc.sum(axis=0)
+            pairs += m
+        sums += part
 
     pi_ooo1 = sums[0] / pairs
     pi_ono1 = sums[1] / pairs

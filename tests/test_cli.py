@@ -1,12 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from didbounds import generate_panel, write_panel_csv, DgpConfig
-from didbounds.cli import _emit, build_parser, run
+from didbounds.cli import ASSUMPTION_FLAGS, _emit, build_parser, run
+
+from conftest import make_panel, panel_rows
 
 PANEL_CSV = """id,d,s0,s1,y0,y1
 a1,1,1,1,10,11
@@ -459,3 +465,31 @@ def test_cli_surface():
         for name, sub in commands.choices.items()
     }
     assert surface == CLI_SURFACE
+
+
+# other-group parameters are identified only under positive monotonicity;
+# other --assumptions are a flag error whatever the file holds
+_FLAG_ERRORS = {(param, name) for param in ("ono", "nno", "noo")
+                for name in ASSUMPTION_FLAGS if name != "mono-pos"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=panel_rows)
+def test_valid_panel_csv_never_exits_2(rows):
+    # a file the canonical writer produced is valid: each command either
+    # estimates (0) or reports why it cannot (3), never a validation error
+    commands = [(["bounds", "--param", param, "--assumptions", name],
+                 (param, name) in _FLAG_ERRORS)
+                for param in ("ooo", "ono", "nno", "noo") for name in ASSUMPTION_FLAGS]
+    commands += [(["strata"], False), (["naive"], False)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "panel.csv")
+        write_panel_csv(make_panel(rows), path)
+        for command, flag_error in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(command + ["--data", path])
+            if flag_error:
+                assert code == 2 and "requires --assumptions mono-pos" in err.getvalue()
+            else:
+                assert code in (0, 3), (command, err.getvalue())

@@ -20,7 +20,7 @@ from didbounds.errors import (
     PZero,
     QOutOfRange,
 )
-from didbounds.core import Sample
+from didbounds.core import Sample, _sorted_quantile
 
 from conftest import make_panel
 
@@ -68,6 +68,36 @@ class TestEmpiricalQuantile:
         smaller = arr[arr < v]
         if smaller.size:
             assert np.sum(arr <= smaller.max()) / n < q
+
+
+def _searchsorted_index(n: int, q: float) -> int:
+    """The quantile's index as the definition spells it: the first k with
+    (k+1)/n >= q in an n-element CDF grid, else n - 1."""
+    return min(int(np.searchsorted(np.arange(1, n + 1) / n, q, side="left")), n - 1)
+
+
+@st.composite
+def _size_and_share(draw):
+    # a share anywhere in (0, 1], or on a grid point j/n or next to one, where
+    # q * n rounds to either side of an integer
+    n = draw(st.integers(1, 50_000))
+    grid = draw(st.integers(0, n)) / n
+    q = draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.sampled_from([grid, np.nextafter(grid, 0.0), np.nextafter(grid, 2.0)]),
+    ).filter(lambda q: 0.0 < q <= 1.0))
+    return n, float(q)
+
+
+@settings(max_examples=500)
+@given(_size_and_share())
+@example((3, 2 / 3))
+@example((10, 0.7))
+@example((49, 1.0))
+@example((1, 5e-324))
+def test_quantile_index_matches_searchsorted_reference(size_and_share):
+    n, q = size_and_share
+    assert _sorted_quantile(np.arange(n, dtype=np.float64), q) == _searchsorted_index(n, q)
 
 
 class TestTrimmedMeans:

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from didbounds import (
     run_monte_carlo,
 )
 from didbounds.errors import EmptyCell, ValidationError
+from didbounds import simulation
 from didbounds.simulation import _usual_did
 
 from conftest import make_panel
@@ -95,6 +97,27 @@ class TestOracle:
     def test_bounds_straddle_att_when_att_inside(self):
         res = oracle_true_values(DgpConfig(n=2), 400_000)
         assert res.lb_true < 4.0 < res.ub_true
+
+    def test_memory_does_not_grow_with_draws(self):
+        # blocks of 62,500 pairs peak at about 23 MB; the 1,000,000 pairs of
+        # this call drawn at once would take about 300 MB
+        tracemalloc.start()
+        try:
+            oracle_true_values(DgpConfig(n=2), 2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_results_do_not_depend_on_block_size(self, monkeypatch):
+        # 1,250,001 pairs: a full 1,000,000-pair reduction block and a partial
+        # one; 30,001 does not divide the reduction block
+        def bits(block):
+            monkeypatch.setattr(simulation, "_ORACLE_BLOCK", block)
+            res = oracle_true_values(DgpConfig(n=2), 2_500_001, seed=11)
+            return [v.hex() if isinstance(v, float) else v for v in astuple(res)]
+
+        assert bits(1_000_000) == bits(62_500) == bits(30_001)
 
 
 def _usual_did_closed_form(config: DgpConfig) -> float:
