@@ -9,11 +9,14 @@ share across threads.
 from __future__ import annotations
 
 import csv
-import math
+import operator
+import re
 import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
+from collections import deque
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -98,7 +101,13 @@ def _frozen_array(values, dtype=None) -> np.ndarray:
 
 
 def _id_array(ids) -> np.ndarray:
-    """Ids as a read-only object array of the ids' own ``str`` values."""
+    """Ids as a read-only object array of the ids' own ``str`` values.
+
+    A read-only object array is taken to be one already (a dataset's ``ids``,
+    or the ids ``simulation`` shares between panels) and is used as it is.
+    """
+    if isinstance(ids, np.ndarray) and ids.dtype == object and not ids.flags.writeable:
+        return ids
     return _frozen_array(np.fromiter(map(str, ids), dtype=object))
 
 
@@ -269,78 +278,210 @@ class MultiPeriodPanel:
         return tuple(sorted(set(int(v) for v in self.t)))
 
 
-def _read_rows(path, header):
-    """Yield (line number, fields) of each data row, header and width checked."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path}: empty file", path=str(path))
-        if got != header:
-            raise MalformedRow(
-                f"{path}: expected header {','.join(header)}, got {','.join(got)}",
-                line=1,
-            )
-        rows = list(reader)
-    if not rows:
-        raise EmptyFile(f"{path}: no data rows", path=str(path))
-    for line, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise MalformedRow(
-                f"line {line}: expected {len(header)} fields, got {len(row)}", line=line
-            )
-        yield line, row
+_BINARY = frozenset(("0", "1"))
+
+# records split into fields at a time (see _read_columns)
+_BLOCK = 1 << 16
+
+# a line as reading a file with newline="" gives it: up to \r\n, \r or \n
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 
-def _parse_binary(raw, line, col):
-    if raw not in ("0", "1"):
-        raise MalformedRow(f"line {line}: {col} must be 0 or 1, got {raw!r}", line=line)
-    return int(raw)
+def _fields(line: str) -> list:
+    """A line's fields as ``csv.reader`` gives them when it has no ``"`` or ``\\r``."""
+    return line.split(",") if line else []
 
 
-def _parse_outcome(raw, s, line, col):
-    """Outcome field: blank iff the matching selection indicator allows it."""
-    if raw == "":
-        if s == 1:
-            raise MissingOutcome(f"line {line}: {col} blank but selected", line=line)
-        return np.nan
-    try:
-        value = float(raw)
-    except ValueError:
-        raise MalformedRow(f"line {line}: {col} not numeric: {raw!r}", line=line)
-    if not math.isfinite(value):
-        raise MalformedRow(f"line {line}: {col} not finite: {raw!r}", line=line)
-    if s == 0:
-        warnings.warn(
-            f"line {line}: {col} present but unit not selected; value dropped",
-            DataWarning,
-            stacklevel=3,
+def _line_blocks(lines: list):
+    """Blocks of ``_BLOCK`` lines, each taken off the front of ``lines``."""
+    while lines:
+        block = lines[:_BLOCK]
+        del lines[:_BLOCK]
+        yield block
+
+
+def _read_columns(path, header):
+    """The data records of a CSV file, as one list of field strings per column.
+
+    The file is read once. Text with no ``"`` and no ``\\r`` is split on
+    ``\\n`` and then on ``,``, which is what ``csv.reader``'s excel dialect
+    makes of it, a blank line included (a record with no fields); any other
+    text, or a line longer than ``csv.field_size_limit()``, goes through
+    ``csv.reader``. A leading UTF-8 byte-order mark is not data. Records are
+    numbered from 2, after the header, and split into fields ``_BLOCK`` at a
+    time, so that a file's records and its fields are not all held at once.
+
+    Returns the columns and the ``MalformedRow`` of the first record with the
+    wrong number of fields, or None. The columns hold the records before that
+    one, which the caller checks before it raises the error.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        text = fh.read()
+    plain = '"' not in text and "\r" not in text
+    if plain:
+        lines = text.split("\n")
+        if lines[-1] == "":  # the newline that ends the last record
+            lines.pop()
+        plain = max(map(len, lines), default=0) <= csv.field_size_limit()
+    if plain:
+        del text
+        got = _fields(lines.pop(0)) if lines else None
+        blocks = _line_blocks(lines)
+    else:
+        reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))
+        got = next(reader, None)
+        blocks = iter(lambda: list(islice(reader, _BLOCK)), [])
+    if got is None:
+        raise EmptyFile(f"{path}: empty file", path=str(path))
+    if got != header:
+        raise MalformedRow(
+            f"{path}: expected header {','.join(header)}, got {','.join(got)}", line=1
         )
-        return np.nan
-    return value
+    k = len(header)
+    columns = [[] for _ in header]
+    line = 2  # the number of the block's first record
+    for block in blocks:
+        if plain:
+            widths = np.fromiter(map(str.count, block, repeat(",")), np.intp, len(block)) + 1
+        else:
+            widths = np.fromiter(map(len, block), np.intp, len(block))
+        bad = np.flatnonzero(widths != k)
+        if bad.size:
+            end = int(bad[0])
+            got = len(_fields(block[end]) if plain else block[end])
+            error = MalformedRow(f"line {line + end}: expected {k} fields, got {got}",
+                                 line=line + end)
+            del block[end:]
+        if plain:
+            flat = ",".join(block).split(",") if block else []
+            for j, column in enumerate(columns):
+                column += flat[j::k]
+        else:
+            for column, fields in zip(columns, zip(*block)):
+                column += fields
+        if bad.size:
+            deque(blocks, maxlen=0)  # csv.reader raises on a later record before any is checked
+            return columns, error
+        line += len(block)
+    if not columns[0]:
+        raise EmptyFile(f"{path}: no data rows", path=str(path))
+    return columns, None
+
+
+def _raise_first(checks, after=None):
+    """Warn and raise as checking the records one by one, in file order, would.
+
+    ``checks`` are the checks of one record in the order a record goes
+    through them, each ``(mask, fault, warn)``: ``mask`` marks the records
+    that fail it, and ``fault(i)`` gives record ``i``'s error or, with
+    ``warn``, its ``DataWarning`` text. The first failing
+    (record, check) raises its error after the warnings that come before it;
+    ``after`` is raised when no check fails.
+    """
+    faults = [(int(mask.argmax()), k) for k, (mask, _, warn) in enumerate(checks)
+              if not warn and mask.any()]
+    first = min(faults, default=None)
+    warned = sorted((i, k) for k, (mask, _, warn) in enumerate(checks)
+                    if warn for i in np.flatnonzero(mask).tolist())
+    for i, k in warned:
+        if first is not None and (i, k) > first:
+            break
+        warnings.warn(checks[k][1](i), DataWarning, stacklevel=3)
+    if first is not None:
+        raise checks[first[1]][1](first[0])
+    if after is not None:
+        raise after
+
+
+def _parse(convert, fields, fill):
+    """``convert`` of each field, and the mask of the fields it rejects with a
+    ``ValueError``, whose values are ``fill``."""
+    try:
+        return list(map(convert, fields)), np.zeros(len(fields), bool)
+    except ValueError:
+        pass
+    values, rejected = [], np.zeros(len(fields), bool)
+    for i, field in enumerate(fields):  # a field is rejected: find every one
+        try:
+            values.append(convert(field))
+        except ValueError:
+            values.append(fill)
+            rejected[i] = True
+    return values, rejected
+
+
+def _integers(values) -> np.ndarray:
+    """Parsed integers as int64; as objects if one overflows int64, so that the
+    checks still run and the error is the dataset's own int64 conversion."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
+
+
+def _binary(fields, col):
+    """A 0/1 column as int8, and its check: a field other than "0" or "1" is malformed."""
+    n = len(fields)
+    if set(fields) <= _BINARY:
+        values = np.frombuffer("".join(fields).encode("ascii"), np.int8) - ord("0")
+        bad = np.zeros(n, bool)
+    else:
+        values = np.fromiter(map("1".__eq__, fields), np.int8, n)
+        bad = ~np.fromiter(map(_BINARY.__contains__, fields), bool, n)
+    return values, (bad, lambda i: MalformedRow(
+        f"line {i + 2}: {col} must be 0 or 1, got {fields[i]!r}", line=i + 2), False)
+
+
+def _outcome(fields, s, col):
+    """An outcome column as float64, NaN where its selection ``s`` is 0, and its checks.
+
+    Each non-blank field goes through ``float()`` once. A selected outcome
+    must not be blank; a present one must be numeric and finite, and is
+    dropped with a warning where the unit is not selected.
+    """
+    n = len(fields)
+    blank = np.fromiter(map(operator.not_, fields), bool, n)
+    values = np.full(n, np.nan)
+    not_numeric = np.zeros(n, bool)
+    values[~blank], not_numeric[~blank] = _parse(float, list(filter(None, fields)), np.nan)
+    finite = np.isfinite(values)
+    selected = s == 1
+    values[~selected] = np.nan
+    not_finite = ~blank & ~finite & ~not_numeric
+    return values, [
+        (blank & selected,
+         lambda i: MissingOutcome(f"line {i + 2}: {col} blank but selected", line=i + 2),
+         False),
+        (not_numeric,
+         lambda i: MalformedRow(f"line {i + 2}: {col} not numeric: {fields[i]!r}", line=i + 2),
+         False),
+        (not_finite,
+         lambda i: MalformedRow(f"line {i + 2}: {col} not finite: {fields[i]!r}", line=i + 2),
+         False),
+        (finite & ~selected,
+         lambda i: f"line {i + 2}: {col} present but unit not selected; value dropped",
+         True),
+    ]
 
 
 def load_panel_csv(path) -> PanelDataset:
-    ids, d, s0, s1, y0, y1 = [], [], [], [], [], []
-    for line, row in _read_rows(path, PANEL_HEADER):
-        ids.append(row[0])
-        d.append(_parse_binary(row[1], line, "d"))
-        s0.append(_parse_binary(row[2], line, "s0"))
-        s1.append(_parse_binary(row[3], line, "s1"))
-        y0.append(_parse_outcome(row[4], s0[-1], line, "y0"))
-        y1.append(_parse_outcome(row[5], s1[-1], line, "y1"))
+    (ids, d, s0, s1, y0, y1), width_error = _read_columns(path, PANEL_HEADER)
+    d, d_check = _binary(d, "d")
+    s0, s0_check = _binary(s0, "s0")
+    s1, s1_check = _binary(s1, "s1")
+    y0, y0_checks = _outcome(y0, s0, "y0")
+    y1, y1_checks = _outcome(y1, s1, "y1")
+    _raise_first([d_check, s0_check, s1_check, *y0_checks, *y1_checks], width_error)
     return PanelDataset.from_records(ids, d, s0, s1, y0, y1)
 
 
 def load_rcs_csv(path) -> RcsDataset:
-    ids, t, d, s, y = [], [], [], [], []
-    for line, row in _read_rows(path, RCS_HEADER):
-        ids.append(row[0])
-        t.append(_parse_binary(row[1], line, "t"))
-        d.append(_parse_binary(row[2], line, "d"))
-        s.append(_parse_binary(row[3], line, "s"))
-        y.append(_parse_outcome(row[4], s[-1], line, "y"))
+    (ids, t, d, s, y), width_error = _read_columns(path, RCS_HEADER)
+    t, t_check = _binary(t, "t")
+    d, d_check = _binary(d, "d")
+    s, s_check = _binary(s, "s")
+    y, y_checks = _outcome(y, s, "y")
+    _raise_first([t_check, d_check, s_check, *y_checks], width_error)
     data = RcsDataset(
         ids=_id_array(ids),
         t=_frozen_array(t, np.int8),
@@ -357,35 +498,41 @@ def load_rcs_csv(path) -> RcsDataset:
 
 
 def load_multi_csv(path) -> MultiPeriodPanel:
-    ids, gvar, t, s, y = [], [], [], [], []
-    seen: dict = {}  # id -> (its gvar, the periods it has a row for)
-    for line, row in _read_rows(path, MULTI_HEADER):
-        uid = row[0]
-        try:
-            g = int(row[1])
-            per = int(row[2])
-        except ValueError:
-            raise MalformedRow(f"line {line}: gvar/t must be integers", line=line)
-        if g < 0 or per < 0:
-            raise MalformedRow(f"line {line}: gvar/t must be non-negative", line=line)
-        if uid not in seen:
-            seen[uid] = (g, set())
-        first_g, periods = seen[uid]
-        if first_g != g:
-            raise InconsistentGvar(
-                f"line {line}: id {uid} has gvar {g} but earlier gvar {first_g}", id=uid
-            )
-        if per in periods:
-            raise MalformedRow(
-                f"line {line}: id {uid} already has a row for t={per}", line=line, id=uid
-            )
-        periods.add(per)
-        ids.append(uid)
-        gvar.append(g)
-        t.append(per)
-        s.append(_parse_binary(row[3], line, "s"))
-        y.append(_parse_outcome(row[4], s[-1], line, "y"))
-    missing = [uid for uid, (_, periods) in seen.items() if 0 not in periods]
+    (ids, gvar, t, s, y), width_error = _read_columns(path, MULTI_HEADER)
+    n = len(ids)
+    gvar, gvar_rejected = _parse(int, gvar, 0)
+    t, t_rejected = _parse(int, t, 0)
+    gvar, t = _integers(gvar), _integers(t)
+    # each row's unit, coded by the row where the id first appears
+    first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
+    unit = np.fromiter(map(first.__getitem__, ids), np.intp, n)
+    order = np.lexsort((t, unit))  # stable: rows of one (id, t) stay in file order
+    duplicate = np.zeros(n, bool)
+    duplicate[order[1:]] = (unit[order[1:]] == unit[order[:-1]]) & (t[order[1:]] == t[order[:-1]])
+    s, s_check = _binary(s, "s")
+    y, y_checks = _outcome(y, s, "y")
+    _raise_first([
+        (gvar_rejected | t_rejected,
+         lambda i: MalformedRow(f"line {i + 2}: gvar/t must be integers", line=i + 2),
+         False),
+        ((gvar < 0) | (t < 0),
+         lambda i: MalformedRow(f"line {i + 2}: gvar/t must be non-negative", line=i + 2),
+         False),
+        (gvar != gvar[unit],
+         lambda i: InconsistentGvar(f"line {i + 2}: id {ids[i]} has gvar {gvar[i]} "
+                                    f"but earlier gvar {gvar[unit[i]]}", id=ids[i]),
+         False),
+        (duplicate,
+         lambda i: MalformedRow(f"line {i + 2}: id {ids[i]} already has a row for t={t[i]}",
+                                line=i + 2, id=ids[i]),
+         False),
+        s_check,
+        *y_checks,
+    ], width_error)
+    units = np.flatnonzero(unit == np.arange(n))  # first-seen order
+    has_baseline = np.zeros(n, bool)
+    has_baseline[unit[t == 0]] = True
+    missing = [ids[i] for i in units[~has_baseline[units]].tolist()]
     if missing:
         raise MissingBaseline(f"ids without a period-0 row: {missing[:5]}", ids=missing)
     return MultiPeriodPanel(

@@ -14,6 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -24,6 +25,7 @@ from .data import (
     WITHOUT_MONOTONICITY,
     AssumptionSet,
     PanelDataset,
+    _id_array,
 )
 from .errors import EmptyCell, EstimationError, ValidationError
 
@@ -82,6 +84,13 @@ def _latents(rng: np.random.Generator, n: int, config: DgpConfig) -> dict:
     }
 
 
+@lru_cache(maxsize=4)
+def _unit_ids(n: int) -> np.ndarray:
+    """The read-only ids "1".."n", built once per ``n`` and shared by every
+    panel drawn at that size."""
+    return _id_array(map(str, range(1, n + 1)))
+
+
 def generate_panel(config: DgpConfig, debug: bool = False):
     """Draw a two-period panel from the DGP.
 
@@ -104,9 +113,7 @@ def generate_panel(config: DgpConfig, debug: bool = False):
     )
     y0 = np.where(s0 == 1, y0_star, np.nan)
     y1 = np.where(s1 == 1, y1_star, np.nan)
-    panel = PanelDataset.from_records(
-        [str(i + 1) for i in range(config.n)], d, s0, s1, y0, y1
-    )
+    panel = PanelDataset.from_records(_unit_ids(config.n), d, s0, s1, y0, y1)
     if debug:
         return panel, {**lat, "s1_0": s1_0, "s1_1": s1_1, "d": d}
     return panel

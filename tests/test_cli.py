@@ -96,6 +96,18 @@ class TestBoundsCommand:
         _, out2, _ = _run(capsys, argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("command, text", [
+        (["bounds", "--assumptions", "mono-pos"], PANEL_CSV),
+        (["bounds-rcs"], RCS_CSV),
+        (["bounds-staggered", "--gamma", "1", "--t", "1"], MULTI_CSV),
+    ], ids=["panel", "rcs", "staggered"])
+    def test_byte_order_mark_is_not_data(self, tmp_path, capsys, command, text):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        plain = _run(capsys, [command[0], "--data", _panel(tmp_path, text)] + command[1:])
+        marked = _run(capsys, [command[0], "--data", _panel(tmp_path, "\ufeff" + text, "bom.csv")]
+                      + command[1:])
+        assert plain[0] == 0 and marked == plain
+
     def test_ci_requires_seed(self, tmp_path, capsys):
         code, out, err = _run(
             capsys, ["bounds", "--data", _panel(tmp_path), "--ci", "union"]

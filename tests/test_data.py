@@ -1,6 +1,11 @@
+import warnings
+from dataclasses import fields
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from didbounds import (
     MONO_NEGATIVE,
@@ -16,6 +21,8 @@ from didbounds import (
     load_rcs_csv,
     write_panel_csv,
 )
+from didbounds import data as data_module
+from didbounds.data import MULTI_HEADER, PANEL_HEADER, RCS_HEADER
 from didbounds.errors import (
     DataWarning,
     DegenerateSampling,
@@ -27,6 +34,7 @@ from didbounds.errors import (
     MissingOutcome,
 )
 
+import reference_loaders
 from conftest import copy_rows, make_panel, panel_rows
 
 PANEL_CSV = """id,d,s0,s1,y0,y1
@@ -260,3 +268,169 @@ def test_cell_counts_match_rows_and_sum_to_n(rows):
     assert sum(counts.values()) == data.n
     for (s0, s1, d), count in counts.items():
         assert count == sum(1 for r in rows if r[:3] == (d, s0, s1))
+
+
+# --- the columnar loaders against the row-by-row reference ---
+
+LOADERS = {
+    "panel": (PANEL_HEADER, load_panel_csv, reference_loaders.load_panel_csv),
+    "rcs": (RCS_HEADER, load_rcs_csv, reference_loaders.load_rcs_csv),
+    "multi": (MULTI_HEADER, load_multi_csv, reference_loaders.load_multi_csv),
+}
+# per format: binary columns, and (outcome column, its selection column)
+BINARY_COLUMNS = {"panel": [1, 2, 3], "rcs": [1, 2, 3], "multi": [3]}
+OUTCOME_COLUMNS = {"panel": [(4, 2), (5, 3)], "rcs": [(4, 3)], "multi": [(4, 3)]}
+
+binary = st.sampled_from(["0", "1"])
+outcome_text = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "-0.0", "1e3", " 1.5", "1_0", "+3", "\t2 ", "\u0663"]),
+)
+
+
+def _outcome(s, y):
+    return y if s == "1" else ""
+
+
+panel_records = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "7"]), binary, binary, binary,
+              outcome_text, outcome_text).map(
+        lambda r: [r[0], r[1], r[2], r[3], _outcome(r[2], r[4]), _outcome(r[3], r[5])]),
+    min_size=1, max_size=8)
+
+rcs_records = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "7"]), binary, binary, binary, outcome_text).map(
+        lambda r: [r[0], r[1], r[2], r[3], _outcome(r[3], r[4])]),
+    min_size=1, max_size=8)
+
+
+@st.composite
+def multi_records(draw):
+    """Units with a gvar and periods that include 0; rows in any order."""
+    rows = []
+    for uid in draw(st.lists(st.sampled_from(["1", "2", "u", " 1"]), min_size=1,
+                             max_size=3, unique=True)):
+        gvar = draw(st.sampled_from(["0", "2", "3", " 2"]))
+        periods = draw(st.sets(st.integers(1, 3), max_size=3)) | {0}
+        for t in periods:
+            s = draw(binary)
+            rows.append([uid, gvar, str(t), s, _outcome(s, draw(outcome_text))])
+    return draw(st.permutations(rows))
+
+
+VALID_RECORDS = {"panel": panel_records, "rcs": rcs_records, "multi": multi_records()}
+
+
+@st.composite
+def faulty(draw, kind, records):
+    """``records`` with one injected fault (or, for ``present``, a warning)."""
+    rows = [list(r) for r in records]
+    whole = [i for i, r in enumerate(rows) if len(r) == len(LOADERS[kind][0])]
+    if not whole:  # an earlier fault left no record to change
+        return rows
+    i = draw(st.sampled_from(whole))
+    row = rows[i]
+    faults = ["binary", "blank", "numeric", "finite", "present", "width", "blank_line"]
+    if kind == "multi":
+        faults += ["gvar", "duplicate", "negative", "integer", "baseline"]
+    fault = draw(st.sampled_from(faults))
+    col, sel = draw(st.sampled_from(OUTCOME_COLUMNS[kind]))
+    if fault == "binary":
+        row[draw(st.sampled_from(BINARY_COLUMNS[kind]))] = draw(
+            st.sampled_from(["2", "", " 1", "1.0", "x"]))
+    elif fault == "blank":
+        row[sel], row[col] = "1", ""
+    elif fault == "numeric":
+        row[col] = draw(st.sampled_from(["abc", "1.2.3", "--1", "1e", "0x10"]))
+    elif fault == "finite":
+        row[col] = draw(st.sampled_from(["nan", "inf", "-Infinity", " NaN"]))
+    elif fault == "present":
+        row[sel], row[col] = "0", "1.25"
+    elif fault == "width":
+        rows[i] = row[:-1] if draw(st.booleans()) else row + ["9"]
+    elif fault == "blank_line":
+        rows.insert(i, [])
+    elif fault == "gvar":
+        row[1] = "9"
+    elif fault == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), list(row))
+    elif fault == "negative":
+        row[draw(st.sampled_from([1, 2]))] = "-1"
+    elif fault == "integer":
+        row[draw(st.sampled_from([1, 2]))] = draw(st.sampled_from(["x", "1.5", ""]))
+    else:  # baseline: drop a unit's period-0 row
+        rows = [r for r in rows if r[:1] + r[2:3] != [row[0], "0"]] or rows
+    return rows
+
+
+@st.composite
+def csv_cases(draw):
+    kind = draw(st.sampled_from(sorted(LOADERS)))
+    records = draw(VALID_RECORDS[kind])
+    for _ in range(draw(st.integers(0, 2))):
+        records = draw(faulty(kind, records))
+    return kind, records
+
+
+def _texts(header, records):
+    """The file written plain, with quoted fields, with CRLF line ends, and
+    without a trailing newline. A blank line stays blank in every one."""
+    lines = [header] + records
+    plain = "\n".join(",".join(r) for r in lines)
+    yield plain + "\n"
+    yield "\n".join(",".join(f'"{f}"' for f in r) for r in lines) + "\n"
+    yield "\r\n".join(",".join(r) for r in lines) + "\r\n"
+    yield plain
+
+
+def _load(load, path):
+    """What loading gives: the dataset or the exception, and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load(path)
+        except Exception as exc:  # compared with the reference's, whatever it is
+            result = exc
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=csv_cases())
+@example(case=("panel", [["1", "1", "1", "1", " 1.5", "1_0"], ["2", "0", "1", "1", "+3", "-0.0"]]))
+@example(case=("panel", [["1", " 1", "1", "1", "1.0", "2.0"]]))
+@example(case=("rcs", [["1", "0", "1", "1", "1_0"], ["2", "1", " 1", "1", " 1.5"]]))
+@example(case=("multi", [["1", "2", "0", "1", "+3"], ["1", "2", "1", " 1", "1.0"]]))
+@example(case=("multi", [["1", "99999999999999999999", "0", "1", "1.0"], ["2", "x", "0", "0", ""]]))
+@example(case=("multi", [["1", "99999999999999999999", "1", "1", "1.0"]]))
+@example(case=("rcs", [["1", "0", "1", "1", "1\r5"], ["2", "1", "0", "0", ""]]))
+@example(case=("panel", [["x" * 140_000, "1", "1", "1", "1.0", "2.0"]]))
+@example(case=("panel", [["1", "1", "0", "1", "5.0", "abc"]]))
+@example(case=("panel", [["1", "1", "1", "1", "1.0", "2.0"], [], ["2", "0", "0", "0", "", ""]]))
+@example(case=("rcs", [["1", "0", "1", "1", "1.0"], ["2", "1", "0", "0", ""], ["3", "1", "1", "0", ""],
+                       ["4", "0", "0", "1", "2.0"], ["5", "1", "0", "0"]]))
+@example(case=("panel", [["1", "1"], ["2", "0", "0", "0", "", ""], ["3", "1", "0", "0", "", ""],
+                         ["x" * 140_000, "1", "1", "1", "1.0", "2.0"]]))
+def test_loaders_match_row_by_row_reference(case, tmp_path_factory):
+    # a block of 3 records puts block boundaries inside these small files
+    kind, records = case
+    header, load, reference = LOADERS[kind]
+    path = tmp_path_factory.getbasetemp() / "loader-case.csv"
+    for text in _texts(header, records):
+        path.write_bytes(text.encode("utf-8"))
+        want, want_warnings = _load(reference, path)
+        for block in (3, data_module._BLOCK):
+            with mock.patch.object(data_module, "_BLOCK", block):
+                got, got_warnings = _load(load, path)
+            assert got_warnings == want_warnings
+            assert type(got) is type(want)
+            if isinstance(want, Exception):
+                assert str(got) == str(want)
+                assert getattr(got, "context", None) == getattr(want, "context", None)
+                continue
+            for field in fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert a.dtype == b.dtype and a.flags.writeable == b.flags.writeable
+                if b.dtype == object:
+                    assert a.tolist() == b.tolist()
+                else:
+                    assert a.tobytes() == b.tobytes(), field.name

@@ -45,6 +45,14 @@ class TestGenerator:
         np.testing.assert_array_equal(a.y0, b.y0)
         np.testing.assert_array_equal(a.y1, b.y1)
 
+    def test_panels_of_one_size_share_their_ids(self):
+        a = generate_panel(DgpConfig(n=500, seed=9))
+        b = generate_panel(DgpConfig(n=500, seed=10))
+        assert a.ids is b.ids and not a.ids.flags.writeable
+        assert a.ids.dtype == object
+        assert a.ids.tolist() == [str(i) for i in range(1, 501)]
+        assert generate_panel(DgpConfig(n=3, seed=9)).ids.tolist() == ["1", "2", "3"]
+
     def test_seed_matters(self):
         a = generate_panel(DgpConfig(n=500, seed=9))
         b = generate_panel(DgpConfig(n=500, seed=10))
