@@ -12,10 +12,10 @@ import csv
 import operator
 import re
 import warnings
+from collections import deque
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
-from collections import deque
 from itertools import islice, repeat
 
 import numpy as np
