@@ -1,5 +1,6 @@
 """Naive DiD, mixing-proportion identification, and the two-period panel
-bounds for the four latent target groups.
+bounds for the four latent target groups: rows of one table of signed cell
+terms (``_FORMULAS``), read by one evaluator.
 
 Estimated proportions outside [0,1] are clamped to the nearest endpoint and a
 named warning is attached to the result; clamps are never silent. A trim share
@@ -9,6 +10,7 @@ of zero (vacuous identification) is an error, not an infinite bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -273,166 +275,154 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
+# The table of bound formulas: one row per two-period panel bound. A row
+# names the mean dominance and the joint independence the bound requires
+# (tau_OOO requires neither and holds under every assumption set); its shares,
+# in the order they are checked, each marked True where it must be positive;
+# and its lb and ub as terms (sign, statistic, sample, share). A share is a
+# weight (p_ooo1, p_ooo0), p_ono0 or p_nno1, or 1 minus one of those. A
+# statistic is "mean", "lower" or "upper" (the trimmed tail means of ``core``
+# at the share) of a sample, which is a cell (d, s0, s1, period) or an arm's
+# Delta Y ("dY", d); or it is "min", a support minimum, whose sample is its
+# key in ``_support_minima``.
+
+
+@dataclass(frozen=True)
+class _Formula:
+    dominance: str | None
+    joint_independence: bool
+    shares: tuple
+    lb: tuple
+    ub: tuple
+
+    @cached_property
+    def samples(self) -> tuple:
+        """The cells the terms read, each once, in term order."""
+        return tuple(dict.fromkeys(sample for _, statistic, sample, _ in self.lb + self.ub
+                                   if statistic != "min"))
+
+    @cached_property
+    def support_minima(self) -> frozenset:
+        """The keys of the support minima the terms use, which overrides may set."""
+        return frozenset(sample for _, statistic, sample, _ in self.lb + self.ub
+                         if statistic == "min")
+
+
+_FORMULAS = {
+    "tau_OOO": _Formula(
+        None, False, (("p_ooo1", True), ("p_ooo0", True)),
+        lb=((1, "lower", ("dY", 1), "p_ooo1"), (-1, "upper", ("dY", 0), "p_ooo0")),
+        ub=((1, "upper", ("dY", 1), "p_ooo1"), (-1, "lower", ("dY", 0), "p_ooo0")),
+    ),
+    "tau_ONO": _Formula(
+        "5a", True, (("1 - p_ooo1", True), ("p_ono0", True)),
+        lb=((1, "lower", ("dY", 1), "1 - p_ooo1"), (-1, "mean", (0, 1, 1, 1), None),
+            (1, "lower", (0, 1, 0, 0), "p_ono0")),
+        ub=((1, "upper", ("dY", 1), "1 - p_ooo1"), (-1, "min", "y01_lb", None),
+            (1, "upper", (0, 1, 0, 0), "p_ono0")),
+    ),
+    "tau_NNO": _Formula(
+        "5b", True, (("1 - p_ooo1", True), ("p_nno1", True), ("p_ono0", True)),
+        lb=((1, "lower", (1, 0, 1, 1), "p_nno1"), (-1, "lower", (1, 1, 1, 0), "1 - p_ooo1"),
+            (-1, "mean", (0, 0, 1, 1), None), (1, "min", "y00_lb", None)),
+        ub=((1, "upper", (1, 0, 1, 1), "p_nno1"), (-1, "min", "y10_lb", None),
+            (-1, "min", "y01_lb", None), (1, "lower", (0, 1, 0, 0), "p_ono0")),
+    ),
+    "tau_NOO": _Formula(
+        "5c", False, (("p_ooo1", True), ("p_nno1", False), ("1 - p_nno1", True)),
+        lb=((1, "lower", (1, 0, 1, 1), "1 - p_nno1"), (-1, "lower", (1, 1, 1, 0), "p_ooo1"),
+            (-1, "mean", (0, 0, 1, 1), None), (1, "min", "y00_lb", None)),
+        ub=((1, "upper", (1, 0, 1, 1), "1 - p_nno1"), (-1, "min", "y10_lb", None),
+            (-1, "mean", (0, 0, 1, 1), None), (1, "mean", (0, 1, 1, 0), None)),
+    ),
+}
+
+
+def _samples(data: PanelDataset, row: _Formula) -> dict:
+    """Each cell ``row`` reads, as a ``Sample``; an empty one raises ``EmptyCell``."""
+    return {sample: Sample(_delta_y(data, sample[1]) if sample[0] == "dY"
+                           else _cell_y(data, *sample))
+            for sample in row.samples}
+
+
+def _endpoint(terms: tuple, samples: dict, shares: dict, minima: dict | None) -> float:
+    """The sum of ``terms``, left to right from the first, so that a -0.0 stays -0.0."""
+    total = None
+    for sign, statistic, sample, share in terms:
+        if statistic == "min":
+            value = minima[sample]
+        elif statistic == "mean":
+            value = float(np.mean(samples[sample].values))
+        elif statistic == "lower":
+            value = trimmed_mean_lower(samples[sample], shares[share])
+        else:
+            value = trimmed_mean_upper(samples[sample], shares[share])
+        total = sign * value if total is None else total + sign * value
+    return total
+
+
+def _bound(parameter, data, assumptions, support_overrides=None) -> BoundsResult:
+    """The bound of row ``parameter`` of ``_FORMULAS``.
+
+    tau_OOO reads its cells before it computes its weights; the other rows
+    check their assumptions, compute their weights and shares, and then read
+    their cells and support minima.
+    """
+    row = _FORMULAS[parameter]
+    if row.dominance is None:
+        samples = _samples(data, row)
+        mix = (mixing_mono(data, assumptions.direction) if assumptions.monotone
+               else mixing_no_mono(data))
+    else:
+        wanted = ("with_monotonicity", "positive", row.dominance)
+        if (assumptions.variant, assumptions.direction, assumptions.mean_dominance) != wanted:
+            raise InvalidAssumptions("this bound requires with_monotonicity(positive) and "
+                                     f"mean dominance {row.dominance}")
+        if row.joint_independence and not assumptions.joint_independence:
+            raise InvalidAssumptions(f"{parameter} requires joint_independence")
+        mix = mixing_mono(data, "positive")
+    warns = list(mix.warnings)
+    shares = {"p_ooo1": mix.p_ooo1, "p_ooo0": mix.p_ooo0}
+    for name, positive in row.shares:
+        if name.startswith("1 - "):
+            shares[name] = 1.0 - shares[name[4:]]
+        elif name not in shares:
+            shares[name] = (_p_ono0 if name == "p_ono0" else _p_nno1)(data, warns)
+        if positive:
+            _require_positive(name, shares[name])
+    if row.dominance is not None:
+        samples = _samples(data, row)
+        mix = MixingProportions(mix.p_ooo1, 1.0, "Joint", p_ono0=shares.get("p_ono0"),
+                                p_nno1=shares.get("p_nno1"), warnings=warns)
+    minima = _support_minima(data, support_overrides) if row.support_minima else None
+    lb = _endpoint(row.lb, samples, shares, minima)
+    ub = _endpoint(row.ub, samples, shares, minima)
+    return BoundsResult(parameter, assumptions, lb, ub, mix, support_minima=minima,
+                        warnings=list(warns))
+
+
 def bounds_tau_ooo(data: PanelDataset, assumptions: AssumptionSet) -> BoundsResult:
     """Trimming bounds for the always-observed group.
 
     Under monotonicity one of the weights is 1, and a mean trimmed at share 1
     is the plain mean bit for bit, so one formula serves every assumption set.
     """
-    treated = Sample(_delta_y(data, 1))
-    control = Sample(_delta_y(data, 0))
-    if assumptions.monotone:
-        mix = mixing_mono(data, assumptions.direction)
-    else:
-        mix = mixing_no_mono(data)
-    p1 = _require_positive("p_ooo1", mix.p_ooo1)
-    p0 = _require_positive("p_ooo0", mix.p_ooo0)
-    lb = trimmed_mean_lower(treated, p1) - trimmed_mean_upper(control, p0)
-    ub = trimmed_mean_upper(treated, p1) - trimmed_mean_lower(control, p0)
-    return BoundsResult(
-        parameter="tau_OOO",
-        assumptions=assumptions,
-        lb=lb,
-        ub=ub,
-        proportions=mix,
-        warnings=list(mix.warnings),
-    )
+    return _bound("tau_OOO", data, assumptions)
 
 
-def _other_group_mono(
-    data: PanelDataset,
-    assumptions: AssumptionSet,
-    parameter: str,
-    dominance: str,
-    joint_independence: bool = True,
-) -> tuple:
-    """Check an other-group bound's assumptions; return its mono weights and warnings."""
-    if not (
-        assumptions.monotone
-        and assumptions.direction == "positive"
-        and assumptions.mean_dominance == dominance
-    ):
-        raise InvalidAssumptions(
-            f"this bound requires with_monotonicity(positive) and mean "
-            f"dominance {dominance}"
-        )
-    if joint_independence and not assumptions.joint_independence:
-        raise InvalidAssumptions(f"{parameter} requires joint_independence")
-    mono = mixing_mono(data, "positive")
-    return mono, list(mono.warnings)
-
-
-def _other_group_result(
-    parameter, assumptions, lb, ub, mono, warns, minima, p_ono0=None, p_nno1=None
-) -> BoundsResult:
-    mix = MixingProportions(
-        p_ooo1=mono.p_ooo1,
-        p_ooo0=1.0,
-        source="Joint",
-        p_ono0=p_ono0,
-        p_nno1=p_nno1,
-        warnings=warns,
-    )
-    return BoundsResult(
-        parameter=parameter,
-        assumptions=assumptions,
-        lb=lb,
-        ub=ub,
-        proportions=mix,
-        support_minima=minima,
-        warnings=list(warns),
-    )
-
-
-def bounds_tau_ono(
-    data: PanelDataset,
-    assumptions: AssumptionSet,
-    support_overrides: dict | None = None,
-) -> BoundsResult:
+def bounds_tau_ono(data: PanelDataset, assumptions: AssumptionSet,
+                   support_overrides: dict | None = None) -> BoundsResult:
     """Bounds for units observed only when untreated (ONO)."""
-    mono, warns = _other_group_mono(data, assumptions, "tau_ONO", "5a")
-    trim = _require_positive("1 - p_ooo1", 1.0 - mono.p_ooo1)
-    p_ono0 = _require_positive("p_ono0", _p_ono0(data, warns))
-    treated = Sample(_delta_y(data, 1))
-    control_post = _cell_y(data, d=0, s0=1, s1=1, period=1)
-    attrit_pre = Sample(_cell_y(data, d=0, s0=1, s1=0, period=0))
-    minima = _support_minima(data, support_overrides)
-    lb = (
-        trimmed_mean_lower(treated, trim)
-        - float(np.mean(control_post))
-        + trimmed_mean_lower(attrit_pre, p_ono0)
-    )
-    ub = (
-        trimmed_mean_upper(treated, trim)
-        - minima["y01_lb"]
-        + trimmed_mean_upper(attrit_pre, p_ono0)
-    )
-    return _other_group_result(
-        "tau_ONO", assumptions, lb, ub, mono, warns, minima, p_ono0=p_ono0
-    )
+    return _bound("tau_ONO", data, assumptions, support_overrides)
 
 
-def bounds_tau_nno(
-    data: PanelDataset,
-    assumptions: AssumptionSet,
-    support_overrides: dict | None = None,
-) -> BoundsResult:
+def bounds_tau_nno(data: PanelDataset, assumptions: AssumptionSet,
+                   support_overrides: dict | None = None) -> BoundsResult:
     """Bounds for units unobserved at baseline, observed only when treated (NNO)."""
-    mono, warns = _other_group_mono(data, assumptions, "tau_NNO", "5b")
-    trim_ooo = _require_positive("1 - p_ooo1", 1.0 - mono.p_ooo1)
-    p_nno1 = _require_positive("p_nno1", _p_nno1(data, warns))
-    p_ono0 = _require_positive("p_ono0", _p_ono0(data, warns))
-    joiner_post = Sample(_cell_y(data, d=1, s0=0, s1=1, period=1))
-    both_pre = _cell_y(data, d=1, s0=1, s1=1, period=0)
-    control_joiner_post = _cell_y(data, d=0, s0=0, s1=1, period=1)
-    attrit_pre = _cell_y(data, d=0, s0=1, s1=0, period=0)
-    minima = _support_minima(data, support_overrides)
-    lb = (
-        trimmed_mean_lower(joiner_post, p_nno1)
-        - trimmed_mean_lower(both_pre, trim_ooo)
-        - float(np.mean(control_joiner_post))
-        + minima["y00_lb"]
-    )
-    ub = (
-        trimmed_mean_upper(joiner_post, p_nno1)
-        - minima["y10_lb"]
-        - minima["y01_lb"]
-        + trimmed_mean_lower(attrit_pre, p_ono0)
-    )
-    return _other_group_result(
-        "tau_NNO", assumptions, lb, ub, mono, warns, minima, p_ono0=p_ono0, p_nno1=p_nno1
-    )
+    return _bound("tau_NNO", data, assumptions, support_overrides)
 
 
-def bounds_tau_noo(
-    data: PanelDataset,
-    assumptions: AssumptionSet,
-    support_overrides: dict | None = None,
-) -> BoundsResult:
+def bounds_tau_noo(data: PanelDataset, assumptions: AssumptionSet,
+                   support_overrides: dict | None = None) -> BoundsResult:
     """Bounds for units unobserved at baseline, observed either way after (NOO)."""
-    mono, warns = _other_group_mono(
-        data, assumptions, "tau_NOO", "5c", joint_independence=False
-    )
-    p_ooo1 = _require_positive("p_ooo1", mono.p_ooo1)
-    p_nno1 = _p_nno1(data, warns)
-    trim = _require_positive("1 - p_nno1", 1.0 - p_nno1)
-    joiner_post = Sample(_cell_y(data, d=1, s0=0, s1=1, period=1))
-    both_pre = _cell_y(data, d=1, s0=1, s1=1, period=0)
-    control_joiner_post = _cell_y(data, d=0, s0=0, s1=1, period=1)
-    control_both_pre = _cell_y(data, d=0, s0=1, s1=1, period=0)
-    minima = _support_minima(data, support_overrides)
-    lb = (
-        trimmed_mean_lower(joiner_post, trim)
-        - trimmed_mean_lower(both_pre, p_ooo1)
-        - float(np.mean(control_joiner_post))
-        + minima["y00_lb"]
-    )
-    ub = (
-        trimmed_mean_upper(joiner_post, trim)
-        - minima["y10_lb"]
-        - float(np.mean(control_joiner_post))
-        + float(np.mean(control_both_pre))
-    )
-    return _other_group_result(
-        "tau_NOO", assumptions, lb, ub, mono, warns, minima, p_nno1=p_nno1
-    )
+    return _bound("tau_NOO", data, assumptions, support_overrides)

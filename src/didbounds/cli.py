@@ -101,9 +101,10 @@ def _finite_float(text: str) -> float:
 
 def _add_ci_flags(sub):
     sub.add_argument("--ci", choices=["none", "union", "im"], default="none")
-    sub.add_argument("--boot", type=int, default=200)
+    # None where not given, so that one given without a CI is an error
+    sub.add_argument("--boot", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--legacy-se-scaling", action="store_true")
+    sub.add_argument("--legacy-se-scaling", action="store_true", default=None)
     sub.add_argument("--output", choices=["json", "csv"], default="json")
 
 
@@ -169,11 +170,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _panel_fn(args):
     assumptions = _parse_assumptions(args.assumptions, args.param)
     bound = getattr(_bounds, f"bounds_tau_{args.param}")
-    if args.param == "ooo":
-        return lambda d: bound(d, assumptions)
     overrides = {"y00_lb": args.support_y00, "y01_lb": args.support_y01,
                  "y10_lb": args.support_y10}
-    return lambda d: bound(d, assumptions, overrides)
+    used = _bounds._FORMULAS[f"tau_{args.param.upper()}"].support_minima
+    unused = [f"--support-{key[:3]}" for key, value in overrides.items()
+              if value is not None and key not in used]
+    if unused:
+        raise ValidationError(f"{', '.join(unused)}: not a support minimum of the "
+                              f"{args.param} bound", flags=unused)
+    if used:
+        return lambda d: bound(d, assumptions, overrides)
+    return lambda d: bound(d, assumptions)
 
 
 def _rcs_fn(args):
@@ -192,15 +199,22 @@ def _bound_command(load, build, args, caught) -> str:
     """Load, bound, attach a CI where the command has ``--ci``, and emit."""
     data = load(args.data)
     fn = build(args)
+    wants_ci = getattr(args, "ci", "none") != "none"
+    given = [flag for flag in ("--boot", "--seed", "--legacy-se-scaling")
+             if getattr(args, flag[2:].replace("-", "_"), None) is not None]
+    if given and not wants_ci:
+        raise ValidationError(f"{', '.join(given)}: no CI is requested (--ci none)",
+                              flags=given)
     result = fn(data)
     payload = {"schema": SCHEMA, **result.to_dict()}
-    if getattr(args, "ci", "none") != "none":
+    if wants_ci:
         if args.seed is None:
             raise ValidationError("--seed is required when a CI is requested")
-        boot = _inf.bootstrap_ses(data, fn, _inf.BootstrapSpec(args.boot, args.seed))
+        reps = 200 if args.boot is None else args.boot
+        boot = _inf.bootstrap_ses(data, fn, _inf.BootstrapSpec(reps, args.seed))
         method = _inf.ci_union if args.ci == "union" else _inf.ci_imbens_manski
         ci = method(result.lb, result.ub, boot.se_lb, boot.se_ub, n=data.n,
-                    legacy_se_scaling=args.legacy_se_scaling)
+                    legacy_se_scaling=bool(args.legacy_se_scaling))
         ci.reps_used, ci.failed_reps = boot.reps_used, boot.failed_reps
         payload["ci"] = ci.to_dict()
     payload["warnings"] = _collect_warnings(caught) + payload["warnings"]

@@ -8,6 +8,7 @@ share across threads.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import operator
 import re
@@ -300,6 +301,15 @@ def _line_blocks(lines: list):
         yield block
 
 
+def _records(reader):
+    """The records of a ``csv.reader``; its ``csv.Error`` (a field longer than
+    ``csv.field_size_limit()``) is a ``MalformedRow`` on the line it stopped at."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedRow(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
+
+
 def _read_columns(path, header):
     """The data records of a CSV file, as one list of field strings per column.
 
@@ -313,10 +323,19 @@ def _read_columns(path, header):
 
     Returns the columns and the ``MalformedRow`` of the first record with the
     wrong number of fields, or None. The columns hold the records before that
-    one, which the caller checks before it raises the error.
+    one, which the caller checks before it raises the error. Text that is not
+    UTF-8, or a field longer than the limit, raises ``MalformedRow`` at once.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte, counted past a byte-order mark
+        at = exc.start + 3 * raw.startswith(codecs.BOM_UTF8)
+        line = 1 + raw.count(b"\n", 0, at) + raw.count(b"\r", 0, at) - raw.count(b"\r\n", 0, at)
+        raise MalformedRow(f"line {line}: not UTF-8 text", line=line) from None
+    del raw
     plain = '"' not in text and "\r" not in text
     if plain:
         lines = text.split("\n")
@@ -328,7 +347,7 @@ def _read_columns(path, header):
         got = _fields(lines.pop(0)) if lines else None
         blocks = _line_blocks(lines)
     else:
-        reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))
+        reader = _records(csv.reader(map(re.Match.group, _LINE.finditer(text))))
         got = next(reader, None)
         blocks = iter(lambda: list(islice(reader, _BLOCK)), [])
     if got is None:
@@ -410,9 +429,12 @@ def _parse(convert, fields, fill):
     return values, rejected
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _integers(values) -> np.ndarray:
     """Parsed integers as int64; as objects if one overflows int64, so that the
-    checks still run and the error is the dataset's own int64 conversion."""
+    checks still run and find it."""
     try:
         return np.array(values, np.int64)
     except OverflowError:
@@ -518,6 +540,9 @@ def load_multi_csv(path) -> MultiPeriodPanel:
         ((gvar < 0) | (t < 0),
          lambda i: MalformedRow(f"line {i + 2}: gvar/t must be non-negative", line=i + 2),
          False),
+        ((gvar > _INT64_MAX) | (t > _INT64_MAX),
+         lambda i: MalformedRow(f"line {i + 2}: gvar/t must be below 2**63", line=i + 2),
+         False),
         (gvar != gvar[unit],
          lambda i: InconsistentGvar(f"line {i + 2}: id {ids[i]} has gvar {gvar[i]} "
                                     f"but earlier gvar {gvar[unit[i]]}", id=ids[i]),
@@ -551,10 +576,10 @@ def _format_outcome(v) -> str:
 
 
 def write_panel_csv(data: PanelDataset, path) -> None:
-    """Canonical writer: rows sorted by id, shortest round-trip floats."""
+    """Canonical writer: rows sorted by id, shortest round-trip floats, LF line ends."""
     order = sorted(range(data.n), key=data.ids.__getitem__)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PANEL_HEADER)
         for i in order:
             writer.writerow(

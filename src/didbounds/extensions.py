@@ -116,9 +116,10 @@ def bounds_tau_oo_rcs(
     """Bounds for the post-period always-observed group in repeated
     cross-sections.
 
-    Without monotonicity both endpoints subtract the lower-trimmed control
-    post-period mean, exactly as the theorem display is printed; pre-period
-    cell means enter untrimmed.
+    Both endpoints subtract the lower-trimmed control post-period mean,
+    exactly as the theorem display is printed; under monotonicity its share
+    is 1, and a mean trimmed at share 1 is the plain mean bit for bit.
+    Pre-period cell means enter untrimmed, added as one group.
     """
     if assumptions.monotone and assumptions.direction != "positive":
         raise InvalidAssumptions("RCS bounds support positive monotonicity only")
@@ -131,14 +132,9 @@ def bounds_tau_oo_rcs(
     q11, q01 = weights.p_ooo1, weights.p_ooo0
     if q11 <= 0.0 or q01 <= 0.0:
         raise VacuousIdentification("RCS trim weight is zero")
-    if assumptions.monotone:
-        control_term = float(np.mean(control_post))
-        lb = trimmed_mean_lower(treated_post, q11) - control_term + pre_terms
-        ub = trimmed_mean_upper(treated_post, q11) - control_term + pre_terms
-    else:
-        control_term = trimmed_mean_lower(control_post, q01)
-        lb = trimmed_mean_lower(treated_post, q11) - control_term + pre_terms
-        ub = trimmed_mean_upper(treated_post, q11) - control_term + pre_terms
+    control_term = trimmed_mean_lower(control_post, q01)
+    lb = trimmed_mean_lower(treated_post, q11) - control_term + pre_terms
+    ub = trimmed_mean_upper(treated_post, q11) - control_term + pre_terms
     return BoundsResult(
         parameter="tau_OO_rcs",
         assumptions=assumptions,

@@ -33,13 +33,26 @@ from didbounds.errors import (
 )
 
 
+def _decoded_lines(path):
+    """The file's lines, each decoded from UTF-8 on its own; the first line
+    that is not UTF-8 raises."""
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines(keepends=True)
+    lines = []
+    for number, raw in enumerate(raw_lines, start=1):
+        try:
+            lines.append(raw.decode("utf-8-sig" if number == 1 else "utf-8"))
+        except UnicodeDecodeError:
+            raise MalformedRow(f"line {number}: not UTF-8 text", line=number)
+    return lines
+
+
 def _read_rows(path, header):
     """Yield (line number, fields) of each data row, header and width checked."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
+    reader = csv.reader(_decoded_lines(path))
+    try:
+        got = next(reader, None)
+        if got is None:
             raise EmptyFile(f"{path}: empty file", path=str(path))
         if got != header:
             raise MalformedRow(
@@ -47,6 +60,8 @@ def _read_rows(path, header):
                 line=1,
             )
         rows = list(reader)
+    except csv.Error as exc:
+        raise MalformedRow(f"line {reader.line_num}: {exc}", line=reader.line_num)
     if not rows:
         raise EmptyFile(f"{path}: no data rows", path=str(path))
     for line, row in enumerate(rows, start=2):
@@ -132,6 +147,8 @@ def load_multi_csv(path) -> MultiPeriodPanel:
             raise MalformedRow(f"line {line}: gvar/t must be integers", line=line)
         if g < 0 or per < 0:
             raise MalformedRow(f"line {line}: gvar/t must be non-negative", line=line)
+        if g >= 2**63 or per >= 2**63:
+            raise MalformedRow(f"line {line}: gvar/t must be below 2**63", line=line)
         if uid not in seen:
             seen[uid] = (g, set())
         first_g, periods = seen[uid]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from didbounds import (
@@ -31,8 +31,10 @@ from didbounds.errors import (
     InvalidAssumptions,
     VacuousIdentification,
 )
+from didbounds.bounds import _FORMULAS
 from didbounds.extensions import RCS_VARIANTS
 
+import reference_bounds
 from conftest import copy_rows, make_panel, make_rcs, outcomes, panel_rows, rcs_rows
 
 DOMINANCE = {
@@ -431,3 +433,90 @@ def test_mono_pos_nested_in_nomono_on_random_panels(treated, control):
     assert mono.proportions.p_ooo1 >= nomono.proportions.p_ooo1
     assert nomono.lb <= mono.lb + slack
     assert mono.ub <= nomono.ub + slack
+
+
+# --- the table of bound formulas against the four bounds written out ---
+
+# one to five rows in each of the eight cells but those drawn to be empty;
+# outcomes from {-1, 0, 1} as often as not, so ties are frequent
+_tied = st.one_of(st.integers(-1, 1).map(float), outcomes)
+CELLS = [(d, s0, s1) for d in (0, 1) for s0 in (0, 1) for s1 in (0, 1)]
+
+
+@st.composite
+def sparse_panel_rows(draw):
+    empty = draw(st.sets(st.sampled_from(CELLS), max_size=2))
+    sizes = [0 if cell in empty else draw(st.sampled_from(range(1, 6))) for cell in CELLS]
+    return [
+        (d, s0, s1, y0 if s0 else None, y1 if s1 else None)
+        for (d, s0, s1), size in zip(CELLS, sizes)
+        for y0, y1 in draw(st.lists(st.tuples(_tied, _tied), min_size=size, max_size=size))
+    ]
+
+
+# every variant and direction, with and without joint independence, under
+# each mean dominance: the right one for each row and every wrong one
+ASSUMPTION_SETS = [
+    AssumptionSet(variant, direction, joint_independence=joint, mean_dominance=dominance)
+    for variant, direction in (("without_monotonicity", None),
+                               ("with_monotonicity", "positive"),
+                               ("with_monotonicity", "negative"))
+    for joint in (False, True)
+    for dominance in (None, "5a", "5b", "5c")
+]
+SUPPORT_KEYS = ("y00_lb", "y01_lb", "y10_lb")
+
+
+def _result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared with the reference's, whatever it is
+        return exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=sparse_panel_rows(),
+       overrides=st.fixed_dictionaries({k: st.one_of(st.none(), outcomes) for k in SUPPORT_KEYS}))
+def test_formula_table_matches_written_out_bounds(rows, overrides):
+    panel = make_panel(rows)
+    calls = [("ooo", (aset,)) for aset in ASSUMPTION_SETS]
+    calls += [(param, (aset, support)) for param in ("ono", "nno", "noo")
+              for aset in ASSUMPTION_SETS for support in (None, overrides)]
+    for param, args in calls:
+        name = f"bounds_tau_{param}"
+        ref = _result_or_error(getattr(reference_bounds, name), panel, *args)
+        got = _result_or_error(globals()[name], panel, *args)
+        assert type(got) is type(ref), (param, args, ref, got)
+        if isinstance(ref, Exception):
+            assert str(got) == str(ref), (param, args)
+            assert getattr(got, "context", None) == getattr(ref, "context", None)
+            continue
+        bits = lambda r: np.float64([r.lb, r.ub]).tobytes()
+        assert bits(got) == bits(ref), (param, args)
+        assert got.to_dict() == ref.to_dict(), (param, args)
+        assert got.proportions.warnings == ref.proportions.warnings, (param, args)
+
+
+def test_formula_table_reads_observed_cells_and_its_own_shares():
+    assert sorted(_FORMULAS) == ["tau_NNO", "tau_NOO", "tau_ONO", "tau_OOO"]
+    for parameter, row in _FORMULAS.items():
+        shares = [name for name, _ in row.shares]
+        assert len(set(shares)) == len(shares), parameter
+        for sign, statistic, sample, share in row.lb + row.ub:
+            assert sign in (1, -1), parameter
+            if statistic == "min":
+                assert sample in SUPPORT_KEYS and share is None, parameter
+                continue
+            # a cell's outcome is observed in period 0 where s0 = 1, in period
+            # 1 where s1 = 1; an arm's Delta Y needs both
+            d, s0, s1, periods = ((sample[1], 1, 1, (0, 1)) if sample[0] == "dY"
+                                  else (*sample[:3], sample[3:]))
+            assert d in (0, 1) and all((s0, s1)[t] == 1 for t in periods), (parameter, sample)
+            if statistic == "mean":
+                assert share is None, parameter
+            else:
+                assert statistic in ("lower", "upper") and share in shares, (parameter, share)
+    # the support minima each row's terms use: the overrides the CLI accepts
+    assert {p: sorted(row.support_minima) for p, row in _FORMULAS.items()} == {
+        "tau_OOO": [], "tau_ONO": ["y01_lb"], "tau_NNO": ["y00_lb", "y01_lb", "y10_lb"],
+        "tau_NOO": ["y00_lb", "y10_lb"]}

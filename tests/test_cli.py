@@ -318,6 +318,81 @@ class TestRejectedFlags:
         assert payload["context"] == {"line": 4, "id": "1"}
 
 
+class TestIgnoredFlags:
+    """A flag the command would not use is an error, not silently dropped."""
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["bounds", "--data", "PANEL", "--param", "ooo", "--support-y00", "-100",
+              "--support-y01", "-100"], ["--support-y00", "--support-y01"]),
+            (["bounds", "--data", "PANEL", "--assumptions", "nomono", "--support-y10", "0"],
+             ["--support-y10"]),
+            # tau_ONO's terms use y01_lb only, tau_NOO's y00_lb and y10_lb
+            (["bounds", "--data", "PANEL", "--param", "ono", "--support-y00", "-100",
+              "--support-y01", "-100", "--support-y10", "-100"],
+             ["--support-y00", "--support-y10"]),
+            (["bounds", "--data", "PANEL", "--param", "noo", "--support-y01", "-100"],
+             ["--support-y01"]),
+            (["bounds", "--data", "PANEL", "--boot", "7", "--seed", "3",
+              "--legacy-se-scaling"], ["--boot", "--seed", "--legacy-se-scaling"]),
+            (["bounds", "--data", "PANEL", "--ci", "none", "--seed", "0"], ["--seed"]),
+            (["bounds", "--data", "PANEL", "--param", "ono", "--boot", "200"], ["--boot"]),
+            (["bounds-rcs", "--data", "RCS", "--boot", "7", "--seed", "3",
+              "--legacy-se-scaling"], ["--boot", "--seed", "--legacy-se-scaling"]),
+            (["bounds-rcs", "--data", "RCS", "--ci", "none", "--legacy-se-scaling"],
+             ["--legacy-se-scaling"]),
+        ],
+    )
+    def test_exits_2(self, tmp_path, capsys, argv, flags):
+        files = {"PANEL": _panel(tmp_path), "RCS": _panel(tmp_path, RCS_CSV, "rcs.csv")}
+        code, out, err = _run(capsys, [files.get(a, a) for a in argv])
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["code"] == "ValidationError"
+        assert payload["context"] == {"flags": flags}
+
+    @pytest.mark.parametrize("param, flags", [
+        ("ono", ["--support-y01"]),
+        ("nno", ["--support-y00", "--support-y01", "--support-y10"]),
+        ("noo", ["--support-y00", "--support-y10"]),
+    ])
+    def test_support_flags_a_bound_uses_are_accepted(self, tmp_path, capsys, param, flags):
+        argv = ["bounds", "--data", _panel(tmp_path), "--param", param]
+        for flag in flags:
+            argv += [flag, "-100"]
+        code, out, err = _run(capsys, argv)
+        assert code == 0, err
+        minima = json.loads(out)["support_minima"]
+        assert all(minima[f"{flag[-3:]}_lb"] == -100.0 for flag in flags)
+
+    def test_boot_is_200_when_a_ci_is_on(self, tmp_path, capsys):
+        argv = ["bounds", "--data", _panel(tmp_path), "--ci", "im", "--seed", "5"]
+        code, out, err = _run(capsys, argv)
+        assert code == 0, err
+        assert _run(capsys, argv + ["--boot", "200"]) == (0, out, "")
+        assert json.loads(out)["ci"]["reps_used"] + json.loads(out)["ci"]["failed_reps"] == 200
+
+
+@pytest.mark.parametrize(
+    "argv, raw, line",
+    [
+        (["naive"], b"id,d,s0,s1,y0,y1\n\xe9,1,1,1,1.0,2.0\n", 2),
+        (["bounds-staggered", "--gamma", "1", "--t", "1"],
+         b"id,gvar,t,s,y\n1,99999999999999999999,0,1,1.0\n", 2),
+        (["naive"], b"id,d,s0,s1,y0,y1\n" + b"x" * 140_000 + b",1,1,1,1.0,2.0\n", 2),
+    ],
+    ids=["not-utf8", "gvar-beyond-int64", "field-beyond-limit"],
+)
+def test_malformed_file_exits_2(tmp_path, capsys, argv, raw, line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    code, out, err = _run(capsys, argv + ["--data", str(path)])
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["code"] == "MalformedRow" and payload["context"] == {"line": line}
+
+
 # stdout of each panel command on generate_panel(DgpConfig(n=300, seed=7)),
 # recorded from the CLI when every bound built its own masks over the full
 # arrays; regenerate it only for a change of output that is meant

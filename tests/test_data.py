@@ -1,3 +1,4 @@
+import codecs
 import warnings
 from dataclasses import fields
 from unittest import mock
@@ -434,3 +435,68 @@ def test_loaders_match_row_by_row_reference(case, tmp_path_factory):
                     assert a.tolist() == b.tolist()
                 else:
                     assert a.tobytes() == b.tobytes(), field.name
+
+
+# the faults the pinned examples above hold that once ended in an exception
+# other than a ``DidBoundsError``, with the line each is now reported on
+@pytest.mark.parametrize(
+    "case, line",
+    [
+        # gvar beyond int64 (OverflowError), before a bad integer on line 3
+        (("multi", [["1", "99999999999999999999", "0", "1", "1.0"], ["2", "x", "0", "0", ""]]), 2),
+        # gvar beyond int64 (OverflowError), in a file that also lacks a baseline
+        (("multi", [["1", "99999999999999999999", "1", "1", "1.0"]]), 2),
+        # a field longer than csv.field_size_limit() (_csv.Error)
+        (("panel", [["x" * 140_000, "1", "1", "1", "1.0", "2.0"]]), 2),
+        # the same after a record of the wrong width: the reader stops first
+        (("panel", [["1", "1"], ["2", "0", "0", "0", "", ""], ["3", "1", "0", "0", "", ""],
+                    ["x" * 140_000, "1", "1", "1", "1.0", "2.0"]]), 5),
+    ],
+    ids=["gvar-overflow", "gvar-overflow-no-baseline", "field-limit", "field-limit-late"],
+)
+def test_pinned_faults_are_malformed_rows(case, line, tmp_path):
+    kind, records = case
+    header, load, reference = LOADERS[kind]
+    path = tmp_path / "case.csv"
+    for text in _texts(header, records):
+        path.write_bytes(text.encode("utf-8"))
+        for loader in (load, reference):
+            with pytest.raises(MalformedRow) as exc:
+                loader(path)
+            assert exc.value.context == {"line": line}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize(
+    "bom, newline, bad_line",
+    [(b"", b"\n", 3), (codecs.BOM_UTF8, b"\r\n", 3), (b"", b"\r", 3), (b"", b"\n", 1)],
+)
+def test_text_that_is_not_utf8_is_a_malformed_row(kind, bom, newline, bad_line, tmp_path):
+    # cp1252 writes e-acute as the one byte 0xe9, which is not UTF-8
+    header, load, reference = LOADERS[kind]
+    record = {"panel": "a,1,1,1,1.0,2.0", "rcs": "a,0,1,1,1.0", "multi": "a,0,0,1,1.0"}[kind]
+    lines = [",".join(header), record, record.replace("a", "b", 1)]
+    lines = [line.encode("ascii") for line in lines]
+    lines[bad_line - 1] = b"\xe9" + lines[bad_line - 1]
+    path = tmp_path / "cp1252.csv"
+    path.write_bytes(bom + newline.join(lines) + newline)
+    for loader in (load, reference):
+        with pytest.raises(MalformedRow) as exc:
+            loader(path)
+        assert str(exc.value) == f"line {bad_line}: not UTF-8 text"
+        assert exc.value.context == {"line": bad_line}
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=panel_rows)
+def test_written_panel_has_lf_line_ends_and_reloads_equal(rows, tmp_path_factory):
+    data = make_panel(rows)
+    path = tmp_path_factory.getbasetemp() / "written.csv"
+    write_panel_csv(data, path)
+    assert b"\r" not in path.read_bytes()
+    again = load_panel_csv(path)
+    order = sorted(range(data.n), key=data.ids.__getitem__)  # the writer sorts by id
+    for field in fields(data):
+        a, b = getattr(again, field.name), getattr(data, field.name)[order]
+        assert a.dtype == b.dtype
+        assert a.tolist() == b.tolist() if b.dtype == object else a.tobytes() == b.tobytes()
