@@ -19,6 +19,7 @@ from .core import (
     Sample,
     cond_prob_s1,
     frechet_interval,
+    mean,
     require_finite,
     trimmed_mean_lower,
     trimmed_mean_upper,
@@ -105,7 +106,7 @@ def _delta_y(data: PanelDataset, d: int) -> np.ndarray:
 
 def naive_did(data: PanelDataset) -> float:
     """DiD contrast on units observed in both periods, ignoring selection."""
-    value = float(np.mean(_delta_y(data, 1))) - float(np.mean(_delta_y(data, 0)))
+    value = mean(_delta_y(data, 1)) - mean(_delta_y(data, 0))
     return require_finite("naive_did", value)
 
 
@@ -352,7 +353,7 @@ def _endpoint(terms: tuple, samples: dict, shares: dict, minima: dict | None) ->
         if statistic == "min":
             value = minima[sample]
         elif statistic == "mean":
-            value = float(np.mean(samples[sample].values))
+            value = mean(samples[sample].values)
         elif statistic == "lower":
             value = trimmed_mean_lower(samples[sample], shares[share])
         else:

@@ -196,8 +196,8 @@ def _staggered_fn(args):
 
 
 def _bound_command(load, build, args, caught) -> str:
-    """Load, bound, attach a CI where the command has ``--ci``, and emit."""
-    data = load(args.data)
+    """Check the flags, then load, bound, attach a CI where the command has
+    ``--ci``, and emit. A flag error is raised before the file is read."""
     fn = build(args)
     wants_ci = getattr(args, "ci", "none") != "none"
     given = [flag for flag in ("--boot", "--seed", "--legacy-se-scaling")
@@ -205,13 +205,15 @@ def _bound_command(load, build, args, caught) -> str:
     if given and not wants_ci:
         raise ValidationError(f"{', '.join(given)}: no CI is requested (--ci none)",
                               flags=given)
-    result = fn(data)
-    payload = {"schema": SCHEMA, **result.to_dict()}
     if wants_ci:
         if args.seed is None:
             raise ValidationError("--seed is required when a CI is requested")
-        reps = 200 if args.boot is None else args.boot
-        boot = _inf.bootstrap_ses(data, fn, _inf.BootstrapSpec(reps, args.seed))
+        spec = _inf.BootstrapSpec(200 if args.boot is None else args.boot, args.seed)
+    data = load(args.data)
+    result = fn(data)
+    payload = {"schema": SCHEMA, **result.to_dict()}
+    if wants_ci:
+        boot = _inf.bootstrap_ses(data, fn, spec)
         method = _inf.ci_union if args.ci == "union" else _inf.ci_imbens_manski
         ci = method(result.lb, result.ub, boot.se_lb, boot.se_ub, n=data.n,
                     legacy_se_scaling=bool(args.legacy_se_scaling))

@@ -22,6 +22,7 @@ from .errors import (
     OutOfRange,
     PZero,
     QOutOfRange,
+    ValidationError,
 )
 
 
@@ -75,6 +76,16 @@ class Sample:
         return np.sort(self.values)
 
 
+def mean(arr: np.ndarray) -> float:
+    """``float(np.mean(arr))`` of a non-empty float64 array, bit for bit.
+
+    ``np.mean`` sums with the same ``np.add.reduce`` and divides by the size;
+    calling the reduction directly skips its dispatch, which dominates at
+    small n.
+    """
+    return float(np.add.reduce(arr)) / arr.size
+
+
 def _sorted_quantile(arr, q: float) -> float:
     """``empirical_quantile`` of a sorted, non-empty sample; q in (0,1]."""
     n = arr.size
@@ -125,7 +136,7 @@ def trimmed_mean_lower(values, p: float) -> float:
     """
     sample = _sample(values, p, "trimmed_mean_lower")
     arr = sample.values
-    return float(np.mean(arr[arr <= _sorted_quantile(sample.sorted, p)]))
+    return mean(arr[arr <= _sorted_quantile(sample.sorted, p)])
 
 
 def trimmed_mean_upper(values, p: float) -> float:
@@ -138,13 +149,24 @@ def trimmed_mean_upper(values, p: float) -> float:
     sample = _sample(values, p, "trimmed_mean_upper")
     arr = sample.values
     if p == 1.0:
-        return float(np.mean(arr))
+        return mean(arr)
     mask = arr > _sorted_quantile(sample.sorted, 1.0 - p)
     if not mask.any():
         raise EmptyTrimSet(
             f"upper tail beyond quantile({1.0 - p}) is empty (ties at maximum)", p=p
         )
-    return float(np.mean(arr[mask]))
+    return mean(arr[mask])
+
+
+def require_seed(seed) -> None:
+    """``ValidationError`` for a negative integer seed, or one in a seed list.
+
+    ``np.random.default_rng`` refuses them with a ``ValueError``; checking when
+    a seed is set turns that into a flag error.
+    """
+    for part in seed if isinstance(seed, (list, tuple)) else (seed,):
+        if isinstance(part, (int, np.integer)) and part < 0:
+            raise ValidationError(f"seed must be non-negative, got {part}", seed=int(part))
 
 
 def require_finite(name: str, value: float) -> float:

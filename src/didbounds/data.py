@@ -172,13 +172,15 @@ class Cells:
     def __init__(self, code: np.ndarray, outcomes: tuple, parent_rows=None):
         self.code = code
         self.counts = np.bincount(code, minlength=8).reshape(2, 2, 2)
+        self._count = self.counts.tolist()  # the same counts as Python ints
         self._outcomes = outcomes
         self._parent_rows = parent_rows
         self._cell_rows = {}  # code -> that cell's outcome-column rows
 
-    def count(self, a: int, b: int, c=slice(None)) -> int:
+    def count(self, a: int, b: int, c: int | None = None) -> int:
         """Rows in cell (a, b, c); without ``c``, in both cells of (a, b)."""
-        return int(self.counts[a, b, c].sum())
+        pair = self._count[a][b]
+        return pair[0] + pair[1] if c is None else pair[c]
 
     def values(self, column: int, a: int, b: int, c: int) -> np.ndarray:
         """Outcome column ``column`` (a panel's period) of the rows in cell (a, b, c)."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import require_finite
+from .core import require_finite, require_seed
 from .errors import EstimationError, RootNotBracketed, TooManyFailedReps, ValidationError
 
 SQRT2 = math.sqrt(2.0)
@@ -33,6 +33,7 @@ class BootstrapSpec:
     def __post_init__(self):
         if self.reps < 2:
             raise ValidationError("bootstrap reps must be >= 2")
+        require_seed(self.seed)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from statistics import NormalDist
@@ -20,6 +21,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import bounds as _bounds
+from .core import mean, require_seed
 from .data import (
     MONO_POSITIVE,
     WITHOUT_MONOTONICITY,
@@ -34,6 +36,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # antithetic pairs the oracle draws at once; its memory grows with this, not
 # with mc_draws, and its results do not depend on it
 _ORACLE_BLOCK = 62_500
+
+# Monte Carlo replicates per worker task; results do not depend on it
+_MC_BLOCK = 25
 
 
 def _norm_pdf(x: float) -> float:
@@ -66,6 +71,7 @@ class DgpConfig:
             rho = getattr(self, name)
             if not (-1.0 < rho < 1.0):
                 raise ValidationError(f"{name} must be in (-1,1), got {rho}")
+        require_seed(self.seed)
 
 
 def _latents(rng: np.random.Generator, n: int, config: DgpConfig) -> dict:
@@ -153,6 +159,7 @@ def oracle_true_values(
     """
     if mc_draws < 10**5:
         raise ValidationError("mc_draws must be >= 1e5")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     half = (mc_draws + 1) // 2
     # pairs per partial sum of the du columns; it fixes their summation order
@@ -296,9 +303,46 @@ def _usual_did(panel: PanelDataset) -> float:
             raise EmptyCell(
                 f"no observed outcomes with d={d}, t={period}", d=d, t=period
             )
-        return float(np.mean(y[mask]))
+        return mean(y[mask])
 
     return cell_mean(1, 1) - cell_mean(1, 0) - cell_mean(0, 1) + cell_mean(0, 0)
+
+
+def _worker_count() -> int:
+    """Worker processes for ``run_monte_carlo``: one per CPU this process may use."""
+    return len(os.sched_getaffinity(0))
+
+
+def _replicates(config: DgpConfig, named: list, start: int, stop: int) -> list:
+    """Replicates ``start``..``stop - 1``: per replicate the usual DiD and, per
+    assumption set, ``(lb, ub, p_ooo1)`` or None where the bound failed."""
+    out = []
+    for rep in range(start, stop):
+        panel = generate_panel(replace(config, seed=[_seed_scalar(config.seed), rep]))
+        naive = _usual_did(panel)
+        bounds = []
+        for _, aset in named:
+            try:
+                res = _bounds.bounds_tau_ooo(panel, aset)
+            except EstimationError:
+                bounds.append(None)
+                continue
+            bounds.append((res.lb, res.ub, res.proportions.p_ooo1))
+        out.append((naive, bounds))
+    return out
+
+
+def _mc_task(task: tuple):
+    """Run one worker task, ``("oracle", config, draws)`` or ``("reps", config,
+    named, start, stop)``. An exception is returned, not raised, so that the
+    parent raises it in task order rather than in the order tasks finish."""
+    kind, config, *args = task
+    try:
+        if kind == "oracle":
+            return oracle_true_values(config, *args)
+        return _replicates(config, *args)
+    except Exception as exc:
+        return exc
 
 
 def run_monte_carlo(
@@ -316,6 +360,13 @@ def run_monte_carlo(
     consistent with the reported coverage columns) or "interval" (the entire
     true bound interval). ``mean_naive`` averages the usual four-mean DiD
     (``_usual_did``), not the balanced-panel ``naive_did``.
+
+    Blocks of ``_MC_BLOCK`` replicates, and the oracle when it is needed, run
+    on a pool of forked workers, one per CPU. Replicate ``rep`` draws from
+    ``[seed, rep]`` wherever it runs, and the results are folded in replicate
+    order, so the rows do not depend on the number of workers. An error is
+    raised as a serial run would raise it: the oracle's first, then that of
+    the first replicate that fails.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
@@ -330,8 +381,23 @@ def run_monte_carlo(
         else:
             name = "mono-pos" if aset.monotone else "nomono"
             named.append((name, aset))
+
+    # imported here so that importing the package does not pay for it
+    import multiprocessing
+
+    tasks = []
     if coverage == "interval" and oracle is None:
-        oracle = oracle_true_values(config, oracle_draws)
+        tasks.append(("oracle", config, oracle_draws))
+    tasks += [("reps", config, named, a, min(a + _MC_BLOCK, reps))
+              for a in range(0, reps, _MC_BLOCK)]
+    # fork: the workers start with the package already imported
+    with multiprocessing.get_context("fork").Pool(min(_worker_count(), len(tasks))) as pool:
+        results = pool.map(_mc_task, tasks, chunksize=1)
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    if tasks[0][0] == "oracle":
+        oracle = results.pop(0)
     lb_true = oracle.lb_true if oracle else None
     ub_true = oracle.ub_true if oracle else None
 
@@ -340,23 +406,20 @@ def run_monte_carlo(
         for name, _ in named
     }
     naive_vals = []
-    for rep in range(reps):
-        cfg = replace(config, seed=[_seed_scalar(config.seed), rep])
-        panel = generate_panel(cfg)
-        naive_vals.append(_usual_did(panel))
-        for name, aset in named:
-            try:
-                res = _bounds.bounds_tau_ooo(panel, aset)
-            except EstimationError:
+    for naive, bounds in (rep for block in results for rep in block):
+        naive_vals.append(naive)
+        for (name, _), bound in zip(named, bounds):
+            if bound is None:
                 acc[name]["failed"] += 1
                 continue
-            acc[name]["lb"].append(res.lb)
-            acc[name]["ub"].append(res.ub)
-            acc[name]["p"].append(res.proportions.p_ooo1)
+            lb, ub, p = bound
+            acc[name]["lb"].append(lb)
+            acc[name]["ub"].append(ub)
+            acc[name]["p"].append(p)
             if coverage == "att":
-                covered = res.lb <= config.att <= res.ub
+                covered = lb <= config.att <= ub
             else:
-                covered = res.lb <= lb_true and res.ub >= ub_true
+                covered = lb <= lb_true and ub >= ub_true
             acc[name]["covered"] += bool(covered)
 
     rows = []

@@ -374,6 +374,49 @@ class TestIgnoredFlags:
         assert json.loads(out)["ci"]["reps_used"] + json.loads(out)["ci"]["failed_reps"] == 200
 
 
+class TestFlagsBeforeData:
+    """A flag error exits 2 before the file is read, so a missing file does
+    not hide it, and a negative seed is a flag error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, error, context",
+        [
+            (["bounds", "--data", "MISSING", "--param", "ono", "--assumptions", "nomono"],
+             "ValidationError", {}),
+            (["bounds", "--data", "MISSING", "--boot", "7"], "ValidationError",
+             {"flags": ["--boot"]}),
+            (["bounds-rcs", "--data", "MISSING", "--ci", "union"], "ValidationError", {}),
+            (["bounds-staggered", "--data", "MISSING", "--gamma", "2", "--t", "1"],
+             "InvalidAssumptions", {}),
+            (["bounds", "--data", "MISSING", "--ci", "im", "--seed", "-1"],
+             "ValidationError", {"seed": -1}),
+        ],
+    )
+    def test_flag_error_before_missing_file(self, tmp_path, capsys, argv, error, context):
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = _run(capsys, [missing if a == "MISSING" else a for a in argv])
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert (payload["code"], payload["context"]) == (error, context)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--data", "PANEL", "--ci", "im", "--boot", "5", "--seed", "-1"],
+            ["bounds-rcs", "--data", "RCS", "--ci", "union", "--boot", "5", "--seed", "-3"],
+            ["simulate", "--n", "300", "--reps", "1", "--seed", "-1"],
+            ["oracle", "--mc-draws", "100000", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        files = {"PANEL": _panel(tmp_path), "RCS": _panel(tmp_path, RCS_CSV, "rcs.csv")}
+        code, out, err = _run(capsys, [files.get(a, a) for a in argv])
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["code"] == "ValidationError"
+        assert payload["message"].startswith("seed must be non-negative")
+
+
 @pytest.mark.parametrize(
     "argv, raw, line",
     [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from didbounds import (
     WITHOUT_MONOTONICITY,
@@ -20,7 +21,7 @@ from didbounds.errors import (
     PZero,
     QOutOfRange,
 )
-from didbounds.core import Sample, _sorted_quantile
+from didbounds.core import Sample, _sorted_quantile, mean
 
 from conftest import make_panel
 
@@ -98,6 +99,24 @@ def _size_and_share(draw):
 def test_quantile_index_matches_searchsorted_reference(size_and_share):
     n, q = size_and_share
     assert _sorted_quantile(np.arange(n, dtype=np.float64), q) == _searchsorted_index(n, q)
+
+
+@settings(max_examples=300)
+@given(
+    values=hnp.arrays(np.float64, st.integers(1, 600),
+                      elements=st.floats(allow_subnormal=True, width=64)),
+    step=st.integers(1, 3),
+)
+@example(values=np.array([1e308, 1e308, -np.inf]), step=1)
+@example(values=np.full(257, 0.1), step=2)
+def test_mean_is_np_mean_bit_for_bit(values, step):
+    # 8 and 128 are where numpy's pairwise summation changes its blocking;
+    # a strided view reduces through the same loop as np.mean does
+    view = values[::step]
+    with np.errstate(all="ignore"):
+        expected = np.float64(np.mean(view))
+        got = np.float64(mean(view))
+    assert got.view(np.uint64) == expected.view(np.uint64)
 
 
 class TestTrimmedMeans:

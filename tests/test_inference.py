@@ -171,3 +171,7 @@ class TestBootstrap:
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
             BootstrapSpec(reps=1)
+        for seed in (-1, [3, -1]):
+            with pytest.raises(ValidationError, match="seed must be non-negative"):
+                BootstrapSpec(reps=5, seed=seed)
+        BootstrapSpec(reps=5, seed=[0, 3])

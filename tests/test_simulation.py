@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -6,15 +7,18 @@ import numpy as np
 import pytest
 
 from didbounds import (
+    MONO_POSITIVE,
+    WITHOUT_MONOTONICITY,
     DgpConfig,
     PanelDataset,
+    bounds_tau_ooo,
     generate_panel,
     monte_carlo_csv,
     naive_did,
     oracle_true_values,
     run_monte_carlo,
 )
-from didbounds.errors import EmptyCell, ValidationError
+from didbounds.errors import EmptyCell, EstimationError, ValidationError
 from didbounds import simulation
 from didbounds.simulation import _usual_did
 
@@ -33,6 +37,13 @@ class TestConfig:
             DgpConfig(n=1)
         with pytest.raises(ValidationError):
             DgpConfig(rho_uv=1.0)
+
+    @pytest.mark.parametrize("seed", [-1, [4, -2], (-1, 0), np.int64(-3)])
+    def test_negative_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed must be non-negative"):
+            DgpConfig(seed=seed)
+        with pytest.raises(ValidationError, match="seed must be non-negative"):
+            oracle_true_values(DgpConfig(n=2), 100_000, seed=seed)
 
 
 class TestGenerator:
@@ -224,3 +235,86 @@ class TestMonteCarlo:
         assert lines[0] == "n,reps,assumption_set,mean_lb,mean_ub,mean_naive,mean_p_ooo1,coverage"
         assert len(lines) == 2
         assert lines[1].startswith("300,5,mono-pos,")
+
+
+def _row_bits(rows) -> list:
+    """Every field of every row, floats as hex so that NaN compares equal."""
+    bits = lambda v: v.hex() if isinstance(v, float) else v
+    return [[bits(v) if not isinstance(v, list) else [bits(x) for x in v]
+             for v in astuple(row)] for row in rows]
+
+
+class TestWorkerLayout:
+    """``run_monte_carlo`` gives the same rows, and raises the same error,
+    whatever the number of workers and the replicates per task."""
+
+    # n = 20 at seed 1: 3 of 23 replicates fail mono-pos and 4 fail nomono
+    CFG = DgpConfig(n=20, seed=1)
+
+    @pytest.fixture(params=[(1, 1), (2, 7), (3, 1), (2, 100), (3, 7), (1, 100)],
+                    ids=lambda p: f"workers{p[0]}-block{p[1]}")
+    def layout(self, request, monkeypatch):
+        workers, block = request.param
+        monkeypatch.setattr(simulation, "_worker_count", lambda: workers)
+        monkeypatch.setattr(simulation, "_MC_BLOCK", block)
+        yield
+        assert multiprocessing.active_children() == []
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _row_bits(run_monte_carlo(self.CFG, 23, ["mono-pos", "nomono"],
+                                         coverage="interval", oracle_draws=100_000))
+
+    def test_rows_do_not_depend_on_layout(self, layout, reference):
+        rows = run_monte_carlo(self.CFG, 23, ["mono-pos", "nomono"],
+                               coverage="interval", oracle_draws=100_000)
+        assert [row.failed_reps for row in rows] == [3, 4]
+        assert _row_bits(rows) == reference
+
+    def test_rows_match_serial_calls(self, layout):
+        rows = run_monte_carlo(self.CFG, 23, [MONO_POSITIVE, WITHOUT_MONOTONICITY])
+        for row, aset in zip(rows, (MONO_POSITIVE, WITHOUT_MONOTONICITY)):
+            lbs, ubs = [], []
+            for rep in range(23):
+                try:
+                    res = bounds_tau_ooo(generate_panel(replace(self.CFG, seed=[1, rep])), aset)
+                except EstimationError:
+                    continue
+                lbs.append(res.lb)
+                ubs.append(res.ub)
+            assert row.lbs == lbs and row.ubs == ubs
+            assert row.failed_reps == 23 - len(lbs)
+
+    @staticmethod
+    def _empty_cells(monkeypatch, cells: dict):
+        """Make replicate ``rep`` lose every observed outcome of arm ``d`` in
+        period ``t``, for each ``rep: (d, t)`` of ``cells``."""
+        draw = simulation.generate_panel
+
+        def generate(config):
+            panel = draw(config)
+            if config.seed[1] not in cells:
+                return panel
+            d, t = cells[config.seed[1]]
+            s = [panel.s0.copy(), panel.s1.copy()]
+            s[t][panel.d == d] = 0
+            y = [np.where(s[k] == 1, (panel.y0, panel.y1)[k], np.nan) for k in (0, 1)]
+            return PanelDataset.from_records(panel.ids, panel.d, *s, *y)
+
+        monkeypatch.setattr(simulation, "generate_panel", generate)
+        return generate
+
+    def test_first_failing_replicate_raises(self, layout, monkeypatch):
+        generate = self._empty_cells(monkeypatch, {17: (1, 1), 9: (0, 0)})
+        with pytest.raises(EmptyCell) as serial:
+            _usual_did(generate(replace(self.CFG, seed=[1, 9])))
+        with pytest.raises(EmptyCell) as pooled:
+            run_monte_carlo(self.CFG, 23, ["mono-pos"])
+        assert pooled.value.to_dict() == serial.value.to_dict()
+        assert pooled.value.context == {"d": 0, "t": 0}
+
+    def test_oracle_error_raises_first(self, layout, monkeypatch):
+        self._empty_cells(monkeypatch, {0: (1, 1)})
+        with pytest.raises(ValidationError, match="mc_draws must be >= 1e5"):
+            run_monte_carlo(self.CFG, 23, ["mono-pos"], coverage="interval",
+                            oracle_draws=99_999)
