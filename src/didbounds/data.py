@@ -16,8 +16,8 @@ import warnings
 from collections import deque
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import islice, repeat
+from functools import cached_property, partial
+from itertools import chain, count, islice, repeat
 
 import numpy as np
 
@@ -283,8 +283,8 @@ class MultiPeriodPanel:
 
 _BINARY = frozenset(("0", "1"))
 
-# records split into fields at a time (see _read_columns)
-_BLOCK = 1 << 16
+# records read and converted at a time (see _read_columns)
+_BLOCK = 4096
 
 # a line as reading a file with newline="" gives it: up to \r\n, \r or \n
 _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
@@ -295,115 +295,220 @@ def _fields(line: str) -> list:
     return line.split(",") if line else []
 
 
-def _line_blocks(lines: list):
-    """Blocks of ``_BLOCK`` lines, each taken off the front of ``lines``."""
-    while lines:
-        block = lines[:_BLOCK]
-        del lines[:_BLOCK]
-        yield block
+def _line_breaks(raw: bytes) -> int:
+    """The line ends in ``raw``: each ``\\n``, and each ``\\r`` not before a ``\\n``."""
+    ends = raw.count(b"\n")
+    if b"\r" in raw:
+        ends += raw.count(b"\r") - raw.count(b"\r\n")
+    return ends
 
 
-def _records(reader):
-    """The records of a ``csv.reader``; its ``csv.Error`` (a field longer than
-    ``csv.field_size_limit()``) is a ``MalformedRow`` on the line it stopped at."""
+def _texts(fh):
+    """A binary file's text: its first line, then pieces of ``_BLOCK`` lines.
+
+    Each piece ends with a ``\\n`` (the last perhaps not) and is decoded on
+    its own, which is how the whole text would decode: no UTF-8 sequence
+    holds a ``\\n`` byte. A leading byte-order mark is dropped. A byte that
+    is not UTF-8 raises ``MalformedRow`` on its line.
+    """
+    line = 1
+    head = fh.readline()
+    if head.startswith(codecs.BOM_UTF8):
+        head = head[len(codecs.BOM_UTF8):]
+    for piece in chain([head], iter(lambda: b"".join(islice(fh, _BLOCK)), b"")):
+        try:
+            text = piece.decode()
+        except UnicodeDecodeError as exc:
+            line += _line_breaks(piece[:exc.start])
+            raise MalformedRow(f"line {line}: not UTF-8 text", line=line) from None
+        line += _line_breaks(piece)
+        if text:
+            yield text
+
+
+def _plain(text: str) -> bool:
+    """Whether ``text`` has no ``"`` and no ``\\r`` outside a ``\\r\\n``, so
+    that a line is a record whose fields are split on ``,``."""
+    return '"' not in text and ("\r" not in text or text.count("\r") == text.count("\r\n"))
+
+
+def _lines(text: str) -> list:
+    """The lines of plain text, without their ends."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":  # the newline that ends the text
+        lines.pop()
+    return lines
+
+
+def _check_field_limit(lines: list, line: int) -> None:
+    """Raise ``csv.reader``'s error on the first of the plain ``lines``,
+    numbered from ``line``, with a field longer than ``csv.field_size_limit()``."""
+    if max(map(len, lines), default=0) <= csv.field_size_limit():
+        return
+    for number, text in enumerate(lines, line):
+        try:
+            next(csv.reader([text]), None)
+        except csv.Error as exc:
+            raise MalformedRow(f"line {number}: {exc}", line=number) from None
+
+
+def _records(texts, lines_before: int):
+    """The records ``csv.reader`` reads from ``texts``; its ``csv.Error`` (a
+    field longer than ``csv.field_size_limit()``) is a ``MalformedRow`` on
+    the line it stopped at."""
+    reader = csv.reader(chain.from_iterable(
+        map(re.Match.group, _LINE.finditer(text)) for text in texts))
     try:
         yield from reader
     except csv.Error as exc:
-        raise MalformedRow(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
+        line = lines_before + reader.line_num
+        raise MalformedRow(f"line {line}: {exc}", line=line) from None
 
 
-def _read_columns(path, header):
-    """The data records of a CSV file, as one list of field strings per column.
+def _plain_columns(lines: list, k: int) -> list:
+    flat = ",".join(lines).split(",") if lines else []
+    return [flat[j::k] for j in range(k)]
 
-    The file is read once. Text with no ``"`` and no ``\\r`` is split on
-    ``\\n`` and then on ``,``, which is what ``csv.reader``'s excel dialect
-    makes of it, a blank line included (a record with no fields); any other
-    text, or a line longer than ``csv.field_size_limit()``, goes through
-    ``csv.reader``. A leading UTF-8 byte-order mark is not data. Records are
-    numbered from 2, after the header, and split into fields ``_BLOCK`` at a
-    time, so that a file's records and its fields are not all held at once.
 
-    Returns the columns and the ``MalformedRow`` of the first record with the
-    wrong number of fields, or None. The columns hold the records before that
-    one, which the caller checks before it raises the error. Text that is not
-    UTF-8, or a field longer than the limit, raises ``MalformedRow`` at once.
+def _quoted_columns(records: list, k: int) -> list:
+    return list(zip(*records)) or [()] * k
+
+
+def _blocks(texts):
+    """The header's fields and the record blocks of a file's texts.
+
+    Each block is ``(records, widths, split)``: ``split(records, k)`` gives
+    the fields of records that are all ``k`` wide, by column. Plain texts
+    (``_plain``) are split on ``\\n`` and ``,``, which is what ``csv.reader``'s
+    excel dialect makes of them, a blank line included (a record with no
+    fields; its width reads 1). From the first text that is not plain on,
+    the rest of the file goes through one ``csv.reader``.
+    """
+    head = next(texts, None)
+    if head is None:
+        return None, iter(())
+    if not _plain(head):
+        records = _records(chain([head], texts), 0)
+        return next(records, None), _quoted_blocks(records)
+    head = _lines(head)[0]
+    _check_field_limit([head], 1)
+    return _fields(head), _plain_blocks(texts)
+
+
+def _plain_blocks(texts):
+    line = 2  # the number of the text's first line
+    for text in texts:
+        if not _plain(text):
+            yield from _quoted_blocks(_records(chain([text], texts), line - 1))
+            return
+        lines = _lines(text)
+        _check_field_limit(lines, line)
+        line += len(lines)
+        widths = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines)) + 1
+        yield lines, widths, _plain_columns
+
+
+def _quoted_blocks(records):
+    for block in iter(lambda: list(islice(records, _BLOCK)), []):
+        yield block, np.fromiter(map(len, block), np.intp, len(block)), _quoted_columns
+
+
+def _read_columns(path, header, convert):
+    """A CSV file's data records, read and converted a block at a time.
+
+    The file is read once, ``_BLOCK`` lines at a time (``_texts``), and its
+    records are split into fields ``_BLOCK`` at a time (``_blocks``). A
+    block's fields go to ``convert(columns, start)``, by column, with the
+    index of the block's first record; records are numbered from 2, after
+    the header. ``convert`` returns the block's typed arrays and its record
+    checks (see ``_raise_first``), whose faults quote no field but the first
+    each check rejects. Then the block's strings are dropped, but for those
+    ``convert`` keeps in an array, so that a load holds about one block of
+    field strings at a time.
+
+    Returns the arrays of the whole file, its checks, and the
+    ``MalformedRow`` of the first record with the wrong number of fields or
+    None. The arrays hold the records before that one, which the caller
+    checks before it raises the error. Text that is not UTF-8, anywhere in
+    the file, raises ``MalformedRow`` before any other fault; so does a field
+    longer than ``csv.field_size_limit()``, even after a width error.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # the line of the first bad byte, counted past a byte-order mark
-        at = exc.start + 3 * raw.startswith(codecs.BOM_UTF8)
-        line = 1 + raw.count(b"\n", 0, at) + raw.count(b"\r", 0, at) - raw.count(b"\r\n", 0, at)
-        raise MalformedRow(f"line {line}: not UTF-8 text", line=line) from None
-    del raw
-    plain = '"' not in text and "\r" not in text
-    if plain:
-        lines = text.split("\n")
-        if lines[-1] == "":  # the newline that ends the last record
-            lines.pop()
-        plain = max(map(len, lines), default=0) <= csv.field_size_limit()
-    if plain:
-        del text
-        got = _fields(lines.pop(0)) if lines else None
-        blocks = _line_blocks(lines)
-    else:
-        reader = _records(csv.reader(map(re.Match.group, _LINE.finditer(text))))
-        got = next(reader, None)
-        blocks = iter(lambda: list(islice(reader, _BLOCK)), [])
-    if got is None:
-        raise EmptyFile(f"{path}: empty file", path=str(path))
-    if got != header:
-        raise MalformedRow(
-            f"{path}: expected header {','.join(header)}, got {','.join(got)}", line=1
-        )
-    k = len(header)
-    columns = [[] for _ in header]
-    line = 2  # the number of the block's first record
-    for block in blocks:
-        if plain:
-            widths = np.fromiter(map(str.count, block, repeat(",")), np.intp, len(block)) + 1
-        else:
-            widths = np.fromiter(map(len, block), np.intp, len(block))
+        texts = _texts(fh)
+        try:
+            got, blocks = _blocks(texts)
+            if got is None:
+                raise EmptyFile(f"{path}: empty file", path=str(path))
+            if got != header:
+                raise MalformedRow(
+                    f"{path}: expected header {','.join(header)}, got {','.join(got)}", line=1
+                )
+            parts, error = _convert_blocks(blocks, len(header), convert)
+        except MalformedRow:
+            deque(texts, maxlen=0)  # a byte that is not UTF-8, anywhere, comes first
+            raise
+    if not parts:
+        raise EmptyFile(f"{path}: no data rows", path=str(path))
+    columns = list(zip(*(arrays for arrays, _ in parts)))
+    checks = [_joined(check) for check in zip(*(checks for _, checks in parts))]
+    del parts
+    # each column's blocks are dropped as soon as it is joined
+    arrays = [_frozen_array(np.concatenate(columns.pop(0))) for _ in range(len(columns))]
+    return arrays, checks, error
+
+
+def _convert_blocks(blocks, k, convert) -> tuple:
+    """``(arrays, checks)`` of each block, a check's mask turned into its
+    rows, and the ``MalformedRow`` of the first record not ``k`` wide or None."""
+    parts, start = [], 0
+    for records, widths, split in blocks:
         bad = np.flatnonzero(widths != k)
         if bad.size:
             end = int(bad[0])
-            got = len(_fields(block[end]) if plain else block[end])
-            error = MalformedRow(f"line {line + end}: expected {k} fields, got {got}",
-                                 line=line + end)
-            del block[end:]
-        if plain:
-            flat = ",".join(block).split(",") if block else []
-            for j, column in enumerate(columns):
-                column += flat[j::k]
-        else:
-            for column, fields in zip(columns, zip(*block)):
-                column += fields
+            got = int(widths[end]) if records[end] else 0  # a blank line has no field
+            del records[end:]
+        columns, size = split(records, k), len(records)
+        records.clear()  # the block's lines or records: its fields are all it needs now
+        arrays, checks = convert(columns, start)
+        del columns
+        parts.append((arrays, [(np.flatnonzero(mask) + start, fault, warn)
+                               for mask, fault, warn in checks]))
+        start += size
         if bad.size:
             deque(blocks, maxlen=0)  # csv.reader raises on a later record before any is checked
-            return columns, error
-        line += len(block)
-    if not columns[0]:
-        raise EmptyFile(f"{path}: no data rows", path=str(path))
-    return columns, None
+            return parts, MalformedRow(f"line {start + 2}: expected {k} fields, got {got}",
+                                       line=start + 2)
+    return parts, None
+
+
+def _joined(parts) -> tuple:
+    """One check of the whole file from that check of each block in turn.
+
+    A fault quotes only the first record its check rejects (a warning quotes
+    none), so the fault of the first block with a rejected record is the file's.
+    """
+    rows = np.concatenate([r for r, _, _ in parts])
+    fault = next((f for r, f, _ in parts if r.size), parts[0][1])
+    return rows, fault, parts[0][2]
 
 
 def _raise_first(checks, after=None):
     """Warn and raise as checking the records one by one, in file order, would.
 
     ``checks`` are the checks of one record in the order a record goes
-    through them, each ``(mask, fault, warn)``: ``mask`` marks the records
-    that fail it, and ``fault(i)`` gives record ``i``'s error or, with
-    ``warn``, its ``DataWarning`` text. The first failing
+    through them, each ``(rows, fault, warn)``: ``rows`` are the records
+    that fail it, in file order, and ``fault(i)`` gives record ``i``'s error
+    or, with ``warn``, its ``DataWarning`` text. The first failing
     (record, check) raises its error after the warnings that come before it;
     ``after`` is raised when no check fails.
     """
-    faults = [(int(mask.argmax()), k) for k, (mask, _, warn) in enumerate(checks)
-              if not warn and mask.any()]
+    faults = [(int(rows[0]), k) for k, (rows, _, warn) in enumerate(checks)
+              if not warn and rows.size]
     first = min(faults, default=None)
-    warned = sorted((i, k) for k, (mask, _, warn) in enumerate(checks)
-                    if warn for i in np.flatnonzero(mask).tolist())
+    warned = sorted((i, k) for k, (rows, _, warn) in enumerate(checks)
+                    if warn for i in rows.tolist())
     for i, k in warned:
         if first is not None and (i, k) > first:
             break
@@ -443,6 +548,11 @@ def _integers(values) -> np.ndarray:
         return np.array(values, object)
 
 
+def _first(fields, mask):
+    """The field of the first record ``mask`` marks, which its fault quotes."""
+    return fields[int(mask.argmax())] if mask.any() else None
+
+
 def _binary(fields, col):
     """A 0/1 column as int8, and its check: a field other than "0" or "1" is malformed."""
     n = len(fields)
@@ -452,8 +562,9 @@ def _binary(fields, col):
     else:
         values = np.fromiter(map("1".__eq__, fields), np.int8, n)
         bad = ~np.fromiter(map(_BINARY.__contains__, fields), bool, n)
+    got = _first(fields, bad)
     return values, (bad, lambda i: MalformedRow(
-        f"line {i + 2}: {col} must be 0 or 1, got {fields[i]!r}", line=i + 2), False)
+        f"line {i + 2}: {col} must be 0 or 1, got {got!r}", line=i + 2), False)
 
 
 def _outcome(fields, s, col):
@@ -472,15 +583,16 @@ def _outcome(fields, s, col):
     selected = s == 1
     values[~selected] = np.nan
     not_finite = ~blank & ~finite & ~not_numeric
+    got_numeric, got_finite = _first(fields, not_numeric), _first(fields, not_finite)
     return values, [
         (blank & selected,
          lambda i: MissingOutcome(f"line {i + 2}: {col} blank but selected", line=i + 2),
          False),
         (not_numeric,
-         lambda i: MalformedRow(f"line {i + 2}: {col} not numeric: {fields[i]!r}", line=i + 2),
+         lambda i: MalformedRow(f"line {i + 2}: {col} not numeric: {got_numeric!r}", line=i + 2),
          False),
         (not_finite,
-         lambda i: MalformedRow(f"line {i + 2}: {col} not finite: {fields[i]!r}", line=i + 2),
+         lambda i: MalformedRow(f"line {i + 2}: {col} not finite: {got_finite!r}", line=i + 2),
          False),
         (finite & ~selected,
          lambda i: f"line {i + 2}: {col} present but unit not selected; value dropped",
@@ -488,24 +600,36 @@ def _outcome(fields, s, col):
     ]
 
 
-def load_panel_csv(path) -> PanelDataset:
-    (ids, d, s0, s1, y0, y1), width_error = _read_columns(path, PANEL_HEADER)
+def _panel_block(columns, start):
+    ids, d, s0, s1, y0, y1 = columns
     d, d_check = _binary(d, "d")
     s0, s0_check = _binary(s0, "s0")
     s1, s1_check = _binary(s1, "s1")
     y0, y0_checks = _outcome(y0, s0, "y0")
     y1, y1_checks = _outcome(y1, s1, "y1")
-    _raise_first([d_check, s0_check, s1_check, *y0_checks, *y1_checks], width_error)
+    return ((np.array(ids, object), d, s0, s1, y0, y1),
+            [d_check, s0_check, s1_check, *y0_checks, *y1_checks])
+
+
+def load_panel_csv(path) -> PanelDataset:
+    (ids, d, s0, s1, y0, y1), checks, width_error = _read_columns(path, PANEL_HEADER,
+                                                                 _panel_block)
+    _raise_first(checks, width_error)
     return PanelDataset.from_records(ids, d, s0, s1, y0, y1)
 
 
-def load_rcs_csv(path) -> RcsDataset:
-    (ids, t, d, s, y), width_error = _read_columns(path, RCS_HEADER)
+def _rcs_block(columns, start):
+    ids, t, d, s, y = columns
     t, t_check = _binary(t, "t")
     d, d_check = _binary(d, "d")
     s, s_check = _binary(s, "s")
     y, y_checks = _outcome(y, s, "y")
-    _raise_first([t_check, d_check, s_check, *y_checks], width_error)
+    return (np.array(ids, object), t, d, s, y), [t_check, d_check, s_check, *y_checks]
+
+
+def load_rcs_csv(path) -> RcsDataset:
+    (ids, t, d, s, y), checks, width_error = _read_columns(path, RCS_HEADER, _rcs_block)
+    _raise_first(checks, width_error)
     data = RcsDataset(
         ids=_id_array(ids),
         t=_frozen_array(t, np.int8),
@@ -521,21 +645,17 @@ def load_rcs_csv(path) -> RcsDataset:
     return data
 
 
-def load_multi_csv(path) -> MultiPeriodPanel:
-    (ids, gvar, t, s, y), width_error = _read_columns(path, MULTI_HEADER)
-    n = len(ids)
+def _multi_block(seen, columns, start):
+    """A block of a staggered panel: each row's unit, coded by the row where
+    its id first appears, which ``seen`` keeps for each id read so far."""
+    ids, gvar, t, s, y = columns
+    unit = np.fromiter(map(seen.setdefault, ids, count(start)), np.intp, len(ids))
     gvar, gvar_rejected = _parse(int, gvar, 0)
     t, t_rejected = _parse(int, t, 0)
     gvar, t = _integers(gvar), _integers(t)
-    # each row's unit, coded by the row where the id first appears
-    first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
-    unit = np.fromiter(map(first.__getitem__, ids), np.intp, n)
-    order = np.lexsort((t, unit))  # stable: rows of one (id, t) stay in file order
-    duplicate = np.zeros(n, bool)
-    duplicate[order[1:]] = (unit[order[1:]] == unit[order[:-1]]) & (t[order[1:]] == t[order[:-1]])
     s, s_check = _binary(s, "s")
     y, y_checks = _outcome(y, s, "y")
-    _raise_first([
+    return (unit, gvar, t, s, y), [
         (gvar_rejected | t_rejected,
          lambda i: MalformedRow(f"line {i + 2}: gvar/t must be integers", line=i + 2),
          False),
@@ -545,18 +665,42 @@ def load_multi_csv(path) -> MultiPeriodPanel:
         ((gvar > _INT64_MAX) | (t > _INT64_MAX),
          lambda i: MalformedRow(f"line {i + 2}: gvar/t must be below 2**63", line=i + 2),
          False),
-        (gvar != gvar[unit],
+        s_check,
+        *y_checks,
+    ]
+
+
+def _repeats(values: np.ndarray) -> np.ndarray:
+    """Whether each value but the first equals the one before it."""
+    return values[1:] == values[:-1]
+
+
+def load_multi_csv(path) -> MultiPeriodPanel:
+    seen = {}
+    (unit, gvar, t, s, y), checks, width_error = _read_columns(
+        path, MULTI_HEADER, partial(_multi_block, seen))
+    n = unit.size
+    # the first row of each unit, in first-seen order; every row of a unit
+    # keeps the one str its id was first read as, the key of ``seen``
+    units = np.fromiter(seen.values(), np.intp, len(seen))
+    names = np.fromiter(seen, object, len(seen))
+    del seen  # its hash table is not kept
+    ids = _frozen_array(names[np.searchsorted(units, unit)])
+    order = np.lexsort((t, unit))  # stable: rows of one (id, t) stay in file order
+    duplicate = np.zeros(n, bool)
+    duplicate[order[1:]] = _repeats(unit[order]) & _repeats(t[order])
+    _raise_first([
+        *checks[:3],
+        (np.flatnonzero(gvar != gvar[unit]),
          lambda i: InconsistentGvar(f"line {i + 2}: id {ids[i]} has gvar {gvar[i]} "
                                     f"but earlier gvar {gvar[unit[i]]}", id=ids[i]),
          False),
-        (duplicate,
+        (np.flatnonzero(duplicate),
          lambda i: MalformedRow(f"line {i + 2}: id {ids[i]} already has a row for t={t[i]}",
                                 line=i + 2, id=ids[i]),
          False),
-        s_check,
-        *y_checks,
+        *checks[3:],
     ], width_error)
-    units = np.flatnonzero(unit == np.arange(n))  # first-seen order
     has_baseline = np.zeros(n, bool)
     has_baseline[unit[t == 0]] = True
     missing = [ids[i] for i in units[~has_baseline[units]].tolist()]

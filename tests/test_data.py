@@ -1,4 +1,5 @@
 import codecs
+import tracemalloc
 import warnings
 from dataclasses import fields
 from unittest import mock
@@ -411,15 +412,37 @@ def _load(load, path):
                        ["4", "0", "0", "1", "2.0"], ["5", "1", "0", "0"]]))
 @example(case=("panel", [["1", "1"], ["2", "0", "0", "0", "", ""], ["3", "1", "0", "0", "", ""],
                          ["x" * 140_000, "1", "1", "1", "1.0", "2.0"]]))
+# a field that ends in \r: its line ends in \r\n where the others end in \n
+@example(case=("panel", [["1", "1", "1", "1", "1.0", "2.0\r"], ["2", "0", "0", "0", "", ""],
+                         ["3", "1", "0", "1", "", "5.0\r"], ["4", "0", "1", "0", "1.0", ""]]))
+# a lone \r (two records on one line) a block after a line that ends in \r\n
+@example(case=("rcs", [["1", "0", "1", "1", "1.0\r"], ["2", "1", "0", "0", ""],
+                       ["3", "1", "1", "0", ""], ["4", "0", "1", "1", "1\r5"]]))
+# a header longer than the field limit: with a field over it, and without
+@example(case=("panel", [["1", "1", "1", "1", "1.0", "2.0"]], ["x" * 140_000] + PANEL_HEADER[1:]))
+@example(case=("rcs", [["1", "0", "1", "1", "1.0"]], RCS_HEADER + ["t"] * 70_000))
+# a width error in the first block of 3, and a field over the limit two blocks later
+@example(case=("panel", [["1", "1", "1", "1", "1.0", "2.0"], ["2", "0", "0"],
+                         *[[str(i), "0", "0", "0", "", ""] for i in range(3, 8)],
+                         ["x" * 140_000, "1", "1", "1", "1.0", "2.0"]]))
+# a check failed in two blocks: the first block's field is quoted
+@example(case=("panel", [["1", "2", "1", "1", "1.0", "2.0"], ["2", "0", "0", "0", "", ""],
+                         ["3", "0", "0", "0", "", ""], ["4", "x", "1", "1", "1.0", "2.0"]]))
+# a '"' a few plain lines in, and a field over the limit after it
+@example(case=("panel", [["1", "0", "0", "0", "", ""], ["2", "0", "0", "0", "", ""],
+                         ["3", "0", "0", "0", "", ""], ['4"', "0", "0", "0", "", ""],
+                         ["x" * 140_000, "1", "1", "1", "1.0", "2.0"]]))
 def test_loaders_match_row_by_row_reference(case, tmp_path_factory):
-    # a block of 3 records puts block boundaries inside these small files
-    kind, records = case
+    # blocks of 1 and 3 records put block boundaries inside these small files;
+    # a case may give its own header as a third item
+    kind, records = case[:2]
     header, load, reference = LOADERS[kind]
+    header = case[2] if len(case) > 2 else header
     path = tmp_path_factory.getbasetemp() / "loader-case.csv"
     for text in _texts(header, records):
         path.write_bytes(text.encode("utf-8"))
         want, want_warnings = _load(reference, path)
-        for block in (3, data_module._BLOCK):
+        for block in (1, 3, data_module._BLOCK):
             with mock.patch.object(data_module, "_BLOCK", block):
                 got, got_warnings = _load(load, path)
             assert got_warnings == want_warnings
@@ -485,6 +508,67 @@ def test_text_that_is_not_utf8_is_a_malformed_row(kind, bom, newline, bad_line, 
             loader(path)
         assert str(exc.value) == f"line {bad_line}: not UTF-8 text"
         assert exc.value.context == {"line": bad_line}
+
+
+def _valid_csv(kind, n, newline):
+    """A valid file of about ``n`` records, outcomes written as ``repr`` gives
+    them and blank where the unit is not selected."""
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 2, (n, 3)).tolist()
+    ys = [[repr(v) for v in row] for row in rng.normal(size=(n, 2)).tolist()]
+    if kind == "panel":
+        lines = [f"u{i},{d},{s0},{s1},{y[0] if s0 else ''},{y[1] if s1 else ''}"
+                 for i, ((d, s0, s1), y) in enumerate(zip(bits, ys))]
+    elif kind == "rcs":
+        lines = [f"u{i},{t},{d},{s},{y[0] if s else ''}"
+                 for i, ((t, d, s), y) in enumerate(zip(bits, ys))]
+    else:  # four periods per unit
+        lines = [f"u{i // 4},{2 * (i // 4 % 2)},{i % 4},{s},{y[0] if s else ''}"
+                 for i, ((s, _, _), y) in enumerate(zip(bits, ys))]
+    return newline.join([",".join(LOADERS[kind][0])] + lines) + newline
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_load_memory_follows_the_dataset(kind, newline, tmp_path):
+    # a load holds one block of field strings at a time and never the whole
+    # text, so its scratch memory stays below twice the file; splitting all
+    # 50,000 records at once takes 7 to 8 times the file
+    path = tmp_path / "valid.csv"
+    path.write_bytes(_valid_csv(kind, 50_000, newline).encode("ascii"))
+    tracemalloc.start()
+    try:
+        data = LOADERS[kind][1](path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.ids.size == 50_000
+    assert peak - retained < 2 * path.stat().st_size
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("fault", ["header", "field-limit", "width"])
+def test_text_that_is_not_utf8_comes_before_every_other_fault(kind, fault, tmp_path):
+    # the other fault is on an earlier line, and in an earlier block of 1 or 3
+    header, load, reference = LOADERS[kind]
+    record = {"panel": "a,1,1,1,1.0,2.0", "rcs": "a,0,1,1,1.0", "multi": "a,0,0,1,1.0"}[kind]
+    lines = [",".join(header)] + [record.replace("a", str(i), 1) for i in range(6)]
+    if fault == "header":
+        lines[0] = lines[0].replace("id", "ID")
+    elif fault == "field-limit":
+        lines[1] = "x" * 140_000 + lines[1]
+    else:
+        lines[1] = lines[1].rsplit(",", 1)[0]
+    lines = [line.encode("ascii") for line in lines]
+    lines[5] = b"\xe9" + lines[5]
+    path = tmp_path / "cp1252.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    for block in (1, 3, data_module._BLOCK):
+        with mock.patch.object(data_module, "_BLOCK", block):
+            for loader in (load, reference):
+                with pytest.raises(MalformedRow) as exc:
+                    loader(path)
+                assert str(exc.value) == "line 6: not UTF-8 text"
 
 
 @settings(max_examples=40, deadline=None)
