@@ -425,7 +425,7 @@ def _load(load, path):
 @example(case=("panel", [["1", "1", "1", "1", "1.0", "2.0"], ["2", "0", "0"],
                          *[[str(i), "0", "0", "0", "", ""] for i in range(3, 8)],
                          ["x" * 140_000, "1", "1", "1", "1.0", "2.0"]]))
-# a check failed in two blocks: the first block's field is quoted
+# one check fails in two blocks: the error quotes the first block's field
 @example(case=("panel", [["1", "2", "1", "1", "1.0", "2.0"], ["2", "0", "0", "0", "", ""],
                          ["3", "0", "0", "0", "", ""], ["4", "x", "1", "1", "1.0", "2.0"]]))
 # a '"' a few plain lines in, and a field over the limit after it
@@ -533,7 +533,7 @@ def _valid_csv(kind, n, newline):
 def test_load_memory_follows_the_dataset(kind, newline, tmp_path):
     # a load holds one block of field strings at a time and never the whole
     # text, so its scratch memory stays below twice the file; splitting all
-    # 50,000 records at once takes 7 to 8 times the file
+    # 50,000 records at once takes 7 to 12 times the file
     path = tmp_path / "valid.csv"
     path.write_bytes(_valid_csv(kind, 50_000, newline).encode("ascii"))
     tracemalloc.start()
