@@ -28,11 +28,9 @@ from .data import (
     MONO_POSITIVE,
     WITHOUT_MONOTONICITY,
     AssumptionSet,
-    LatentGroup,
     MultiPeriodPanel,
     PanelDataset,
     RcsDataset,
-    cell_counts,
     load_multi_csv,
     load_panel_csv,
     load_rcs_csv,

@@ -26,7 +26,6 @@ from .data import (
     MONO_POSITIVE,
     WITHOUT_MONOTONICITY,
     AssumptionSet,
-    cell_counts,
     load_multi_csv,
     load_panel_csv,
     load_rcs_csv,
@@ -104,7 +103,6 @@ def _add_ci_flags(sub):
     # None where not given, so that one given without a CI is an error
     sub.add_argument("--boot", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--legacy-se-scaling", action="store_true", default=None)
     sub.add_argument("--output", choices=["json", "csv"], default="json")
 
 
@@ -200,8 +198,8 @@ def _bound_command(load, build, args, caught) -> str:
     ``--ci``, and emit. A flag error is raised before the file is read."""
     fn = build(args)
     wants_ci = getattr(args, "ci", "none") != "none"
-    given = [flag for flag in ("--boot", "--seed", "--legacy-se-scaling")
-             if getattr(args, flag[2:].replace("-", "_"), None) is not None]
+    given = [flag for flag in ("--boot", "--seed")
+             if getattr(args, flag[2:], None) is not None]
     if given and not wants_ci:
         raise ValidationError(f"{', '.join(given)}: no CI is requested (--ci none)",
                               flags=given)
@@ -215,8 +213,7 @@ def _bound_command(load, build, args, caught) -> str:
     if wants_ci:
         boot = _inf.bootstrap_ses(data, fn, spec)
         method = _inf.ci_union if args.ci == "union" else _inf.ci_imbens_manski
-        ci = method(result.lb, result.ub, boot.se_lb, boot.se_ub, n=data.n,
-                    legacy_se_scaling=bool(args.legacy_se_scaling))
+        ci = method(result.lb, result.ub, boot.se_lb, boot.se_ub)
         ci.reps_used, ci.failed_reps = boot.reps_used, boot.failed_reps
         payload["ci"] = ci.to_dict()
     payload["warnings"] = _collect_warnings(caught) + payload["warnings"]
@@ -234,7 +231,8 @@ def _naive_command(args, caught) -> str:
 def _strata_command(args, caught) -> str:
     data = load_panel_csv(args.data)
     mix = _bounds.strata_proportions(data)
-    counts = {f"s0={s0},s1={s1},d={d}": v for (s0, s1, d), v in cell_counts(data).items()}
+    counts = {f"s0={s0},s1={s1},d={d}": data.cells.count(d, s0, s1)
+              for s0 in (0, 1) for s1 in (0, 1) for d in (0, 1)}
     return _emit({"schema": SCHEMA, "proportions": mix.to_dict(), "cell_counts": counts,
                   "warnings": _collect_warnings(caught) + mix.warnings}, args.output)
 

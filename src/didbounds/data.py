@@ -1,4 +1,4 @@
-"""Dataset types, latent-group taxonomy, assumption sets, and CSV ingestion.
+"""Dataset types, assumption sets, and CSV ingestion.
 
 Missing outcomes are blank CSV fields (never sentinel numbers) and are stored
 as NaN internally; an outcome is defined exactly when the matching selection
@@ -15,7 +15,6 @@ import re
 import warnings
 from collections import deque
 from dataclasses import asdict, dataclass
-from enum import Enum
 from functools import cached_property, partial
 from itertools import chain, count, islice, repeat
 
@@ -35,22 +34,6 @@ from .errors import (
 PANEL_HEADER = ["id", "d", "s0", "s1", "y0", "y1"]
 RCS_HEADER = ["id", "t", "d", "s", "y"]
 MULTI_HEADER = ["id", "gvar", "t", "s", "y"]
-
-
-class LatentGroup(Enum):
-    """The eight principal strata defined by (S0(0), S1(0), S1(1))."""
-
-    NNN = (0, 0, 0)
-    NNO = (0, 0, 1)
-    NON = (0, 1, 0)
-    NOO = (0, 1, 1)
-    ONN = (1, 0, 0)
-    ONO = (1, 0, 1)
-    OON = (1, 1, 0)
-    OOO = (1, 1, 1)
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -738,13 +721,3 @@ def write_panel_csv(data: PanelDataset, path) -> None:
                     _format_outcome(data.y1[i]),
                 ]
             )
-
-
-def cell_counts(data: PanelDataset) -> dict:
-    """Counts by (s0, s1, d); the 8 cells always sum to n."""
-    return {
-        (s0, s1, d): data.cells.count(d, s0, s1)
-        for s0 in (0, 1)
-        for s1 in (0, 1)
-        for d in (0, 1)
-    }

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundsResult, MixingProportions, bounds_tau_ooo
-from .core import Sample, require_finite, trimmed_mean_lower, trimmed_mean_upper
+from .core import Sample, mean, require_finite, trimmed_mean_lower, trimmed_mean_upper
 from .data import (
     AssumptionSet,
     MultiPeriodPanel,
@@ -56,10 +56,10 @@ def _rcs_select_rate(data: RcsDataset, d: int, t: int) -> float:
 def naive_did_rcs(data: RcsDataset) -> float:
     """Four-mean DiD contrast on selected rows."""
     value = (
-        float(np.mean(_rcs_cell(data, 1, 1)))
-        - float(np.mean(_rcs_cell(data, 1, 0)))
-        - float(np.mean(_rcs_cell(data, 0, 1)))
-        + float(np.mean(_rcs_cell(data, 0, 0)))
+        mean(_rcs_cell(data, 1, 1))
+        - mean(_rcs_cell(data, 1, 0))
+        - mean(_rcs_cell(data, 0, 1))
+        + mean(_rcs_cell(data, 0, 0))
     )
     return require_finite("naive_did", value)
 
@@ -126,9 +126,7 @@ def bounds_tau_oo_rcs(
     weights = rcs_weights(data, variant, mono=assumptions.monotone)
     treated_post = Sample(_rcs_cell(data, 1, 1))
     control_post = _rcs_cell(data, 0, 1)
-    pre_terms = -float(np.mean(_rcs_cell(data, 1, 0))) + float(
-        np.mean(_rcs_cell(data, 0, 0))
-    )
+    pre_terms = -mean(_rcs_cell(data, 1, 0)) + mean(_rcs_cell(data, 0, 0))
     q11, q01 = weights.p_ooo1, weights.p_ooo0
     if q11 <= 0.0 or q01 <= 0.0:
         raise VacuousIdentification("RCS trim weight is zero")

@@ -1,8 +1,7 @@
 """Bootstrap standard errors and the two 95% confidence intervals.
 
 The bootstrap sd of a bound estimate is already O(n^{-1/2}), so it is used
-as-is in both intervals (no further division by sqrt(n)); ``legacy_se_scaling``
-reproduces the literal sigma/sqrt(n) construction for comparison.
+as-is in both intervals, with no further division by sqrt(n).
 """
 
 from __future__ import annotations
@@ -114,21 +113,15 @@ def bootstrap_ses(data, bound_fn, spec: BootstrapSpec) -> BootstrapResult:
     )
 
 
-def ci_union(
-    lb: float, ub: float, se_lb: float, se_ub: float, *, n: int | None = None,
-    legacy_se_scaling: bool = False,
-) -> ConfidenceInterval:
+def ci_union(lb: float, ub: float, se_lb: float, se_ub: float) -> ConfidenceInterval:
     """[lb - 1.96 se_lb, ub + 1.96 se_ub]: covers the whole identified set."""
     if se_lb < 0 or se_ub < 0:
         raise ValidationError("standard errors must be non-negative")
-    if legacy_se_scaling and n is None:
-        raise ValidationError("legacy scaling requires the sample size n")
-    scale = math.sqrt(n) if legacy_se_scaling else 1.0
     return ConfidenceInterval(
         method="union",
         level=0.95,
-        lo=lb - 1.96 * se_lb / scale,
-        hi=ub + 1.96 * se_ub / scale,
+        lo=lb - 1.96 * se_lb,
+        hi=ub + 1.96 * se_ub,
         se_lb=se_lb,
         se_ub=se_ub,
     )
@@ -151,10 +144,7 @@ def solve_c_n(delta: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def ci_imbens_manski(
-    lb: float, ub: float, se_lb: float, se_ub: float, n: int,
-    legacy_se_scaling: bool = False,
-) -> ConfidenceInterval:
+def ci_imbens_manski(lb: float, ub: float, se_lb: float, se_ub: float) -> ConfidenceInterval:
     """Interval targeting the parameter rather than the identified set."""
     if se_lb < 0 or se_ub < 0:
         raise ValidationError("standard errors must be non-negative")
@@ -166,18 +156,13 @@ def ci_imbens_manski(
     elif max_se == 0.0:
         c_n = Z_95
     else:
-        if legacy_se_scaling:
-            delta = math.sqrt(n) * (ub - lb) / max_se
-        else:
-            # bootstrap sd is already estimator-scale; the sqrt(n) factors cancel
-            delta = (ub - lb) / max_se
-        c_n = solve_c_n(delta)
-    scale = math.sqrt(n) if legacy_se_scaling else 1.0
+        # bootstrap sd is already estimator-scale; the sqrt(n) factors cancel
+        c_n = solve_c_n((ub - lb) / max_se)
     return ConfidenceInterval(
         method="imbens_manski",
         level=0.95,
-        lo=lb - c_n * se_lb / scale,
-        hi=ub + c_n * se_ub / scale,
+        lo=lb - c_n * se_lb,
+        hi=ub + c_n * se_ub,
         se_lb=se_lb,
         se_ub=se_ub,
         c_n=c_n,

@@ -22,13 +22,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from .core import mean, require_seed
-from .data import (
-    MONO_POSITIVE,
-    WITHOUT_MONOTONICITY,
-    AssumptionSet,
-    PanelDataset,
-    _id_array,
-)
+from .data import MONO_POSITIVE, WITHOUT_MONOTONICITY, PanelDataset, _id_array
 from .errors import EmptyCell, EstimationError, ValidationError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -97,12 +91,8 @@ def _unit_ids(n: int) -> np.ndarray:
     return _id_array(map(str, range(1, n + 1)))
 
 
-def generate_panel(config: DgpConfig, debug: bool = False):
-    """Draw a two-period panel from the DGP.
-
-    With ``debug`` the latent draws and potential selections are returned as a
-    second value for simulator-only diagnostics.
-    """
+def generate_panel(config: DgpConfig) -> PanelDataset:
+    """Draw a two-period panel from the DGP."""
     rng = np.random.default_rng(config.seed)
     lat = _latents(rng, config.n, config)
     d = (lat["a"] + lat["w"] > 0).astype(np.int8)
@@ -119,10 +109,7 @@ def generate_panel(config: DgpConfig, debug: bool = False):
     )
     y0 = np.where(s0 == 1, y0_star, np.nan)
     y1 = np.where(s1 == 1, y1_star, np.nan)
-    panel = PanelDataset.from_records(_unit_ids(config.n), d, s0, s1, y0, y1)
-    if debug:
-        return panel, {**lat, "s1_0": s1_0, "s1_1": s1_1, "d": d}
-    return panel
+    return PanelDataset.from_records(_unit_ids(config.n), d, s0, s1, y0, y1)
 
 
 @dataclass
@@ -313,15 +300,16 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _replicates(config: DgpConfig, named: list, start: int, stop: int) -> list:
+def _replicates(config: DgpConfig, asets: list, start: int, stop: int) -> list:
     """Replicates ``start``..``stop - 1``: per replicate the usual DiD and, per
     assumption set, ``(lb, ub, p_ooo1)`` or None where the bound failed."""
+    seed = config.seed if isinstance(config.seed, (list, tuple)) else [config.seed]
     out = []
     for rep in range(start, stop):
-        panel = generate_panel(replace(config, seed=[_seed_scalar(config.seed), rep]))
+        panel = generate_panel(replace(config, seed=[*seed, rep]))
         naive = _usual_did(panel)
         bounds = []
-        for _, aset in named:
+        for aset in asets:
             try:
                 res = _bounds.bounds_tau_ooo(panel, aset)
             except EstimationError:
@@ -334,7 +322,7 @@ def _replicates(config: DgpConfig, named: list, start: int, stop: int) -> list:
 
 def _mc_task(task: tuple):
     """Run one worker task, ``("oracle", config, draws)`` or ``("reps", config,
-    named, start, stop)``. An exception is returned, not raised, so that the
+    asets, start, stop)``. An exception is returned, not raised, so that the
     parent raises it in task order rather than in the order tasks finish."""
     kind, config, *args = task
     try:
@@ -350,45 +338,41 @@ def run_monte_carlo(
     reps: int,
     assumption_sets: list,
     coverage: str = "att",
-    oracle: OracleResult | None = None,
     oracle_draws: int = 2_000_000,
 ) -> list:
-    """Replication study over fresh DGP draws.
+    """Replication study over fresh DGP draws, one row per name in
+    ``assumption_sets`` ("mono-pos" or "nomono").
 
     ``coverage`` selects what the estimated interval must contain per
     replicate: "att" (the true treatment effect; default — the definition
     consistent with the reported coverage columns) or "interval" (the entire
     true bound interval). ``mean_naive`` averages the usual four-mean DiD
-    (``_usual_did``), not the balanced-panel ``naive_did``.
+    (``_usual_did``), not the balanced-panel ``naive_did``. The true bounds
+    for "interval" come from ``oracle_true_values`` with ``oracle_draws``.
 
     Blocks of ``_MC_BLOCK`` replicates, and the oracle when it is needed, run
     on a pool of forked workers, one per CPU. Replicate ``rep`` draws from
-    ``[seed, rep]`` wherever it runs, and the results are folded in replicate
-    order, so the rows do not depend on the number of workers. An error is
-    raised as a serial run would raise it: the oracle's first, then that of
-    the first replicate that fails.
+    ``[seed, rep]``, or ``[*seed, rep]`` for a seed list, wherever it runs,
+    and the results are folded in replicate order, so the rows do not depend
+    on the number of workers. An error is raised as a serial run would raise
+    it: the oracle's first, then that of the first replicate that fails.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     if coverage not in ("att", "interval"):
         raise ValidationError(f"unknown coverage definition {coverage!r}")
-    named = []
-    for aset in assumption_sets:
-        if isinstance(aset, str):
-            if aset not in ASSUMPTION_SET_NAMES:
-                raise ValidationError(f"unknown assumption set {aset!r}")
-            named.append((aset, ASSUMPTION_SET_NAMES[aset]))
-        else:
-            name = "mono-pos" if aset.monotone else "nomono"
-            named.append((name, aset))
+    for name in assumption_sets:
+        if name not in ASSUMPTION_SET_NAMES:
+            raise ValidationError(f"unknown assumption set {name!r}")
+    asets = [ASSUMPTION_SET_NAMES[name] for name in assumption_sets]
 
     # imported here so that importing the package does not pay for it
     import multiprocessing
 
     tasks = []
-    if coverage == "interval" and oracle is None:
+    if coverage == "interval":
         tasks.append(("oracle", config, oracle_draws))
-    tasks += [("reps", config, named, a, min(a + _MC_BLOCK, reps))
+    tasks += [("reps", config, asets, a, min(a + _MC_BLOCK, reps))
               for a in range(0, reps, _MC_BLOCK)]
     # fork: the workers start with the package already imported
     with multiprocessing.get_context("fork").Pool(min(_worker_count(), len(tasks))) as pool:
@@ -396,36 +380,30 @@ def run_monte_carlo(
     for result in results:
         if isinstance(result, Exception):
             raise result
-    if tasks[0][0] == "oracle":
+    if coverage == "interval":
         oracle = results.pop(0)
-    lb_true = oracle.lb_true if oracle else None
-    ub_true = oracle.ub_true if oracle else None
 
-    acc = {
-        name: {"lb": [], "ub": [], "p": [], "covered": 0, "failed": 0}
-        for name, _ in named
-    }
+    acc = [{"lb": [], "ub": [], "p": [], "covered": 0, "failed": 0} for _ in asets]
     naive_vals = []
     for naive, bounds in (rep for block in results for rep in block):
         naive_vals.append(naive)
-        for (name, _), bound in zip(named, bounds):
+        for a, bound in zip(acc, bounds):
             if bound is None:
-                acc[name]["failed"] += 1
+                a["failed"] += 1
                 continue
             lb, ub, p = bound
-            acc[name]["lb"].append(lb)
-            acc[name]["ub"].append(ub)
-            acc[name]["p"].append(p)
+            a["lb"].append(lb)
+            a["ub"].append(ub)
+            a["p"].append(p)
             if coverage == "att":
                 covered = lb <= config.att <= ub
             else:
-                covered = lb <= lb_true and ub >= ub_true
-            acc[name]["covered"] += bool(covered)
+                covered = lb <= oracle.lb_true and ub >= oracle.ub_true
+            a["covered"] += bool(covered)
 
     rows = []
     mean_naive = float(np.mean(naive_vals))
-    for name, _ in named:
-        a = acc[name]
+    for name, a in zip(assumption_sets, acc):
         ok = len(a["lb"])
         rows.append(
             MonteCarloRow(
@@ -443,12 +421,6 @@ def run_monte_carlo(
             )
         )
     return rows
-
-
-def _seed_scalar(seed) -> int:
-    if isinstance(seed, (list, tuple)):
-        return int(seed[0])
-    return int(seed)
 
 
 def monte_carlo_csv(rows: list) -> str:

@@ -213,7 +213,7 @@ def test_criterion_8_imbens_manski_solver():
     inside_union = True
     for c, d in zip(c_values[::200], deltas[::200]):
         un = ci_union(0.0, float(d), 1.0, 1.0)
-        im = ci_imbens_manski(0.0, float(d), 1.0, 1.0, n=100)
+        im = ci_imbens_manski(0.0, float(d), 1.0, 1.0)
         if im.lo < un.lo - 1e-12 or im.hi > un.hi + 1e-12:
             inside_union = False
     _report(8, "Imbens-Manski solver", [

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import tempfile
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import didbounds
 from didbounds import generate_panel, write_panel_csv, DgpConfig
 from didbounds.cli import ASSUMPTION_FLAGS, _emit, build_parser, run
 
@@ -287,6 +289,9 @@ class TestRejectedFlags:
              "--seed", "1"],
             ["bounds-staggered", "--data", "MULTI", "--gamma", "1", "--t", "1",
              "--legacy-se-scaling"],
+            ["bounds", "--data", "PANEL", "--ci", "im", "--seed", "1", "--legacy-se-scaling"],
+            ["bounds-rcs", "--data", "RCS", "--ci", "im", "--seed", "1",
+             "--legacy-se-scaling"],
         ],
     )
     def test_exits_2(self, tmp_path, capsys, argv):
@@ -334,14 +339,13 @@ class TestIgnoredFlags:
              ["--support-y00", "--support-y10"]),
             (["bounds", "--data", "PANEL", "--param", "noo", "--support-y01", "-100"],
              ["--support-y01"]),
-            (["bounds", "--data", "PANEL", "--boot", "7", "--seed", "3",
-              "--legacy-se-scaling"], ["--boot", "--seed", "--legacy-se-scaling"]),
+            (["bounds", "--data", "PANEL", "--boot", "7", "--seed", "3"],
+             ["--boot", "--seed"]),
             (["bounds", "--data", "PANEL", "--ci", "none", "--seed", "0"], ["--seed"]),
             (["bounds", "--data", "PANEL", "--param", "ono", "--boot", "200"], ["--boot"]),
-            (["bounds-rcs", "--data", "RCS", "--boot", "7", "--seed", "3",
-              "--legacy-se-scaling"], ["--boot", "--seed", "--legacy-se-scaling"]),
-            (["bounds-rcs", "--data", "RCS", "--ci", "none", "--legacy-se-scaling"],
-             ["--legacy-se-scaling"]),
+            (["bounds-rcs", "--data", "RCS", "--boot", "7", "--seed", "3"],
+             ["--boot", "--seed"]),
+            (["bounds-rcs", "--data", "RCS", "--ci", "none", "--seed", "0"], ["--seed"]),
         ],
     )
     def test_exits_2(self, tmp_path, capsys, argv, flags):
@@ -570,11 +574,10 @@ def test_emit_refuses_non_finite_values():
 
 # every subcommand's option strings; a new flag shows up here as a test diff
 CLI_SURFACE = {
-    "bounds": ["--assumptions", "--boot", "--ci", "--data", "--legacy-se-scaling",
-               "--output", "--param", "--seed", "--support-y00", "--support-y01",
-               "--support-y10"],
-    "bounds-rcs": ["--assumptions", "--boot", "--ci", "--data", "--legacy-se-scaling",
-                   "--output", "--seed", "--variant"],
+    "bounds": ["--assumptions", "--boot", "--ci", "--data", "--output", "--param",
+               "--seed", "--support-y00", "--support-y01", "--support-y10"],
+    "bounds-rcs": ["--assumptions", "--boot", "--ci", "--data", "--output", "--seed",
+                   "--variant"],
     "bounds-staggered": ["--assumptions", "--data", "--gamma", "--output", "--t"],
     "naive": ["--data", "--design", "--output"],
     "strata": ["--data", "--output"],
@@ -595,6 +598,74 @@ def test_cli_surface():
         for name, sub in commands.choices.items()
     }
     assert surface == CLI_SURFACE
+
+
+# every public name of the package, with the parameters of each function and
+# constructor (None for a constant); a new name or parameter shows up here as
+# a test diff
+PUBLIC_SURFACE = {
+    "AssumptionSet": ["variant", "direction", "joint_independence", "mean_dominance"],
+    "BootstrapResult": ["se_lb", "se_ub", "replicates", "reps_used", "failed_reps"],
+    "BootstrapSpec": ["reps", "seed"],
+    "BoundsResult": ["parameter", "assumptions", "lb", "ub", "proportions",
+                     "support_minima", "warnings", "extras"],
+    "ConfidenceInterval": ["method", "level", "lo", "hi", "se_lb", "se_ub", "c_n",
+                           "reps_used", "failed_reps", "warnings"],
+    "DgpConfig": ["n", "rho_ca", "rho_uv", "outcome_intercept", "att",
+                  "selection_shift", "seed"],
+    "FrechetInterval": ["lo", "hi"],
+    "MONO_NEGATIVE": None,
+    "MONO_POSITIVE": None,
+    "MixingProportions": ["p_ooo1", "p_ooo0", "source", "p_ooo1_interval",
+                          "p_ooo0_interval", "p_ono0", "p_nno1", "strata", "warnings"],
+    "MultiPeriodPanel": ["ids", "gvar", "t", "s", "y"],
+    "OracleResult": ["p_true", "lb_true", "ub_true", "mu1", "mu2", "mu3", "mc_draws",
+                     "se_mc", "p_true_alt"],
+    "PanelDataset": ["ids", "d", "s0", "s1", "y0", "y1"],
+    "ProbEstimate": ["value", "numerator_count", "denominator_count"],
+    "RcsDataset": ["ids", "t", "d", "s", "y"],
+    "StaggeredTarget": ["gamma", "t"],
+    "WITHOUT_MONOTONICITY": None,
+    "bootstrap_ses": ["data", "bound_fn", "spec"],
+    "bounds_staggered": ["data", "target", "assumptions"],
+    "bounds_tau_nno": ["data", "assumptions", "support_overrides"],
+    "bounds_tau_noo": ["data", "assumptions", "support_overrides"],
+    "bounds_tau_ono": ["data", "assumptions", "support_overrides"],
+    "bounds_tau_oo_rcs": ["data", "variant", "assumptions"],
+    "bounds_tau_ooo": ["data", "assumptions"],
+    "ci_imbens_manski": ["lb", "ub", "se_lb", "se_ub"],
+    "ci_union": ["lb", "ub", "se_lb", "se_ub"],
+    "cond_prob_s1": ["data", "d", "s0"],
+    "empirical_quantile": ["values", "q"],
+    "frechet_interval": ["p_a", "p_b"],
+    "generate_panel": ["config"],
+    "group_proportion": ["mix", "group"],
+    "load_multi_csv": ["path"],
+    "load_panel_csv": ["path"],
+    "load_rcs_csv": ["path"],
+    "mixing_mono": ["data", "direction"],
+    "mixing_no_mono": ["data"],
+    "monte_carlo_csv": ["rows"],
+    "naive_did": ["data"],
+    "naive_did_rcs": ["data"],
+    "oracle_true_values": ["config", "mc_draws", "seed"],
+    "rcs_weights": ["data", "variant", "mono"],
+    "run_monte_carlo": ["config", "reps", "assumption_sets", "coverage", "oracle_draws"],
+    "solve_c_n": ["delta", "tol"],
+    "strata_proportions": ["data"],
+    "trimmed_mean_lower": ["values", "p"],
+    "trimmed_mean_upper": ["values", "p"],
+    "write_panel_csv": ["data", "path"],
+}
+
+
+def test_public_surface():
+    public = {name: value for name, value in vars(didbounds).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    surface = {name: list(inspect.signature(value).parameters) if callable(value) else None
+               for name, value in public.items()}
+    assert sorted(surface) == sorted(PUBLIC_SURFACE)
+    assert surface == PUBLIC_SURFACE
 
 
 # other-group parameters are identified only under positive monotonicity;

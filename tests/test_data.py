@@ -14,10 +14,8 @@ from didbounds import (
     MONO_POSITIVE,
     WITHOUT_MONOTONICITY,
     AssumptionSet,
-    LatentGroup,
     PanelDataset,
     RcsDataset,
-    cell_counts,
     load_multi_csv,
     load_panel_csv,
     load_rcs_csv,
@@ -192,17 +190,11 @@ class TestAssumptionSet:
 
 class TestCellCounts:
     def test_partition(self, mixed_panel):
-        counts = cell_counts(mixed_panel)
-        assert sum(counts.values()) == mixed_panel.n
-        assert counts[(1, 1, 1)] == 5
-        assert counts[(1, 0, 1)] == 1
-        assert counts[(0, 1, 1)] == 3
-
-
-def test_latent_group_enum_covers_all_selection_patterns():
-    patterns = {g.value for g in LatentGroup}
-    assert patterns == {(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)}
-    assert str(LatentGroup.OOO) == "OOO"
+        cells = mixed_panel.cells
+        assert sum(cells.count(*key) for key in np.ndindex(2, 2, 2)) == mixed_panel.n
+        assert cells.count(1, 1, 1) == 5
+        assert cells.count(1, 1, 0) == 1
+        assert cells.count(1, 0, 1) == 3
 
 
 def test_take_resamples_rows(mixed_panel):
@@ -266,10 +258,9 @@ def test_taken_cells_reindex_the_parent(mixed_panel):
 @given(rows=panel_rows)
 def test_cell_counts_match_rows_and_sum_to_n(rows):
     data = make_panel(rows)
-    counts = cell_counts(data)
-    assert sum(counts.values()) == data.n
-    for (s0, s1, d), count in counts.items():
-        assert count == sum(1 for r in rows if r[:3] == (d, s0, s1))
+    assert sum(data.cells.count(*key) for key in np.ndindex(2, 2, 2)) == data.n
+    for key in np.ndindex(2, 2, 2):
+        assert data.cells.count(*key) == sum(1 for r in rows if r[:3] == key)
 
 
 # --- the columnar loaders against the row-by-row reference ---

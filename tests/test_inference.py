@@ -60,38 +60,27 @@ class TestConfidenceIntervals:
         assert ci.hi == pytest.approx(2.0 + 1.96 * 0.2)
         assert ci.method == "union"
 
-    def test_union_legacy_scaling(self):
-        ci = ci_union(1.0, 2.0, 0.1, 0.2, n=100, legacy_se_scaling=True)
-        assert ci.lo == pytest.approx(1.0 - 1.96 * 0.1 / 10)
-        with pytest.raises(ValidationError):
-            ci_union(1.0, 2.0, 0.1, 0.2, legacy_se_scaling=True)
-
     def test_im_inside_union(self):
         un = ci_union(1.0, 2.0, 0.1, 0.2)
-        im = ci_imbens_manski(1.0, 2.0, 0.1, 0.2, n=100)
+        im = ci_imbens_manski(1.0, 2.0, 0.1, 0.2)
         assert im.lo >= un.lo - 1e-12
         assert im.hi <= un.hi + 1e-12
         assert Z_95 - 1e-9 <= im.c_n <= Z_975 + 1e-9
 
     def test_point_identified_uses_two_sided_critical_value(self):
-        ci = ci_imbens_manski(1.5, 1.5, 0.1, 0.1, n=50)
+        ci = ci_imbens_manski(1.5, 1.5, 0.1, 0.1)
         assert ci.c_n == Z_975
 
     def test_zero_se_uses_one_sided_critical_value(self):
-        ci = ci_imbens_manski(1.0, 2.0, 0.0, 0.0, n=50)
+        ci = ci_imbens_manski(1.0, 2.0, 0.0, 0.0)
         assert ci.c_n == Z_95
         assert ci.lo == 1.0 and ci.hi == 2.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            ci_imbens_manski(2.0, 1.0, 0.1, 0.1, n=50)
+            ci_imbens_manski(2.0, 1.0, 0.1, 0.1)
         with pytest.raises(ValidationError):
             ci_union(1.0, 2.0, -0.1, 0.1)
-
-    def test_legacy_scaling_shrinks_interval(self):
-        plain = ci_imbens_manski(1.0, 2.0, 0.1, 0.2, n=400)
-        legacy = ci_imbens_manski(1.0, 2.0, 0.1, 0.2, n=400, legacy_se_scaling=True)
-        assert legacy.hi - legacy.lo < plain.hi - plain.lo
 
 
 def _bootstrap_panel(n=80, seed=5):
@@ -166,7 +155,7 @@ class TestBootstrap:
         with pytest.raises(NonFiniteEstimate):
             ci_union(-1e308, 1e308, 1e308, 0.0)
         with pytest.raises(NonFiniteEstimate):
-            ci_imbens_manski(0.0, 1.0, float("inf"), 0.0, n=10)
+            ci_imbens_manski(0.0, 1.0, float("inf"), 0.0)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from didbounds import (
+    MONO_NEGATIVE,
     MONO_POSITIVE,
     WITHOUT_MONOTONICITY,
     DgpConfig,
@@ -76,15 +77,26 @@ class TestGenerator:
         assert np.all(np.isnan(data.y1[data.s1 == 0]))
         assert np.all(~np.isnan(data.y1[data.s1 == 1]))
 
+    @staticmethod
+    def _potential_s1(cfg):
+        """Post-period selection without and with treatment, from the latents
+        ``generate_panel`` draws at ``cfg``."""
+        lat = simulation._latents(np.random.default_rng(cfg.seed), cfg.n, cfg)
+        return (lat["b"] + lat["v1"] > 0,
+                cfg.selection_shift + lat["b"] + lat["v1"] > 0)
+
     def test_positive_monotonicity_exact_per_unit(self):
-        _, lat = generate_panel(DgpConfig(n=5000, seed=2), debug=True)
-        assert np.all(lat["s1_1"] >= lat["s1_0"])
+        cfg = DgpConfig(n=5000, seed=2)
+        s1_0, s1_1 = self._potential_s1(cfg)
+        assert np.all(s1_1 >= s1_0)
+        data = generate_panel(cfg)
+        np.testing.assert_array_equal(data.s1, np.where(data.d == 1, s1_1, s1_0))
 
     def test_large_selection_shift_saturates_treated_selection(self):
-        data, lat = generate_panel(
-            DgpConfig(n=2000, seed=3, selection_shift=50.0), debug=True
-        )
-        assert np.all(lat["s1_1"] == 1)
+        cfg = DgpConfig(n=2000, seed=3, selection_shift=50.0)
+        _, s1_1 = self._potential_s1(cfg)
+        assert np.all(s1_1)
+        data = generate_panel(cfg)
         assert np.all(data.s1[data.d == 1] == 1)
 
     def test_att_enters_treated_post_outcomes(self):
@@ -215,18 +227,37 @@ class TestMonteCarlo:
 
     def test_interval_coverage_definition_is_stricter(self):
         cfg = DgpConfig(n=500, seed=9)
-        oracle = oracle_true_values(cfg, 400_000)
-        att = run_monte_carlo(cfg, 40, ["mono-pos"], coverage="att", oracle=oracle)
-        strict = run_monte_carlo(cfg, 40, ["mono-pos"], coverage="interval", oracle=oracle)
+        att = run_monte_carlo(cfg, 40, ["mono-pos"], coverage="att")
+        strict = run_monte_carlo(cfg, 40, ["mono-pos"], coverage="interval",
+                                 oracle_draws=400_000)
         assert strict[0].coverage <= att[0].coverage
 
     def test_unknown_inputs(self):
-        with pytest.raises(ValidationError):
-            run_monte_carlo(DgpConfig(n=300), 10, ["mystery"])
+        for aset in ("mystery", MONO_NEGATIVE):
+            with pytest.raises(ValidationError, match="unknown assumption set"):
+                run_monte_carlo(DgpConfig(n=300), 10, [aset])
         with pytest.raises(ValidationError):
             run_monte_carlo(DgpConfig(n=300), 10, ["mono-pos"], coverage="sideways")
         with pytest.raises(ValidationError):
             run_monte_carlo(DgpConfig(n=300), 0, ["mono-pos"])
+
+    def test_seed_list_prefixes_replicate_seeds(self):
+        # replicate r of seed [1, 2] draws from [1, 2, r], so [1, 2] and [1, 3]
+        # give different rows, and [7] the rows of 7
+        rows = [run_monte_carlo(DgpConfig(n=300, seed=seed), 5, ["mono-pos"])
+                for seed in ([1, 2], [1, 3], [7], 7)]
+        assert rows[0][0].lbs == [
+            bounds_tau_ooo(generate_panel(DgpConfig(n=300, seed=[1, 2, r])), MONO_POSITIVE).lb
+            for r in range(5)
+        ]
+        assert _row_bits(rows[0]) != _row_bits(rows[1])
+        assert _row_bits(rows[2]) == _row_bits(rows[3])
+
+    def test_each_name_keeps_its_own_sums(self):
+        cfg = DgpConfig(n=300, seed=7)
+        one = run_monte_carlo(cfg, 5, ["mono-pos"])
+        two = run_monte_carlo(cfg, 5, ["mono-pos", "mono-pos"])
+        assert _row_bits(two) == _row_bits(one) * 2
 
     def test_csv_shape(self):
         rows = run_monte_carlo(DgpConfig(n=300, seed=7), 5, ["mono-pos"])
@@ -272,7 +303,7 @@ class TestWorkerLayout:
         assert _row_bits(rows) == reference
 
     def test_rows_match_serial_calls(self, layout):
-        rows = run_monte_carlo(self.CFG, 23, [MONO_POSITIVE, WITHOUT_MONOTONICITY])
+        rows = run_monte_carlo(self.CFG, 23, ["mono-pos", "nomono"])
         for row, aset in zip(rows, (MONO_POSITIVE, WITHOUT_MONOTONICITY)):
             lbs, ubs = [], []
             for rep in range(23):
