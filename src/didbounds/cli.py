@@ -152,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--assumptions", default="mono-pos,nomono")
     p_sim.add_argument("--coverage", choices=["att", "interval"], default="att")
-    p_sim.add_argument("--oracle-draws", type=int, default=2_000_000)
+    # None where not given, so that one given with --coverage att is an error
+    p_sim.add_argument("--oracle-draws", type=int, default=None)
     p_sim.add_argument("--att", type=_finite_float, default=4.0)
     p_sim.set_defaults(handler=_simulate_command)
 
@@ -238,10 +239,14 @@ def _strata_command(args, caught) -> str:
 
 
 def _simulate_command(args, caught) -> str:
+    draws = {} if args.oracle_draws is None else {"oracle_draws": args.oracle_draws}
+    if draws and args.coverage != "interval":
+        raise ValidationError("--oracle-draws: no true interval is needed (--coverage att)",
+                              flags=["--oracle-draws"])
     config = _sim.DgpConfig(n=args.n, att=args.att, seed=args.seed)
     names = [a.strip() for a in args.assumptions.split(",") if a.strip()]
     return _sim.monte_carlo_csv(_sim.run_monte_carlo(
-        config, args.reps, names, coverage=args.coverage, oracle_draws=args.oracle_draws
+        config, args.reps, names, coverage=args.coverage, **draws
     ))
 
 

@@ -3,6 +3,9 @@ import contextlib
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -346,6 +349,8 @@ class TestIgnoredFlags:
             (["bounds-rcs", "--data", "RCS", "--boot", "7", "--seed", "3"],
              ["--boot", "--seed"]),
             (["bounds-rcs", "--data", "RCS", "--ci", "none", "--seed", "0"], ["--seed"]),
+            (["simulate", "--n", "300", "--reps", "5", "--seed", "3", "--oracle-draws", "5"],
+             ["--oracle-draws"]),
         ],
     )
     def test_exits_2(self, tmp_path, capsys, argv, flags):
@@ -666,6 +671,16 @@ def test_public_surface():
                for name, value in public.items()}
     assert sorted(surface) == sorted(PUBLIC_SURFACE)
     assert surface == PUBLIC_SURFACE
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    # run_monte_carlo imports it on first use, so that every command's start-up
+    # does not pay for it
+    src = str(Path(didbounds.__file__).parents[1])
+    code = "import sys, didbounds.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert out.stdout == "False\n"
 
 
 # other-group parameters are identified only under positive monotonicity;

@@ -5,6 +5,8 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from didbounds import (
     MONO_NEGATIVE,
@@ -23,7 +25,15 @@ from didbounds.errors import EmptyCell, EstimationError, ValidationError
 from didbounds import simulation
 from didbounds.simulation import _usual_did
 
+import reference_oracle
 from conftest import make_panel
+
+_rho = st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True)
+
+
+def _bits(res) -> list:
+    """Every field of an ``OracleResult``, each float as its exact hex."""
+    return [v.hex() if isinstance(v, float) else v for v in astuple(res)]
 
 
 class TestConfig:
@@ -130,25 +140,47 @@ class TestOracle:
         assert res.lb_true < 4.0 < res.ub_true
 
     def test_memory_does_not_grow_with_draws(self):
-        # blocks of 62,500 pairs peak at about 23 MB; the 1,000,000 pairs of
-        # this call drawn at once would take about 300 MB
+        # blocks of 8,192 pairs peak at about 2.3 MiB; blocks of 62,500 drawn
+        # as one statistics matrix per sign took about 23 MiB, and the
+        # 1,000,000 pairs of this call drawn at once would take about 300 MB
         tracemalloc.start()
         try:
             oracle_true_values(DgpConfig(n=2), 2_000_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 4 * 2**20
 
     def test_results_do_not_depend_on_block_size(self, monkeypatch):
         # 1,250,001 pairs: a full 1,000,000-pair reduction block and a partial
-        # one; 30,001 does not divide the reduction block
+        # one; 30,001, 8,192 and 777 do not divide the reduction block
         def bits(block):
             monkeypatch.setattr(simulation, "_ORACLE_BLOCK", block)
-            res = oracle_true_values(DgpConfig(n=2), 2_500_001, seed=11)
-            return [v.hex() if isinstance(v, float) else v for v in astuple(res)]
+            return _bits(oracle_true_values(DgpConfig(n=2), 2_500_001, seed=11))
 
-        assert bits(1_000_000) == bits(62_500) == bits(30_001)
+        assert (bits(1_000_000) == bits(62_500) == bits(30_001) == bits(8_192)
+                == bits(777))
+
+    @settings(max_examples=20, deadline=None)
+    @given(rho_ca=_rho, rho_uv=_rho, att=st.floats(-2, 3), shift=st.floats(-2, 3),
+           draws=st.integers(100_000, 2_100_000), block=st.sampled_from([1_000, 8_192, 62_500]),
+           seed=st.integers(0, 2**32))
+    @example(rho_ca=0.7, rho_uv=0.6, att=4.0, shift=0.0, draws=300_001, block=8_192, seed=1)
+    @example(rho_ca=0.7, rho_uv=0.6, att=4.0, shift=50.0, draws=100_000, block=8_192, seed=1)
+    @example(rho_ca=0.7, rho_uv=0.6, att=4.0, shift=1.5, draws=2_000_001, block=8_192, seed=1)
+    @example(rho_ca=-0.5, rho_uv=0.3, att=0.0, shift=-1.0, draws=300_001, block=1_000, seed=7)
+    def test_matches_reference_bit_for_bit(self, rho_ca, rho_uv, att, shift, draws, block,
+                                           seed):
+        # 2,000,001 draws: a full 1,000,000-pair reduction block and one pair;
+        # shift 0 makes p_true exactly 1.0
+        cfg = DgpConfig(n=2, rho_ca=rho_ca, rho_uv=rho_uv, att=att, selection_shift=shift)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "_ORACLE_BLOCK", block)
+            got = oracle_true_values(cfg, draws, seed=seed)
+        want = reference_oracle.oracle_true_values(cfg, draws, seed=seed)
+        if shift == 0.0:
+            assert got.p_true == 1.0
+        assert _bits(got) == _bits(want)
 
 
 def _usual_did_closed_form(config: DgpConfig) -> float:
