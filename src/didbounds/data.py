@@ -127,16 +127,6 @@ def _gather_column(self, name):
     return value
 
 
-def _first_seen(ids) -> tuple:
-    """Distinct ids in the order they first appear, and each row's index into them."""
-    uniq, first, inverse = np.unique(np.asarray(ids, dtype=object),
-                                     return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return uniq[order], rank[inverse]
-
-
 class Cells:
     """Summary of a dataset over the eight cells of three binary columns.
 
@@ -254,14 +244,16 @@ class MultiPeriodPanel:
     s: np.ndarray
     y: np.ndarray
 
+    @cached_property
+    def _units(self) -> tuple:
+        """``_unit_codes`` of ``str`` of the ids, unless ``load_multi_csv`` set it."""
+        seen = {}
+        return _unit_codes(seen, _first_rows(seen, list(map(str, self.ids))))
+
     @property
     def unit_ids(self) -> tuple:
         """Distinct ids in the order they first appear in the rows."""
-        return tuple(_first_seen(self.ids)[0])
-
-    @property
-    def periods(self) -> tuple:
-        return tuple(sorted(set(int(v) for v in self.t)))
+        return tuple(self._units[0])
 
 
 _BINARY = frozenset(("0", "1"))
@@ -628,11 +620,22 @@ def load_rcs_csv(path) -> RcsDataset:
     return data
 
 
+def _first_rows(seen: dict, ids: list, start: int = 0) -> np.ndarray:
+    """The first row of each row's id, counted from ``start``; ``seen`` keeps it per id."""
+    return np.fromiter(map(seen.setdefault, ids, count(start)), np.intp, len(ids))
+
+
+def _unit_codes(seen: dict, first: np.ndarray) -> tuple:
+    """The ids of ``seen`` in first-seen order, and each row's index into them."""
+    rows = np.fromiter(seen.values(), np.intp, len(seen))
+    names = _frozen_array(np.fromiter(seen, object, len(seen)))
+    return names, _frozen_array(np.searchsorted(rows, first))
+
+
 def _multi_block(seen, columns, start):
-    """A block of a staggered panel: each row's unit, coded by the row where
-    its id first appears, which ``seen`` keeps for each id read so far."""
+    """A block of a staggered panel, each row's unit coded by ``_first_rows``."""
     ids, gvar, t, s, y = columns
-    unit = np.fromiter(map(seen.setdefault, ids, count(start)), np.intp, len(ids))
+    unit = _first_rows(seen, ids, start)
     gvar, gvar_rejected = _parse(int, gvar, 0)
     t, t_rejected = _parse(int, t, 0)
     gvar, t = _integers(gvar), _integers(t)
@@ -662,15 +665,11 @@ def load_multi_csv(path) -> MultiPeriodPanel:
     seen = {}
     (unit, gvar, t, s, y), checks, width_error = _read_columns(
         path, MULTI_HEADER, partial(_multi_block, seen))
-    n = unit.size
-    # the first row of each unit, in first-seen order; every row of a unit
-    # keeps the one str its id was first read as, the key of ``seen``
-    units = np.fromiter(seen.values(), np.intp, len(seen))
-    names = np.fromiter(seen, object, len(seen))
+    names, code = _unit_codes(seen, unit)
     del seen  # its hash table is not kept
-    ids = _frozen_array(names[np.searchsorted(units, unit)])
+    ids = _frozen_array(names[code])  # every row of a unit keeps its one str
     order = np.lexsort((t, unit))  # stable: rows of one (id, t) stay in file order
-    duplicate = np.zeros(n, bool)
+    duplicate = np.zeros(unit.size, bool)
     duplicate[order[1:]] = _repeats(unit[order]) & _repeats(t[order])
     _raise_first([
         *checks[:3],
@@ -684,18 +683,20 @@ def load_multi_csv(path) -> MultiPeriodPanel:
          False),
         *checks[3:],
     ], width_error)
-    has_baseline = np.zeros(n, bool)
-    has_baseline[unit[t == 0]] = True
-    missing = [ids[i] for i in units[~has_baseline[units]].tolist()]
+    has_baseline = np.zeros(names.size, bool)
+    has_baseline[code[t == 0]] = True
+    missing = names[~has_baseline].tolist()
     if missing:
         raise MissingBaseline(f"ids without a period-0 row: {missing[:5]}", ids=missing)
-    return MultiPeriodPanel(
-        ids=_id_array(ids),
+    data = MultiPeriodPanel(
+        ids=ids,
         gvar=_frozen_array(gvar, np.int64),
         t=_frozen_array(t, np.int64),
         s=_frozen_array(s, np.int8),
         y=_frozen_array(y, np.float64),
     )
+    vars(data)["_units"] = (names, code)
+    return data
 
 
 def _format_outcome(v) -> str:

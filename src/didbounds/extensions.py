@@ -13,7 +13,7 @@ from .data import (
     MultiPeriodPanel,
     PanelDataset,
     RcsDataset,
-    _first_seen,
+    _frozen_array,
 )
 from .errors import (
     EmptyCell,
@@ -149,10 +149,10 @@ def panel_from_staggered(
 ) -> PanelDataset:
     """Build the 2x2 comparison: cohort gamma vs never-treated, period 0 vs t.
 
-    Units keep the order in which their ids first appear in the rows, so a
-    cell's outcomes keep the rows' order.
+    Units keep the panel's codes (``MultiPeriodPanel._units``), in first-seen
+    order, so a cell's outcomes keep the rows' order.
     """
-    unit_ids, unit = _first_seen(data.ids)
+    unit_ids, unit = data._units
     treated = np.zeros(unit_ids.size, dtype=bool)
     treated[unit[data.gvar == target.gamma]] = True
     control = np.zeros(unit_ids.size, dtype=bool)
@@ -182,8 +182,9 @@ def panel_from_staggered(
             )
     units = np.flatnonzero(keep)
     pre, post = at[:, units]
+    ids = _frozen_array(unit_ids[units])  # read-only, so from_records keeps it
     return PanelDataset.from_records(
-        unit_ids[units], treated[units], data.s[pre], data.s[post], data.y[pre], data.y[post]
+        ids, treated[units], data.s[pre], data.s[post], data.y[pre], data.y[post]
     )
 
 

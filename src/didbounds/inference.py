@@ -7,7 +7,7 @@ as-is in both intervals, with no further division by sqrt(n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,24 +55,13 @@ class ConfidenceInterval:
     c_n: float | None = None
     reps_used: int = 0
     failed_reps: int = 0
-    warnings: list = field(default_factory=list)
 
     def __post_init__(self):
         require_finite(f"{self.method} CI lo", self.lo)
         require_finite(f"{self.method} CI hi", self.hi)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "level": self.level,
-            "lo": self.lo,
-            "hi": self.hi,
-            "se_lb": self.se_lb,
-            "se_ub": self.se_ub,
-            "c_n": self.c_n,
-            "reps_used": self.reps_used,
-            "failed_reps": self.failed_reps,
-        }
+        return asdict(self)
 
 
 def bootstrap_ses(data, bound_fn, spec: BootstrapSpec) -> BootstrapResult:

@@ -277,16 +277,7 @@ class MonteCarloRow:
     ubs: list = field(default_factory=list)
 
     def to_record(self) -> list:
-        return [
-            self.n,
-            self.reps,
-            self.assumption_set,
-            self.mean_lb,
-            self.mean_ub,
-            self.mean_naive,
-            self.mean_p_ooo1,
-            self.coverage,
-        ]
+        return [getattr(self, name) for name in MC_COLUMNS]
 
 
 def _usual_did(panel: PanelDataset) -> float:
@@ -317,12 +308,18 @@ def _worker_count() -> int:
 
 def _replicates(config: DgpConfig, asets: list, start: int, stop: int) -> list:
     """Replicates ``start``..``stop - 1``: per replicate the usual DiD and, per
-    assumption set, ``(lb, ub, p_ooo1)`` or None where the bound failed."""
+    assumption set, ``(lb, ub, p_ooo1)``, each None where it failed. A failed
+    usual DiD fails every set: its empty cell empties ``tau_OOO``'s (1,1,1)
+    or (0,1,1) cell."""
     seed = config.seed if isinstance(config.seed, (list, tuple)) else [config.seed]
     out = []
     for rep in range(start, stop):
         panel = generate_panel(replace(config, seed=[*seed, rep]))
-        naive = _usual_did(panel)
+        try:
+            naive = _usual_did(panel)
+        except EstimationError:
+            out.append((None, [None] * len(asets)))
+            continue
         bounds = []
         for aset in asets:
             try:
@@ -362,15 +359,19 @@ def run_monte_carlo(
     replicate: "att" (the true treatment effect; default — the definition
     consistent with the reported coverage columns) or "interval" (the entire
     true bound interval). ``mean_naive`` averages the usual four-mean DiD
-    (``_usual_did``), not the balanced-panel ``naive_did``. The true bounds
-    for "interval" come from ``oracle_true_values`` with ``oracle_draws``.
+    (``_usual_did``), not the balanced-panel ``naive_did``, over the
+    replicates where it exists (NaN if none). A replicate whose bound raises
+    an estimation error counts in that row's ``failed_reps``, and one whose
+    usual DiD raises one in every row's. The true bounds for "interval" come
+    from ``oracle_true_values`` with ``oracle_draws``.
 
     Blocks of ``_MC_BLOCK`` replicates, and the oracle when it is needed, run
     on a pool of forked workers, one per CPU. Replicate ``rep`` draws from
     ``[seed, rep]``, or ``[*seed, rep]`` for a seed list, wherever it runs,
     and the results are folded in replicate order, so the rows do not depend
-    on the number of workers. An error is raised as a serial run would raise
-    it: the oracle's first, then that of the first replicate that fails.
+    on the number of workers. Any other error is raised as a serial run would
+    raise it: the oracle's first, then that of the first replicate that
+    raises one.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
@@ -401,7 +402,8 @@ def run_monte_carlo(
     acc = [{"lb": [], "ub": [], "p": [], "covered": 0, "failed": 0} for _ in asets]
     naive_vals = []
     for naive, bounds in (rep for block in results for rep in block):
-        naive_vals.append(naive)
+        if naive is not None:
+            naive_vals.append(naive)
         for a, bound in zip(acc, bounds):
             if bound is None:
                 a["failed"] += 1
@@ -417,7 +419,7 @@ def run_monte_carlo(
             a["covered"] += bool(covered)
 
     rows = []
-    mean_naive = float(np.mean(naive_vals))
+    mean_naive = float(np.mean(naive_vals)) if naive_vals else math.nan
     for name, a in zip(assumption_sets, acc):
         ok = len(a["lb"])
         rows.append(

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -615,7 +616,7 @@ PUBLIC_SURFACE = {
     "BoundsResult": ["parameter", "assumptions", "lb", "ub", "proportions",
                      "support_minima", "warnings", "extras"],
     "ConfidenceInterval": ["method", "level", "lo", "hi", "se_lb", "se_ub", "c_n",
-                           "reps_used", "failed_reps", "warnings"],
+                           "reps_used", "failed_reps"],
     "DgpConfig": ["n", "rho_ca", "rho_uv", "outcome_intercept", "att",
                   "selection_shift", "seed"],
     "FrechetInterval": ["lo", "hi"],
@@ -671,6 +672,17 @@ def test_public_surface():
                for name, value in public.items()}
     assert sorted(surface) == sorted(PUBLIC_SURFACE)
     assert surface == PUBLIC_SURFACE
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # the README's one python block, run as written next to a panel.csv
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    write_panel_csv(generate_panel(DgpConfig(n=300, seed=7)), tmp_path / "panel.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():

@@ -153,7 +153,7 @@ class TestMultiLoader:
     def test_basic(self, tmp_path):
         data = load_multi_csv(_write(tmp_path, self.GOOD))
         assert data.unit_ids == ("a", "b")
-        assert data.periods == (0, 1)
+        assert data.t.tolist() == [0, 1, 0, 1]
 
     def test_inconsistent_gvar(self, tmp_path):
         text = self.GOOD + "a,2,2,1,3.0\n"

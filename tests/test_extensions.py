@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from didbounds import (
     bounds_staggered,
     bounds_tau_ooo,
     bounds_tau_oo_rcs,
+    load_multi_csv,
     naive_did_rcs,
     rcs_weights,
 )
@@ -22,6 +25,7 @@ from didbounds.errors import (
     MalformedRow,
     MissingPeriod,
 )
+from didbounds import data as data_module
 from didbounds.extensions import _rcs_select_rate, panel_from_staggered
 
 from conftest import make_rcs, rcs_rows
@@ -279,3 +283,53 @@ def test_pivot_matches_row_by_row_reference(units, data):
     assert [list(col) for col in (got.d, got.s0, got.s1)] == list(want[1:4])
     for col, ref in ((got.y0, want[4]), (got.y1, want[5])):
         assert np.array_equal(col, np.array(ref), equal_nan=True)
+
+
+def _panel_bits(panel) -> list:
+    """Every column of a ``PanelDataset``: the ids, and each array's dtype and bytes."""
+    return [list(panel.ids)] + [(col.dtype, col.tobytes())
+                                for col in (panel.d, panel.s0, panel.s1, panel.y0, panel.y1)]
+
+
+@given(units=st.lists(_unit, min_size=2, max_size=8, unique_by=lambda u: u[0]),
+       data=st.data())
+def test_loaded_unit_codes_match_codes_built_in_code(units, data, tmp_path_factory):
+    # _unit's rows without its repeated row, and with period 0 always kept,
+    # so that the file loads
+    rows = [(uid, g, t, s, y if s else np.nan)
+            for uid, g, obs, drop, _ in units for t, (s, y) in enumerate(obs)
+            if t == 0 or t != drop]
+    rows = data.draw(st.permutations(rows))
+    path = tmp_path_factory.mktemp("multi") / "multi.csv"
+    path.write_text("id,gvar,t,s,y\n" + "".join(
+        f"{uid},{g},{t},{s},{'' if np.isnan(y) else repr(y)}\n" for uid, g, t, s, y in rows))
+    loaded = load_multi_csv(path)
+    assert "_units" in vars(loaded)  # kept from the load, not coded again
+    cols = list(zip(*rows))
+    built = MultiPeriodPanel(
+        ids=np.array(cols[0], dtype=object), gvar=np.array(cols[1], dtype=np.int64),
+        t=np.array(cols[2], dtype=np.int64), s=np.array(cols[3], dtype=np.int8),
+        y=np.array(cols[4], dtype=np.float64),
+    )
+    (names, code), (built_names, built_code) = loaded._units, built._units
+    assert names.tolist() == built_names.tolist() == list(dict.fromkeys(cols[0]))
+    assert code.dtype == built_code.dtype and np.array_equal(code, built_code)
+    for array in (names, built_names, code, built_code):
+        assert not array.flags.writeable
+    assert all(type(name) is str for name in (*names, *built_names))
+
+    gamma = data.draw(st.sampled_from(sorted({u[1] for u in units} - {0}) or [1]))
+    target = StaggeredTarget(gamma, data.draw(st.integers(gamma, 2)))
+    try:
+        want = panel_from_staggered(built, target)
+    except (EmptyGroup, MissingPeriod) as exc:
+        with pytest.raises(type(exc)) as got:
+            panel_from_staggered(loaded, target)
+        assert got.value.context == exc.context
+        return
+    # the loaded panel's pivot codes no unit, and from_records keeps its ids
+    with mock.patch.object(data_module, "_first_rows", side_effect=AssertionError), \
+            mock.patch.object(data_module, "_id_array", wraps=data_module._id_array) as spy:
+        got = panel_from_staggered(loaded, target)
+    assert got.ids is spy.call_args.args[0]
+    assert _panel_bits(got) == _panel_bits(want)

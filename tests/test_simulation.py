@@ -368,13 +368,51 @@ class TestWorkerLayout:
         return generate
 
     def test_first_failing_replicate_raises(self, layout, monkeypatch):
-        generate = self._empty_cells(monkeypatch, {17: (1, 1), 9: (0, 0)})
-        with pytest.raises(EmptyCell) as serial:
-            _usual_did(generate(replace(self.CFG, seed=[1, 9])))
-        with pytest.raises(EmptyCell) as pooled:
+        # an error that is not an estimation error still ends the study, with
+        # the first failing replicate's error whatever the layout
+        draw = simulation.generate_panel
+
+        def generate(config):
+            if config.seed[1] in (17, 9):
+                raise RuntimeError(f"replicate {config.seed[1]}")
+            return draw(config)
+
+        monkeypatch.setattr(simulation, "generate_panel", generate)
+        with pytest.raises(RuntimeError, match="replicate 9"):
             run_monte_carlo(self.CFG, 23, ["mono-pos"])
-        assert pooled.value.to_dict() == serial.value.to_dict()
-        assert pooled.value.context == {"d": 0, "t": 0}
+
+    def test_empty_usual_did_cell_fails_the_replicate(self, layout, monkeypatch):
+        # each of the four cells of the usual DiD, emptied in one replicate
+        cells = {17: (1, 1), 9: (0, 0), 4: (0, 1), 20: (1, 0)}
+        generate = self._empty_cells(monkeypatch, cells)
+        naive, lbs = [], {MONO_POSITIVE: [], WITHOUT_MONOTONICITY: []}
+        for rep in range(23):
+            panel = generate(replace(self.CFG, seed=[1, rep]))
+            if rep in cells:
+                with pytest.raises(EmptyCell):
+                    _usual_did(panel)
+            else:
+                naive.append(_usual_did(panel))
+            for aset, got in lbs.items():
+                try:
+                    got.append(bounds_tau_ooo(panel, aset).lb)
+                except EstimationError:
+                    # tau_OOO fails wherever the usual DiD does
+                    continue
+                assert rep not in cells
+        rows = run_monte_carlo(self.CFG, 23, ["mono-pos", "nomono"])
+        for row, aset in zip(rows, lbs):
+            assert row.lbs == lbs[aset]
+            assert row.failed_reps == 23 - len(lbs[aset])
+            assert row.mean_naive == float(np.mean(naive))
+        # replicate 17 failed both sets already, and 3, 18 (and 6 for nomono) still do
+        assert [row.failed_reps for row in rows] == [6, 7]
+
+        # no replicate with a usual DiD: the rows are NaN, not an error
+        self._empty_cells(monkeypatch, {rep: (0, 1) for rep in range(23)})
+        rows = run_monte_carlo(self.CFG, 23, ["mono-pos"])
+        assert rows[0].failed_reps == 23
+        assert math.isnan(rows[0].mean_naive) and math.isnan(rows[0].mean_lb)
 
     def test_oracle_error_raises_first(self, layout, monkeypatch):
         self._empty_cells(monkeypatch, {0: (1, 1)})
