@@ -2,8 +2,11 @@
 
 Missing outcomes are blank CSV fields (never sentinel numbers) and are stored
 as NaN internally; an outcome is defined exactly when the matching selection
-indicator is 1. All dataset types are immutable after construction and safe to
-share across threads.
+indicator is 1. A dataset, loaded or built in code, holds each column as a
+read-only numpy array of its class's ``_DTYPES``: a numeric array that has
+that dtype already is frozen in place, not copied, and columns of unequal
+lengths are a ``ValidationError``. Datasets are immutable after construction
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import (
     MalformedRow,
     MissingBaseline,
     MissingOutcome,
+    ValidationError,
 )
 
 PANEL_HEADER = ["id", "d", "s0", "s1", "y0", "y1"]
@@ -93,6 +97,20 @@ def _id_array(ids) -> np.ndarray:
     if isinstance(ids, np.ndarray) and ids.dtype == object and not ids.flags.writeable:
         return ids
     return _frozen_array(np.fromiter(map(str, ids), dtype=object))
+
+
+def _freeze_columns(self):
+    """A dataset's columns as read-only arrays of its ``_DTYPES``, ``ids`` by
+    ``_id_array``; an array that has its dtype is frozen in place, not copied.
+    Columns of unequal lengths are a ``ValidationError``."""
+    columns = {name: _id_array(getattr(self, name)) if dtype is object
+               else _frozen_array(getattr(self, name), dtype)
+               for name, dtype in self._DTYPES.items()}
+    lengths = {name: len(column) for name, column in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValidationError(
+            f"{type(self).__name__} columns differ in length: {lengths}", **lengths)
+    vars(self).update(columns)
 
 
 def _take_rows(self, indices):
@@ -182,16 +200,12 @@ class PanelDataset:
     y0: np.ndarray
     y1: np.ndarray
 
+    _DTYPES = dict(ids=object, d=np.int8, s0=np.int8, s1=np.int8, y0=np.float64, y1=np.float64)
+    __post_init__ = _freeze_columns
+
     @classmethod
     def from_records(cls, ids, d, s0, s1, y0, y1) -> "PanelDataset":
-        return cls(
-            ids=_id_array(ids),
-            d=_frozen_array(d, np.int8),
-            s0=_frozen_array(s0, np.int8),
-            s1=_frozen_array(s1, np.int8),
-            y0=_frozen_array(y0, np.float64),
-            y1=_frozen_array(y1, np.float64),
-        )
+        return cls(ids, d, s0, s1, y0, y1)
 
     @property
     def n(self) -> int:
@@ -215,6 +229,9 @@ class RcsDataset:
     d: np.ndarray
     s: np.ndarray
     y: np.ndarray
+
+    _DTYPES = dict(ids=object, t=np.int8, d=np.int8, s=np.int8, y=np.float64)
+    __post_init__ = _freeze_columns
 
     @property
     def n(self) -> int:
@@ -243,6 +260,9 @@ class MultiPeriodPanel:
     t: np.ndarray
     s: np.ndarray
     y: np.ndarray
+
+    _DTYPES = dict(ids=object, gvar=np.int64, t=np.int64, s=np.int8, y=np.float64)
+    __post_init__ = _freeze_columns
 
     @cached_property
     def _units(self) -> tuple:
@@ -575,43 +595,35 @@ def _outcome(fields, s, col):
     ]
 
 
-def _panel_block(columns, start):
-    ids, d, s0, s1, y0, y1 = columns
-    d, d_check = _binary(d, "d")
-    s0, s0_check = _binary(s0, "s0")
-    s1, s1_check = _binary(s1, "s1")
-    y0, y0_checks = _outcome(y0, s0, "y0")
-    y1, y1_checks = _outcome(y1, s1, "y1")
-    return ((np.array(ids, object), d, s0, s1, y0, y1),
-            [d_check, s0_check, s1_check, *y0_checks, *y1_checks])
+def _header_block(header, columns, start):
+    """A block of a panel or cross-section file, converted column by column
+    in header order: the ids, each 0/1 column by ``_binary`` and each outcome
+    ``y…`` by ``_outcome`` with its selection column ``s…``."""
+    arrays, checks = {}, []
+    for col, fields in zip(header, columns):
+        if col == "id":
+            arrays[col] = np.array(fields, object)
+        elif col.startswith("y"):
+            arrays[col], col_checks = _outcome(fields, arrays["s" + col[1:]], col)
+            checks += col_checks
+        else:
+            arrays[col], check = _binary(fields, col)
+            checks.append(check)
+    return tuple(arrays.values()), checks
 
 
 def load_panel_csv(path) -> PanelDataset:
-    (ids, d, s0, s1, y0, y1), checks, width_error = _read_columns(path, PANEL_HEADER,
-                                                                 _panel_block)
+    columns, checks, width_error = _read_columns(path, PANEL_HEADER,
+                                                 partial(_header_block, PANEL_HEADER))
     _raise_first(checks, width_error)
-    return PanelDataset.from_records(ids, d, s0, s1, y0, y1)
-
-
-def _rcs_block(columns, start):
-    ids, t, d, s, y = columns
-    t, t_check = _binary(t, "t")
-    d, d_check = _binary(d, "d")
-    s, s_check = _binary(s, "s")
-    y, y_checks = _outcome(y, s, "y")
-    return (np.array(ids, object), t, d, s, y), [t_check, d_check, s_check, *y_checks]
+    return PanelDataset.from_records(*columns)
 
 
 def load_rcs_csv(path) -> RcsDataset:
-    (ids, t, d, s, y), checks, width_error = _read_columns(path, RCS_HEADER, _rcs_block)
+    columns, checks, width_error = _read_columns(path, RCS_HEADER,
+                                                 partial(_header_block, RCS_HEADER))
     _raise_first(checks, width_error)
-    data = RcsDataset(
-        ids=_id_array(ids),
-        t=_frozen_array(t, np.int8),
-        d=_frozen_array(d, np.int8),
-        s=_frozen_array(s, np.int8),
-        y=_frozen_array(y, np.float64),
-    )
+    data = RcsDataset(*columns)
     if not 0.0 < data.lam < 1.0:
         raise DegenerateSampling(
             f"post-period sampling share must lie strictly in (0,1), got {data.lam}",
@@ -688,13 +700,7 @@ def load_multi_csv(path) -> MultiPeriodPanel:
     missing = names[~has_baseline].tolist()
     if missing:
         raise MissingBaseline(f"ids without a period-0 row: {missing[:5]}", ids=missing)
-    data = MultiPeriodPanel(
-        ids=ids,
-        gvar=_frozen_array(gvar, np.int64),
-        t=_frozen_array(t, np.int64),
-        s=_frozen_array(s, np.int8),
-        y=_frozen_array(y, np.float64),
-    )
+    data = MultiPeriodPanel(ids, gvar, t, s, y)
     vars(data)["_units"] = (names, code)
     return data
 

@@ -301,9 +301,22 @@ def _usual_did(panel: PanelDataset) -> float:
     return cell_mean(1, 1) - cell_mean(1, 0) - cell_mean(0, 1) + cell_mean(0, 0)
 
 
+def _mean(values: list) -> float:
+    """``np.mean`` of a list in its order, or NaN if it is empty."""
+    return float(np.mean(values)) if values else math.nan
+
+
 def _worker_count() -> int:
     """Worker processes for ``run_monte_carlo``: one per CPU this process may use."""
     return len(os.sched_getaffinity(0))
+
+
+def _estimate(fn, *args):
+    """``fn(*args)``, or None where it raises an estimation error."""
+    try:
+        return fn(*args)
+    except EstimationError:
+        return None
 
 
 def _replicates(config: DgpConfig, asets: list, start: int, stop: int) -> list:
@@ -315,20 +328,11 @@ def _replicates(config: DgpConfig, asets: list, start: int, stop: int) -> list:
     out = []
     for rep in range(start, stop):
         panel = generate_panel(replace(config, seed=[*seed, rep]))
-        try:
-            naive = _usual_did(panel)
-        except EstimationError:
-            out.append((None, [None] * len(asets)))
-            continue
-        bounds = []
-        for aset in asets:
-            try:
-                res = _bounds.bounds_tau_ooo(panel, aset)
-            except EstimationError:
-                bounds.append(None)
-                continue
-            bounds.append((res.lb, res.ub, res.proportions.p_ooo1))
-        out.append((naive, bounds))
+        naive = _estimate(_usual_did, panel)
+        results = [None if naive is None else _estimate(_bounds.bounds_tau_ooo, panel, aset)
+                   for aset in asets]
+        out.append((naive, [None if res is None else (res.lb, res.ub, res.proportions.p_ooo1)
+                            for res in results]))
     return out
 
 
@@ -396,47 +400,26 @@ def run_monte_carlo(
     for result in results:
         if isinstance(result, Exception):
             raise result
+    # what an interval must contain to cover: the ATT, or the whole true interval
     if coverage == "interval":
         oracle = results.pop(0)
+        lo, hi = oracle.lb_true, oracle.ub_true
+    else:
+        lo = hi = config.att
 
-    acc = [{"lb": [], "ub": [], "p": [], "covered": 0, "failed": 0} for _ in asets]
-    naive_vals = []
-    for naive, bounds in (rep for block in results for rep in block):
-        if naive is not None:
-            naive_vals.append(naive)
-        for a, bound in zip(acc, bounds):
-            if bound is None:
-                a["failed"] += 1
-                continue
-            lb, ub, p = bound
-            a["lb"].append(lb)
-            a["ub"].append(ub)
-            a["p"].append(p)
-            if coverage == "att":
-                covered = lb <= config.att <= ub
-            else:
-                covered = lb <= oracle.lb_true and ub >= oracle.ub_true
-            a["covered"] += bool(covered)
-
+    replicates = [rep for block in results for rep in block]
+    mean_naive = _mean([naive for naive, _ in replicates if naive is not None])
     rows = []
-    mean_naive = float(np.mean(naive_vals)) if naive_vals else math.nan
-    for name, a in zip(assumption_sets, acc):
-        ok = len(a["lb"])
-        rows.append(
-            MonteCarloRow(
-                n=config.n,
-                reps=reps,
-                assumption_set=name,
-                mean_lb=float(np.mean(a["lb"])) if ok else math.nan,
-                mean_ub=float(np.mean(a["ub"])) if ok else math.nan,
-                mean_naive=mean_naive,
-                mean_p_ooo1=float(np.mean(a["p"])) if ok else math.nan,
-                coverage=a["covered"] / ok if ok else math.nan,
-                failed_reps=a["failed"],
-                lbs=a["lb"],
-                ubs=a["ub"],
-            )
-        )
+    for j, name in enumerate(assumption_sets):
+        ok = [bounds[j] for _, bounds in replicates if bounds[j] is not None]
+        covered = sum(lb <= lo and ub >= hi for lb, ub, _ in ok)
+        lbs, ubs, ps = ([bound[k] for bound in ok] for k in range(3))
+        rows.append(MonteCarloRow(
+            n=config.n, reps=reps, assumption_set=name, mean_lb=_mean(lbs),
+            mean_ub=_mean(ubs), mean_naive=mean_naive, mean_p_ooo1=_mean(ps),
+            coverage=covered / len(ok) if ok else math.nan,
+            failed_reps=reps - len(ok), lbs=lbs, ubs=ubs,
+        ))
     return rows
 
 

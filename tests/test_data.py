@@ -14,8 +14,11 @@ from didbounds import (
     MONO_POSITIVE,
     WITHOUT_MONOTONICITY,
     AssumptionSet,
+    MultiPeriodPanel,
     PanelDataset,
     RcsDataset,
+    StaggeredTarget,
+    bounds_staggered,
     load_multi_csv,
     load_panel_csv,
     load_rcs_csv,
@@ -32,6 +35,7 @@ from didbounds.errors import (
     MalformedRow,
     MissingBaseline,
     MissingOutcome,
+    ValidationError,
 )
 
 import reference_loaders
@@ -169,6 +173,58 @@ class TestMultiLoader:
         text = "id,gvar,t,s,y\na,1,-1,1,2.0\n"
         with pytest.raises(MalformedRow):
             load_multi_csv(_write(tmp_path, text))
+
+
+class TestDatasetsBuiltInCode:
+    # the dtypes the README gives each column
+    DTYPES = {
+        RcsDataset: {"ids": object, "t": np.int8, "d": np.int8, "s": np.int8, "y": np.float64},
+        MultiPeriodPanel: {"ids": object, "gvar": np.int64, "t": np.int64, "s": np.int8,
+                           "y": np.float64},
+    }
+
+    def _check_columns(self, data):
+        for name, dtype in self.DTYPES[type(data)].items():
+            column = getattr(data, name)
+            assert isinstance(column, np.ndarray) and column.dtype == dtype, name
+            assert not column.flags.writeable, name
+        assert all(type(i) is str for i in data.ids)
+
+    def test_columns_are_typed_and_read_only(self):
+        rcs = RcsDataset(ids=(1, 2, 3, 4), t=[0, 0, 1, 1], d=(0, 1, 0, 1),
+                         s=np.array([1, 1, 0, 1]), y=[1, 2.5, np.nan, 4])
+        self._check_columns(rcs)
+        assert rcs.ids.tolist() == ["1", "2", "3", "4"]
+        assert rcs.y.tolist()[:2] == [1.0, 2.5] and rcs.lam == 0.5
+
+        # a writable int64 array is frozen in place; other inputs are copied
+        gvar, t = np.array([1, 1, 0, 0]), np.array([0, 1, 0, 1])
+        ids = np.array(["a", "a", "b", "b"], dtype=object)
+        multi = MultiPeriodPanel(ids=ids, gvar=gvar, t=t, s=[1, 1, 1, 1],
+                                 y=(1.0, 2.0, 1.5, 1.8))
+        self._check_columns(multi)
+        assert multi.gvar is gvar and multi.t is t and not gvar.flags.writeable
+        assert multi.ids is not ids and ids.flags.writeable
+
+        # the unit codes are kept after their first use, and stay true
+        assert multi.unit_ids == ("a", "b")
+        ids[2:] = "c"
+        with pytest.raises(ValueError):
+            multi.ids[2:] = "c"
+        assert multi.ids.tolist() == ["a", "a", "b", "b"]
+        assert multi.unit_ids == ("a", "b")
+
+    def test_unequal_lengths_are_a_validation_error(self):
+        with pytest.raises(ValidationError) as exc:
+            PanelDataset.from_records(["1", "2"], [0, 1, 1], [1, 1, 1], [1, 1, 1],
+                                      [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        assert exc.value.context == {"ids": 2, "d": 3, "s0": 3, "s1": 3, "y0": 3, "y1": 3}
+        with pytest.raises(ValidationError) as exc:
+            bounds_staggered(
+                MultiPeriodPanel(ids=("a", "a", "b"), gvar=[1, 1, 0, 0], t=[0, 1, 0, 1],
+                                 s=[1, 1, 1, 1], y=[1.0, 2.0, 1.5, 1.8]),
+                StaggeredTarget(1, 1), MONO_POSITIVE)
+        assert exc.value.context == {"ids": 3, "gvar": 4, "t": 4, "s": 4, "y": 4}
 
 
 class TestAssumptionSet:

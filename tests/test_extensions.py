@@ -199,7 +199,7 @@ class TestStaggered:
         # a second period-2 row for t1, built in code rather than read from a file
         data = multi_fixture()
         dup = MultiPeriodPanel(
-            ids=data.ids + ("t1",),
+            ids=(*data.ids, "t1"),
             gvar=np.append(data.gvar, 1),
             t=np.append(data.t, 2),
             s=np.append(data.s, np.int8(1)),

@@ -264,6 +264,23 @@ class TestMonteCarlo:
                                  oracle_draws=400_000)
         assert strict[0].coverage <= att[0].coverage
 
+    def test_interval_coverage_runs_a_wrapped_oracle(self, monkeypatch):
+        # a profiler may wrap oracle_true_values in a local closure, which cannot
+        # be pickled: the worker tasks name the oracle rather than carry it. This
+        # wrapper makes the true interval the point att, so the rows must be those
+        # of coverage="att", which also shows that the workers ran the wrapper
+        oracle = simulation.oracle_true_values
+
+        def traced(config, *args, **kwargs):
+            return replace(oracle(config, *args, **kwargs),
+                           lb_true=config.att, ub_true=config.att)
+
+        monkeypatch.setattr(simulation, "oracle_true_values", traced)
+        cfg = DgpConfig(n=300, seed=7)
+        rows = run_monte_carlo(cfg, 30, ["mono-pos", "nomono"], coverage="interval",
+                               oracle_draws=100_000)
+        assert _row_bits(rows) == _row_bits(run_monte_carlo(cfg, 30, ["mono-pos", "nomono"]))
+
     def test_unknown_inputs(self):
         for aset in ("mystery", MONO_NEGATIVE):
             with pytest.raises(ValidationError, match="unknown assumption set"):
