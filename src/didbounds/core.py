@@ -1,4 +1,5 @@
-"""Numerical primitives shared by every bound.
+"""Numerical primitives shared by every bound, and the forked worker pool
+(``_forked_map``) that the bootstrap and the Monte Carlo share.
 
 Tie handling follows the estimator definitions literally: the lower tail keeps
 values <= the empirical quantile, the upper tail keeps values strictly above
@@ -9,6 +10,7 @@ fractional-weight trimming.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -174,3 +176,57 @@ def require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise NonFiniteEstimate(f"{name} is not finite ({value})", estimate=name)
     return value
+
+
+def _worker_count() -> int:
+    """Worker processes for ``_forked_map``: one per CPU this process may use."""
+    return len(os.sched_getaffinity(0))
+
+
+# ``(fn, state)`` of the ``_forked_map`` call that a pool worker serves; set
+# in each worker by the pool's initializer, never in the calling process
+_worker_job = None
+
+
+def _start_worker(fn, state) -> None:
+    global _worker_job
+    _worker_job = (fn, state)
+
+
+def _run_task(task) -> tuple:
+    """``(False, fn(state, task))``, or ``(True, exc)`` where it raised ``exc``:
+    returned, not raised, so that the parent raises the first exception in task
+    order rather than in the order tasks finish."""
+    fn, state = _worker_job
+    try:
+        return False, fn(state, task)
+    except Exception as exc:
+        return True, exc
+
+
+def _forked_map(fn, tasks: list, state) -> list:
+    """``[fn(state, task) for task in tasks]``, on a pool of forked workers.
+
+    ``min(CPUs, len(tasks))`` workers start with the package already imported
+    and inherit ``fn`` and ``state`` at fork, so neither is pickled and a
+    closure will do; each task and its result are. Results come back in task
+    order, and where tasks raised, the first exception in task order is raised
+    as soon as the tasks before it are done, and the workers are stopped. With
+    one worker, or in a process that is itself a pool worker (which may not
+    start children), the tasks run here, in order.
+    """
+    workers = min(_worker_count(), len(tasks))
+    if workers > 1:
+        # imported here so that importing the package does not pay for it
+        import multiprocessing
+
+        if not multiprocessing.current_process().daemon:
+            results = []
+            with multiprocessing.get_context("fork").Pool(
+                    workers, _start_worker, (fn, state)) as pool:
+                for failed, value in pool.imap(_run_task, tasks):
+                    if failed:
+                        raise value
+                    results.append(value)
+            return results
+    return [fn(state, task) for task in tasks]

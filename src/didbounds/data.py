@@ -4,7 +4,8 @@ Missing outcomes are blank CSV fields (never sentinel numbers) and are stored
 as NaN internally; an outcome is defined exactly when the matching selection
 indicator is 1. A dataset, loaded or built in code, holds each column as a
 read-only numpy array of its class's ``_DTYPES``: a numeric array that has
-that dtype already is frozen in place, not copied, and columns of unequal
+that dtype already and owns its data is frozen in place, not copied (a view is
+copied, since its base could still be written), and columns of unequal
 lengths are a ``ValidationError``. Datasets are immutable after construction
 and safe to share across threads.
 """
@@ -83,7 +84,11 @@ MONO_NEGATIVE = AssumptionSet("with_monotonicity", "negative")
 
 
 def _frozen_array(values, dtype=None) -> np.ndarray:
+    """``values`` as a read-only array. An array that owns its data is frozen in
+    place; a view is copied, since its base could still be written."""
     arr = np.asarray(values, dtype=dtype)
+    if not arr.flags.owndata:
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -91,18 +96,20 @@ def _frozen_array(values, dtype=None) -> np.ndarray:
 def _id_array(ids) -> np.ndarray:
     """Ids as a read-only object array of the ids' own ``str`` values.
 
-    A read-only object array is taken to be one already (a dataset's ``ids``,
-    or the ids ``simulation`` shares between panels) and is used as it is.
+    A read-only object array that owns its data is taken to be one already (a
+    dataset's ``ids``, or the ids ``simulation`` shares between panels) and is
+    used as it is.
     """
-    if isinstance(ids, np.ndarray) and ids.dtype == object and not ids.flags.writeable:
+    if (isinstance(ids, np.ndarray) and ids.dtype == object and ids.flags.owndata
+            and not ids.flags.writeable):
         return ids
     return _frozen_array(np.fromiter(map(str, ids), dtype=object))
 
 
 def _freeze_columns(self):
     """A dataset's columns as read-only arrays of its ``_DTYPES``, ``ids`` by
-    ``_id_array``; an array that has its dtype is frozen in place, not copied.
-    Columns of unequal lengths are a ``ValidationError``."""
+    ``_id_array``; an array that has its dtype and owns its data is frozen in
+    place, not copied. Columns of unequal lengths are a ``ValidationError``."""
     columns = {name: _id_array(getattr(self, name)) if dtype is object
                else _frozen_array(getattr(self, name), dtype)
                for name, dtype in self._DTYPES.items()}

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from statistics import NormalDist
@@ -21,7 +20,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import bounds as _bounds
-from .core import mean, require_seed
+from .core import _forked_map, mean, require_seed
 from .data import MONO_POSITIVE, WITHOUT_MONOTONICITY, PanelDataset, _id_array
 from .errors import EmptyCell, EstimationError, ValidationError
 
@@ -306,11 +305,6 @@ def _mean(values: list) -> float:
     return float(np.mean(values)) if values else math.nan
 
 
-def _worker_count() -> int:
-    """Worker processes for ``run_monte_carlo``: one per CPU this process may use."""
-    return len(os.sched_getaffinity(0))
-
-
 def _estimate(fn, *args):
     """``fn(*args)``, or None where it raises an estimation error."""
     try:
@@ -336,17 +330,13 @@ def _replicates(config: DgpConfig, asets: list, start: int, stop: int) -> list:
     return out
 
 
-def _mc_task(task: tuple):
-    """Run one worker task, ``("oracle", config, draws)`` or ``("reps", config,
-    asets, start, stop)``. An exception is returned, not raised, so that the
-    parent raises it in task order rather than in the order tasks finish."""
-    kind, config, *args = task
-    try:
-        if kind == "oracle":
-            return oracle_true_values(config, *args)
-        return _replicates(config, *args)
-    except Exception as exc:
-        return exc
+def _mc_task(config: DgpConfig, task: tuple):
+    """Run one task of ``run_monte_carlo``, ``("oracle", draws)`` or ``("reps",
+    asets, start, stop)``."""
+    kind, *args = task
+    if kind == "oracle":
+        return oracle_true_values(config, *args)
+    return _replicates(config, *args)
 
 
 def run_monte_carlo(
@@ -370,10 +360,10 @@ def run_monte_carlo(
     from ``oracle_true_values`` with ``oracle_draws``.
 
     Blocks of ``_MC_BLOCK`` replicates, and the oracle when it is needed, run
-    on a pool of forked workers, one per CPU. Replicate ``rep`` draws from
-    ``[seed, rep]``, or ``[*seed, rep]`` for a seed list, wherever it runs,
-    and the results are folded in replicate order, so the rows do not depend
-    on the number of workers. Any other error is raised as a serial run would
+    on forked workers, one per CPU (``core._forked_map``). Replicate ``rep``
+    draws from ``[seed, rep]``, or ``[*seed, rep]`` for a seed list, wherever
+    it runs, and the results are folded in replicate order, so the rows do not
+    depend on the number of workers. Any other error is raised as a serial run would
     raise it: the oracle's first, then that of the first replicate that
     raises one.
     """
@@ -386,20 +376,9 @@ def run_monte_carlo(
             raise ValidationError(f"unknown assumption set {name!r}")
     asets = [ASSUMPTION_SET_NAMES[name] for name in assumption_sets]
 
-    # imported here so that importing the package does not pay for it
-    import multiprocessing
-
-    tasks = []
-    if coverage == "interval":
-        tasks.append(("oracle", config, oracle_draws))
-    tasks += [("reps", config, asets, a, min(a + _MC_BLOCK, reps))
-              for a in range(0, reps, _MC_BLOCK)]
-    # fork: the workers start with the package already imported
-    with multiprocessing.get_context("fork").Pool(min(_worker_count(), len(tasks))) as pool:
-        results = pool.map(_mc_task, tasks, chunksize=1)
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
+    tasks = [("oracle", oracle_draws)] if coverage == "interval" else []
+    tasks += [("reps", asets, a, min(a + _MC_BLOCK, reps)) for a in range(0, reps, _MC_BLOCK)]
+    results = _forked_map(_mc_task, tasks, config)
     # what an interval must contain to cover: the ATT, or the whole true interval
     if coverage == "interval":
         oracle = results.pop(0)

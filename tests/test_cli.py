@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 import didbounds
-from didbounds import generate_panel, write_panel_csv, DgpConfig
+from didbounds import core, generate_panel, inference, write_panel_csv, DgpConfig
 from didbounds.cli import ASSUMPTION_FLAGS, _emit, build_parser, run
 
 from conftest import make_panel, panel_rows
@@ -505,6 +505,26 @@ def test_commands_match_golden_stdout(tmp_path, capsys, command):
     code, out, err = _run(capsys, [files.get(a, a) for a in command.split()])
     assert code == 0 and err == ""
     assert out == GOLDEN_COMMANDS[command]
+
+
+# the bootstrap commands of GOLDEN_COMMANDS, and a union CI on the repeated
+# cross-section, which has no golden
+CI_COMMANDS = sorted(c for c in GOLDEN_COMMANDS if "--ci" in c) + [
+    "bounds-rcs --data RCS --variant level --assumptions mono-pos --ci union --boot 30 --seed 6"]
+
+
+@pytest.mark.parametrize("command", CI_COMMANDS)
+def test_forked_bootstrap_matches_in_process_stdout(tmp_path, capsys, monkeypatch, command):
+    files = _golden_inputs(tmp_path)
+    argv = [files.get(a, a) for a in command.split()]
+    in_process = _run(capsys, argv)
+    assert in_process[0] == 0 and in_process[2] == ""
+    # two workers and one replicate per task, where the files' 300 rows would
+    # otherwise run the bootstrap in-process
+    monkeypatch.setattr(core, "_worker_count", lambda: 2)
+    monkeypatch.setattr(inference, "_BOOT_DRAWS", 1)
+    assert _run(capsys, argv) == in_process
+    assert in_process[1] == GOLDEN_COMMANDS.get(command, in_process[1])
 
 
 

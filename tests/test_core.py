@@ -1,3 +1,6 @@
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +24,8 @@ from didbounds.errors import (
     PZero,
     QOutOfRange,
 )
-from didbounds.core import Sample, _sorted_quantile, mean
+from didbounds import core
+from didbounds.core import Sample, _forked_map, _sorted_quantile, mean
 
 from conftest import make_panel
 
@@ -253,3 +257,21 @@ class TestCondProb:
         data = make_panel([(1, 1, 1, 1.0, 2.0)])
         with pytest.raises(EmptyCell):
             cond_prob_s1(data, d=0, s0=1)
+
+
+def _fail_first(path, task):
+    """Task 0 raises at once; every other task marks ``path`` after 2 s."""
+    if task == 0:
+        raise RuntimeError("task 0")
+    time.sleep(2.0)
+    (path / f"done{task}").touch()
+
+
+def test_forked_map_stops_the_workers_at_the_first_failure(tmp_path, monkeypatch):
+    # task 0's error is raised without waiting for the tasks after it, and
+    # their workers are stopped before they finish
+    monkeypatch.setattr(core, "_worker_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="task 0"):
+        _forked_map(_fail_first, [0, 1, 2, 3], tmp_path)
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []

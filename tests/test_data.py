@@ -214,6 +214,27 @@ class TestDatasetsBuiltInCode:
         assert multi.ids.tolist() == ["a", "a", "b", "b"]
         assert multi.unit_ids == ("a", "b")
 
+    def test_a_view_is_copied_not_frozen_in_place(self):
+        # freezing a view would leave its base writable, and writing the base
+        # would change the dataset under its cached cells
+        base = np.array([0, 0, 1, 1], dtype=np.int8)
+        rcs = RcsDataset(ids=("1", "2", "3", "4"), t=base[:], d=(0, 1, 0, 1),
+                         s=(1, 1, 1, 1), y=(1.0, 2.0, 3.0, 4.0))
+        assert rcs.cells.count(0, 1) == 1
+        base[:] = 1
+        assert rcs.t.tolist() == [0, 0, 1, 1] and rcs.lam == 0.5
+        assert rcs.cells.count(0, 1) == np.sum((rcs.d == 0) & (rcs.t == 1)) == 1
+        assert not rcs.t.flags.writeable and base.flags.writeable
+
+        # so is a read-only view of writable ids
+        names = np.array(["a", "b", "c", "d"], dtype=object)
+        view = names[:]
+        view.setflags(write=False)
+        rcs = RcsDataset(ids=view, t=base, d=(0, 1, 0, 1), s=(1, 1, 1, 1),
+                         y=(1.0, 2.0, 3.0, 4.0))
+        names[0] = "z"
+        assert rcs.ids is not view and rcs.ids.tolist() == ["a", "b", "c", "d"]
+
     def test_unequal_lengths_are_a_validation_error(self):
         with pytest.raises(ValidationError) as exc:
             PanelDataset.from_records(["1", "2"], [0, 1, 1], [1, 1, 1], [1, 1, 1],

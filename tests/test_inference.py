@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from didbounds.errors import (
     TooManyFailedReps,
     ValidationError,
 )
+from didbounds import core, inference
 from didbounds.inference import Z_95, Z_975, norm_cdf
 
 from conftest import make_panel
@@ -164,3 +166,103 @@ class TestBootstrap:
             with pytest.raises(ValidationError, match="seed must be non-negative"):
                 BootstrapSpec(reps=5, seed=seed)
         BootstrapSpec(reps=5, seed=[0, 3])
+
+
+# the layout tests' panel, seed and replicates: a resample's count in cell
+# (1, 1, 1) is 0 mod 4 in replicates 6, 11, 12 and 17 (4 of 23, within the
+# 20% that may fail), 2 mod 5 in replicates 8 (37) and 19 (42), and other
+# than 1 mod 3 in 16
+LAYOUT_DATA = _bootstrap_panel()
+LAYOUT_SPEC = BootstrapSpec(reps=23, seed=11)
+
+
+def _treated(sample) -> int:
+    return sample.cells.count(1, 1, 1)
+
+
+def _drops_some(sample):
+    if _treated(sample) % 4 == 0:
+        raise EmptyCell("dropped")
+    return bounds_tau_ooo(sample, MONO_POSITIVE)
+
+
+def _raises_some(sample):
+    if _treated(sample) % 5 == 2:
+        raise RuntimeError(f"resample with {_treated(sample)} treated")
+    return _drops_some(sample)
+
+
+def _drops_most(sample):
+    if _treated(sample) % 3 != 1:
+        raise EmptyCell("dropped")
+    return bounds_tau_ooo(sample, MONO_POSITIVE)
+
+
+def _serial(bound_fn):
+    """Each replicate's ``bound_fn`` result in replicate order, or None where
+    it raised an estimation error: the bootstrap run one replicate at a time."""
+    out = []
+    for rep in range(LAYOUT_SPEC.reps):
+        rng = np.random.default_rng([LAYOUT_SPEC.seed, rep])
+        sample = LAYOUT_DATA.take(rng.integers(0, LAYOUT_DATA.n, size=LAYOUT_DATA.n))
+        try:
+            out.append(bound_fn(sample))
+        except EmptyCell:
+            out.append(None)
+    return out
+
+
+def _result_bits(res) -> list:
+    return [[(lb.hex(), ub.hex()) for lb, ub in res.replicates], res.se_lb.hex(),
+            res.se_ub.hex(), res.reps_used, res.failed_reps]
+
+
+class TestBootstrapWorkerLayout:
+    """``bootstrap_ses`` gives the same result, and raises the same error,
+    whatever the number of workers and the replicates per task."""
+
+    @pytest.fixture(params=[(1, 1), (2, 7), (3, 1), (2, 100), (3, 7), (1, 100)],
+                    ids=lambda p: f"workers{p[0]}-block{p[1]}")
+    def layout(self, request, monkeypatch):
+        workers, block = request.param
+        monkeypatch.setattr(core, "_worker_count", lambda: workers)
+        # a task holds ceil(_BOOT_DRAWS / n) replicates
+        monkeypatch.setattr(inference, "_BOOT_DRAWS", block * LAYOUT_DATA.n)
+        yield
+        assert multiprocessing.active_children() == []
+
+    def test_result_does_not_depend_on_layout(self, layout):
+        res = bootstrap_ses(LAYOUT_DATA, _drops_some, LAYOUT_SPEC)
+        kept = [(r.lb, r.ub) for r in _serial(_drops_some) if r is not None]
+        arr = np.asarray(kept)
+        assert res.failed_reps == 4 and res.reps_used == 19
+        assert _result_bits(res) == _result_bits(inference.BootstrapResult(
+            float(np.std(arr[:, 0], ddof=1)), float(np.std(arr[:, 1], ddof=1)), kept, 19, 4))
+
+    def test_first_failing_replicate_raises(self, layout):
+        # replicates 8 and 19 raise an error that is not an estimation error;
+        # replicate 8's ends the bootstrap whatever the layout
+        with pytest.raises(RuntimeError, match="^resample with 37 treated$"):
+            bootstrap_ses(LAYOUT_DATA, _raises_some, LAYOUT_SPEC)
+
+    def test_too_many_failed_reps_counts(self, layout):
+        failed = _serial(_drops_most).count(None)
+        assert failed == 16
+        with pytest.raises(TooManyFailedReps) as exc:
+            bootstrap_ses(LAYOUT_DATA, _drops_most, LAYOUT_SPEC)
+        assert exc.value.context == {"failed": failed, "reps": 23}
+
+
+def _bootstrap_in_worker(_):
+    return bootstrap_ses(LAYOUT_DATA, _drops_some, LAYOUT_SPEC)
+
+
+def test_bootstrap_in_a_pool_worker_runs_in_process(monkeypatch):
+    # a size that forks two workers, one replicate per task, in the parent; a
+    # pool worker may not start children, so there it runs in-process
+    monkeypatch.setattr(core, "_worker_count", lambda: 2)
+    monkeypatch.setattr(inference, "_BOOT_DRAWS", LAYOUT_DATA.n)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        inside = pool.map(_bootstrap_in_worker, [None])[0]
+    assert multiprocessing.active_children() == []
+    assert _result_bits(inside) == _result_bits(_bootstrap_in_worker(None))

@@ -22,7 +22,7 @@ from didbounds import (
     run_monte_carlo,
 )
 from didbounds.errors import EmptyCell, EstimationError, ValidationError
-from didbounds import simulation
+from didbounds import core, simulation
 from didbounds.simulation import _usual_did
 
 import reference_oracle
@@ -335,7 +335,7 @@ class TestWorkerLayout:
                     ids=lambda p: f"workers{p[0]}-block{p[1]}")
     def layout(self, request, monkeypatch):
         workers, block = request.param
-        monkeypatch.setattr(simulation, "_worker_count", lambda: workers)
+        monkeypatch.setattr(core, "_worker_count", lambda: workers)
         monkeypatch.setattr(simulation, "_MC_BLOCK", block)
         yield
         assert multiprocessing.active_children() == []
