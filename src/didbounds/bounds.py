@@ -94,14 +94,16 @@ class BoundsResult:
 
 
 def _cell_y(data: PanelDataset, d: int, s0: int, s1: int, period: int) -> np.ndarray:
+    """Cell (d, s0, s1)'s outcomes in ``period``; ``period`` 2 reads its Delta Y."""
     if data.cells.count(d, s0, s1) == 0:
         raise EmptyCell(f"no units with d={d}, s0={s0}, s1={s1}", d=d, s0=s0, s1=s1)
     return data.cells.values(period, d, s0, s1)
 
 
 def _delta_y(data: PanelDataset, d: int) -> np.ndarray:
-    """Delta Y for units observed in both periods within arm d, row order."""
-    return _cell_y(data, d, 1, 1, period=1) - _cell_y(data, d, 1, 1, period=0)
+    """Delta Y for units observed in both periods within arm d, row order:
+    one gather from the panel's shared Delta Y column."""
+    return _cell_y(data, d, 1, 1, period=2)
 
 
 def naive_did(data: PanelDataset) -> float:

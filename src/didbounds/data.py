@@ -17,6 +17,7 @@ import csv
 import operator
 import re
 import warnings
+import weakref
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
@@ -93,17 +94,29 @@ def _frozen_array(values, dtype=None) -> np.ndarray:
     return arr
 
 
+# the read-only id arrays the package built from ``str`` ids (the loaders,
+# the staggered pivot and ``_id_array``), by ``id``; an array leaves when it is
+# freed
+_STR_IDS = weakref.WeakValueDictionary()
+
+
+def _str_ids(ids: np.ndarray) -> np.ndarray:
+    """Mark ``ids``, a read-only object array of ``str`` the package built,
+    as one ``_id_array`` uses as it is."""
+    _STR_IDS[id(ids)] = ids
+    return ids
+
+
 def _id_array(ids) -> np.ndarray:
     """Ids as a read-only object array of the ids' own ``str`` values.
 
-    A read-only object array that owns its data is taken to be one already (a
-    dataset's ``ids``, or the ids ``simulation`` shares between panels) and is
-    used as it is.
+    An array the package built from ``str`` ids (``_str_ids``), such as a
+    dataset's ``ids`` or the ids ``simulation`` shares between panels, is used
+    as it is; any other input is converted id by id.
     """
-    if (isinstance(ids, np.ndarray) and ids.dtype == object and ids.flags.owndata
-            and not ids.flags.writeable):
+    if _STR_IDS.get(id(ids)) is ids:
         return ids
-    return _frozen_array(np.fromiter(map(str, ids), dtype=object))
+    return _str_ids(_frozen_array(np.fromiter(map(str, ids), dtype=object)))
 
 
 def _freeze_columns(self):
@@ -126,8 +139,9 @@ def _take_rows(self, indices):
     No column is copied here: the result keeps its parent and the row indices,
     and gathers a column on its first read (``_gather_column``). Its ``cells``
     re-index the parent's (``Cells.take``), so a bootstrap replicate that reads
-    only ``cells`` costs one int8 gather and one ``bincount``. A take of a take
-    indexes the first parent directly.
+    only ``cells`` costs one int8 gather and eight counts over it, with no
+    array wider than a byte a row. A take of a take indexes the first parent
+    directly.
     """
     idx = np.asarray(indices, dtype=np.intp)
     parent, rows = vars(self).get("_rows", (self, None))
@@ -155,11 +169,13 @@ def _gather_column(self, name):
 class Cells:
     """Summary of a dataset over the eight cells of three binary columns.
 
-    A panel's cells are (d, s0, s1) and its outcome columns (y0, y1); a
-    repeated cross-section's cells are (d, t, s) and its one outcome column y.
-    Every bound is a count ratio, a (trimmed) mean or a minimum over these
-    cells. ``counts[a, b, c]`` are exact integers from one ``bincount`` of the
-    code ``4*a + 2*b + c``. A cell's outcomes keep row order, so a mean over a
+    A panel's cells are (d, s0, s1) and its outcome columns (y0, y1, ΔY), ΔY
+    being y1 − y0 where s0 = s1 = 1 and NaN elsewhere; a repeated
+    cross-section's cells are (d, t, s) and its one outcome column y. Every
+    bound is a count ratio, a (trimmed) mean or a minimum over these cells.
+    ``counts[a, b, c]`` are exact integers, each a ``count_nonzero`` of the
+    int8 code ``4*a + 2*b + c`` equal to its cell, so counting makes no array
+    wider than the code. A cell's outcomes keep row order, so a mean over a
     cell reduces in the same order as one over a mask of the full arrays.
 
     ``take`` resamples the rows without copying the dataset: it keeps the
@@ -169,7 +185,8 @@ class Cells:
 
     def __init__(self, code: np.ndarray, outcomes: tuple, parent_rows=None):
         self.code = code
-        self.counts = np.bincount(code, minlength=8).reshape(2, 2, 2)
+        self.counts = np.array([np.count_nonzero(code == k) for k in range(8)],
+                               dtype=np.intp).reshape(2, 2, 2)
         self._count = self.counts.tolist()  # the same counts as Python ints
         self._outcomes = outcomes
         self._parent_rows = parent_rows
@@ -181,7 +198,8 @@ class Cells:
         return pair[0] + pair[1] if c is None else pair[c]
 
     def values(self, column: int, a: int, b: int, c: int) -> np.ndarray:
-        """Outcome column ``column`` (a panel's period) of the rows in cell (a, b, c)."""
+        """Outcome column ``column`` (a panel's period, or 2 for its ΔY) of the
+        rows in cell (a, b, c)."""
         key = 4 * a + 2 * b + c
         if key not in self._cell_rows:
             rows = np.flatnonzero(self.code == key)
@@ -220,8 +238,14 @@ class PanelDataset:
 
     @cached_property
     def cells(self) -> Cells:
-        """The (d, s0, s1) cell summary, built on first use and kept with the dataset."""
-        return Cells(4 * self.d + 2 * self.s0 + self.s1, (self.y0, self.y1))
+        """The (d, s0, s1) cell summary, built on first use and kept with the
+        dataset; its ΔY column is computed here, once, and shared by every take."""
+        code = 4 * self.d + 2 * self.s0 + self.s1
+        delta = np.full(self.n, np.nan)
+        # only the rows observed in both periods are subtracted
+        np.subtract(self.y1, self.y0, out=delta, where=(code & 3) == 3)
+        delta.setflags(write=False)
+        return Cells(code, (self.y0, self.y1, delta))
 
     take = _take_rows
     __getattr__ = _gather_column
@@ -623,14 +647,16 @@ def load_panel_csv(path) -> PanelDataset:
     columns, checks, width_error = _read_columns(path, PANEL_HEADER,
                                                  partial(_header_block, PANEL_HEADER))
     _raise_first(checks, width_error)
-    return PanelDataset.from_records(*columns)
+    ids, *rest = columns
+    return PanelDataset.from_records(_str_ids(ids), *rest)
 
 
 def load_rcs_csv(path) -> RcsDataset:
     columns, checks, width_error = _read_columns(path, RCS_HEADER,
                                                  partial(_header_block, RCS_HEADER))
     _raise_first(checks, width_error)
-    data = RcsDataset(*columns)
+    ids, *rest = columns
+    data = RcsDataset(_str_ids(ids), *rest)
     if not 0.0 < data.lam < 1.0:
         raise DegenerateSampling(
             f"post-period sampling share must lie strictly in (0,1), got {data.lam}",
@@ -686,7 +712,7 @@ def load_multi_csv(path) -> MultiPeriodPanel:
         path, MULTI_HEADER, partial(_multi_block, seen))
     names, code = _unit_codes(seen, unit)
     del seen  # its hash table is not kept
-    ids = _frozen_array(names[code])  # every row of a unit keeps its one str
+    ids = _str_ids(_frozen_array(names[code]))  # every row of a unit keeps its one str
     order = np.lexsort((t, unit))  # stable: rows of one (id, t) stay in file order
     duplicate = np.zeros(unit.size, bool)
     duplicate[order[1:]] = _repeats(unit[order]) & _repeats(t[order])

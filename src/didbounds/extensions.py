@@ -14,6 +14,7 @@ from .data import (
     PanelDataset,
     RcsDataset,
     _frozen_array,
+    _str_ids,
 )
 from .errors import (
     EmptyCell,
@@ -182,7 +183,7 @@ def panel_from_staggered(
             )
     units = np.flatnonzero(keep)
     pre, post = at[:, units]
-    ids = _frozen_array(unit_ids[units])  # read-only, so from_records keeps it
+    ids = _str_ids(_frozen_array(unit_ids[units]))  # so from_records keeps it
     return PanelDataset.from_records(
         ids, treated[units], data.s[pre], data.s[post], data.y[pre], data.y[post]
     )

@@ -288,14 +288,19 @@ def _usual_did(panel: PanelDataset) -> float:
     observed in both periods.
     """
 
+    cells = panel.cells
+
     def cell_mean(d: int, period: int) -> float:
-        s, y = (panel.s0, panel.y0) if period == 0 else (panel.s1, panel.y1)
-        mask = (panel.d == d) & (s == 1)
-        if not mask.any():
+        rows = cells.count(d, 1) if period == 0 else cells.count(d, 0, 1) + cells.count(d, 1, 1)
+        if rows == 0:
             raise EmptyCell(
                 f"no observed outcomes with d={d}, t={period}", d=d, t=period
             )
-        return mean(y[mask])
+        # arm d's rows observed in the period, in row order: those whose code
+        # 4d + 2s0 + s1 has this d and s_t = 1
+        if period == 0:
+            return mean(panel.y0[(cells.code & 6) == 4 * d + 2])
+        return mean(panel.y1[(cells.code & 5) == 4 * d + 1])
 
     return cell_mean(1, 1) - cell_mean(1, 0) - cell_mean(0, 1) + cell_mean(0, 0)
 

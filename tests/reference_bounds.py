@@ -13,7 +13,6 @@ from didbounds.bounds import (
     BoundsResult,
     MixingProportions,
     _cell_y,
-    _delta_y,
     _p_nno1,
     _p_ono0,
     _require_positive,
@@ -23,6 +22,11 @@ from didbounds.bounds import (
 )
 from didbounds.core import Sample, trimmed_mean_lower, trimmed_mean_upper
 from didbounds.errors import InvalidAssumptions
+
+
+def _delta_y(data, d):
+    """Arm d's Delta Y subtracted from its two period columns, row by row."""
+    return _cell_y(data, d, 1, 1, period=1) - _cell_y(data, d, 1, 1, period=0)
 
 
 def bounds_tau_ooo(data, assumptions):

@@ -235,6 +235,19 @@ class TestDatasetsBuiltInCode:
         names[0] = "z"
         assert rcs.ids is not view and rcs.ids.tolist() == ["a", "b", "c", "d"]
 
+    def test_read_only_ids_that_are_not_str_become_str(self, tmp_path):
+        ids = np.array([3, 1, 2], dtype=object)
+        ids.setflags(write=False)
+        columns = ([0, 1, 1], [1, 1, 1], [1, 1, 1], [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        data = PanelDataset.from_records(ids, *columns)
+        assert data.ids is not ids and data.ids.tolist() == ["3", "1", "2"]
+        assert all(type(i) is str for i in data.ids)
+        # ids the package built from str are kept as they are, not converted
+        # id by id: a dataset's own, and a loader's
+        assert PanelDataset.from_records(data.ids, *columns).ids is data.ids
+        loaded = load_panel_csv(_write(tmp_path, "id,d,s0,s1,y0,y1\na,1,1,1,1.0,2.0\n"))
+        assert data_module._id_array(loaded.ids) is loaded.ids
+
     def test_unequal_lengths_are_a_validation_error(self):
         with pytest.raises(ValidationError) as exc:
             PanelDataset.from_records(["1", "2"], [0, 1, 1], [1, 1, 1], [1, 1, 1],
@@ -330,6 +343,45 @@ def test_taken_cells_reindex_the_parent(mixed_panel):
             for period in (0, 1):
                 np.testing.assert_array_equal(cells.values(period, *key),
                                               ref.values(period, *key))
+
+
+@given(rows=panel_rows, seed=st.integers(0, 2**32 - 1))
+def test_delta_y_column_is_y1_minus_y0_and_shared_by_takes(rows, seed):
+    data = make_panel(rows)
+    rng = np.random.default_rng(seed)
+    first = data.take(rng.integers(0, data.n, size=data.n))
+    second = first.take(rng.integers(0, data.n, size=data.n))
+    column = data.cells._outcomes[2]
+    for sample in (data, first, second):
+        cells = sample.cells
+        assert cells._outcomes[2] is column  # shared with the parent, not recomputed
+        for key in np.ndindex(2, 2, 2):
+            got = cells.values(2, *key)
+            if key[1:] == (1, 1):
+                want = cells.values(1, *key) - cells.values(0, *key)
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.isnan(got).all()
+
+
+def test_taken_cells_make_no_array_wider_than_the_code():
+    # a replicate's cells are one int8 gather and eight counts, each over a
+    # one-byte comparison; casting the code to intp would take 8 bytes a row
+    n = 100_000
+    rng = np.random.default_rng(5)
+    d, s0, s1 = (rng.integers(0, 2, n) for _ in range(3))
+    y0, y1 = (np.where(s, rng.standard_normal(n), np.nan) for s in (s0, s1))
+    data = PanelDataset.from_records(range(n), d, s0, s1, y0, y1)
+    data.cells  # the parent's, built before tracing
+    idx = rng.integers(0, n, size=n)
+    tracemalloc.start()
+    try:
+        counts = data.take(idx).cells.counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == n
+    assert peak < 3 * n
 
 
 @given(rows=panel_rows)

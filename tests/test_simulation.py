@@ -26,7 +26,7 @@ from didbounds import core, simulation
 from didbounds.simulation import _usual_did
 
 import reference_oracle
-from conftest import make_panel
+from conftest import make_panel, panel_rows
 
 _rho = st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True)
 
@@ -197,7 +197,38 @@ def _usual_did_closed_form(config: DgpConfig) -> float:
     )
 
 
+def _usual_did_four_masks(panel: PanelDataset) -> float:
+    """The usual DiD with a mask over d and s_t per mean: the reference
+    ``_usual_did``, which reads its rows from the cell code, is checked against."""
+
+    def cell_mean(d: int, period: int) -> float:
+        s, y = (panel.s0, panel.y0) if period == 0 else (panel.s1, panel.y1)
+        mask = (panel.d == d) & (s == 1)
+        if not mask.any():
+            raise EmptyCell(
+                f"no observed outcomes with d={d}, t={period}", d=d, t=period
+            )
+        return float(np.mean(y[mask]))
+
+    return cell_mean(1, 1) - cell_mean(1, 0) - cell_mean(0, 1) + cell_mean(0, 0)
+
+
+_CELL_KEYS = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1))
+
+
 class TestUsualDid:
+    @given(rows=panel_rows, empty=st.sets(_CELL_KEYS))
+    def test_matches_four_masks(self, rows, empty):
+        panel = make_panel([row for row in rows if row[:3] not in empty])
+        try:
+            want = _usual_did_four_masks(panel)
+        except EmptyCell as exc:
+            with pytest.raises(EmptyCell) as got:
+                _usual_did(panel)
+            assert str(got.value) == str(exc) and got.value.context == exc.context
+            return
+        assert _usual_did(panel).hex() == want.hex()
+
     def test_hand_value(self, mixed_panel):
         # observed means: treated post 131/8, treated pre 59/6,
         # control post 27/2, control pre 9
