@@ -79,9 +79,10 @@ def _replicate_block(state: tuple, block: tuple) -> list:
     out = []
     for rep in range(*block):
         rng = np.random.default_rng([seed, rep])
-        sample = data.take(rng.integers(0, n, size=n))
         try:
-            res = bound_fn(sample)
+            # the replicate is freed before the next one is drawn, so that the
+            # heap does not grow and shrink by a replicate's arrays each time
+            res = bound_fn(data.take(rng.integers(0, n, size=n)))
         except EstimationError:
             out.append(None)
             continue

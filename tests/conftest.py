@@ -23,6 +23,15 @@ def make_panel(rows):
     return PanelDataset.from_records(ids, d, s0, s1, y0, y1)
 
 
+def random_panel(n, seed):
+    """A panel of ``n`` units with every 0/1 column a fair coin and standard
+    normal outcomes where selected."""
+    rng = np.random.default_rng(seed)
+    d, s0, s1 = (rng.integers(0, 2, n) for _ in range(3))
+    y0, y1 = (np.where(s, rng.standard_normal(n), np.nan) for s in (s0, s1))
+    return PanelDataset.from_records(range(n), d, s0, s1, y0, y1)
+
+
 # an outcome drawn from a small integer grid as often as not, so ties are common
 outcomes = st.one_of(
     st.integers(-3, 3).map(float), st.floats(-10, 10, allow_nan=False)

@@ -39,7 +39,7 @@ from didbounds.errors import (
 )
 
 import reference_loaders
-from conftest import copy_rows, make_panel, panel_rows
+from conftest import copy_rows, make_panel, panel_rows, random_panel
 
 PANEL_CSV = """id,d,s0,s1,y0,y1
 a,1,1,1,1.5,2.5
@@ -368,12 +368,9 @@ def test_taken_cells_make_no_array_wider_than_the_code():
     # a replicate's cells are one int8 gather and eight counts, each over a
     # one-byte comparison; casting the code to intp would take 8 bytes a row
     n = 100_000
-    rng = np.random.default_rng(5)
-    d, s0, s1 = (rng.integers(0, 2, n) for _ in range(3))
-    y0, y1 = (np.where(s, rng.standard_normal(n), np.nan) for s in (s0, s1))
-    data = PanelDataset.from_records(range(n), d, s0, s1, y0, y1)
+    data = random_panel(n, 5)
     data.cells  # the parent's, built before tracing
-    idx = rng.integers(0, n, size=n)
+    idx = np.random.default_rng(6).integers(0, n, size=n)
     tracemalloc.start()
     try:
         counts = data.take(idx).cells.counts
