@@ -241,9 +241,9 @@ class PanelDataset:
         """The (d, s0, s1) cell summary, built on first use and kept with the
         dataset; its ΔY column is computed here, once, and shared by every take."""
         code = 4 * self.d + 2 * self.s0 + self.s1
-        delta = np.full(self.n, np.nan)
-        # only the rows observed in both periods are subtracted
-        np.subtract(self.y1, self.y0, out=delta, where=(code & 3) == 3)
+        # a row not observed in both periods subtracts from a NaN, which gives
+        # NaN and raises no floating-point warning, whatever its outcomes hold
+        delta = np.where((code & 3) == 3, self.y1, np.nan) - self.y0
         delta.setflags(write=False)
         return Cells(code, (self.y0, self.y1, delta))
 

@@ -364,6 +364,20 @@ def test_delta_y_column_is_y1_minus_y0_and_shared_by_takes(rows, seed):
                 assert np.isnan(got).all()
 
 
+def test_delta_y_warns_only_where_both_periods_are_observed():
+    # outcomes stored where their selection is 0 would overflow or be invalid
+    # if subtracted; only the rows observed in both periods are
+    big = [1e308, -1e308, np.inf, np.inf]
+    data = PanelDataset.from_records(["a", "b", "c", "d"], [1, 1, 0, 0], [1, 0, 1, 0],
+                                     [0, 1, 0, 0], big, [-v for v in big])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(data.cells.values(2, 1, 1, 0)).all()
+    panel = make_panel([(1, 1, 1, -1e308, 1e308), (0, 1, 1, 0.0, 1.0)])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        panel.cells
+
+
 def test_taken_cells_make_no_array_wider_than_the_code():
     # a replicate's cells are one int8 gather and eight counts, each over a
     # one-byte comparison; casting the code to intp would take 8 bytes a row
