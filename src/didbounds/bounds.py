@@ -1,6 +1,6 @@
-"""Naive DiD, mixing-proportion identification, and the two-period panel
-bounds for the four latent target groups: rows of one table of signed cell
-terms (``_FORMULAS``), read by one evaluator.
+"""Naive DiD, mixing-proportion identification, and the two-period bounds (a
+panel's four latent target groups, a repeated cross-section's always-observed
+group): rows of one table of signed cell terms (``_FORMULAS``), one evaluator.
 
 Estimated proportions outside [0,1] are clamped to the nearest endpoint and a
 named warning is attached to the result; clamps are never silent. A trim share
@@ -24,7 +24,7 @@ from .core import (
     trimmed_mean_lower,
     trimmed_mean_upper,
 )
-from .data import AssumptionSet, PanelDataset
+from .data import AssumptionSet, PanelDataset, RcsDataset
 from .errors import EmptyCell, InvalidAssumptions, VacuousIdentification
 
 
@@ -100,6 +100,13 @@ def _cell_y(data: PanelDataset, d: int, s0: int, s1: int, period: int) -> np.nda
     return data.cells.values(period, d, s0, s1)
 
 
+def _rcs_cell(data: RcsDataset, d: int, t: int) -> np.ndarray:
+    """Observed outcomes in the (d, t) cell, row order."""
+    if data.cells.count(d, t, 1) == 0:
+        raise EmptyCell(f"no selected rows with d={d}, t={t}", d=d, t=t)
+    return data.cells.values(0, d, t, 1)
+
+
 def _delta_y(data: PanelDataset, d: int) -> np.ndarray:
     """Delta Y for units observed in both periods within arm d, row order:
     one gather from the panel's shared Delta Y column."""
@@ -162,32 +169,29 @@ def mixing_mono(data: PanelDataset, direction: str = "positive") -> MixingPropor
     )
 
 
-def _p_ono0(data: PanelDataset, warns: list) -> float:
-    """1 - P[S1=0|S0=1,D=1] / P[S1=0|S0=1,D=0], clamped to [0,1]."""
-    stay1 = cond_prob_s1(data, d=1, s0=1)
-    stay0 = cond_prob_s1(data, d=0, s0=1)
-    drop1 = 1.0 - stay1.value
-    drop0 = 1.0 - stay0.value
-    if drop0 == 0.0:
-        raise EmptyCell("no control attriters (d=0, s0=1, s1=0)", d=0, s0=1, s1=0)
-    raw = 1.0 - drop1 / drop0
+def _clamp_share(raw: float, warns: list) -> float:
+    """A share 1 - a/b (at most 1), clamped up to 0 with a warning."""
     if raw < 0.0:
         warns.append("NegativeProportionClamped")
-        return 0.0
-    return raw
+    return max(raw, 0.0)
+
+
+def _p_ono0(data: PanelDataset, warns: list) -> float:
+    """1 - P[S1=0|S0=1,D=1] / P[S1=0|S0=1,D=0], clamped to [0,1]."""
+    drop1 = 1.0 - cond_prob_s1(data, d=1, s0=1).value
+    drop0 = 1.0 - cond_prob_s1(data, d=0, s0=1).value
+    if drop0 == 0.0:
+        raise EmptyCell("no control attriters (d=0, s0=1, s1=0)", d=0, s0=1, s1=0)
+    return _clamp_share(1.0 - drop1 / drop0, warns)
 
 
 def _p_nno1(data: PanelDataset, warns: list) -> float:
     """1 - P[S1=1|S0=0,D=0] / P[S1=1|S0=0,D=1], clamped to [0,1]."""
-    join0 = cond_prob_s1(data, d=0, s0=0)
-    join1 = cond_prob_s1(data, d=1, s0=0)
-    if join1.value == 0.0:
+    join0 = cond_prob_s1(data, d=0, s0=0).value
+    join1 = cond_prob_s1(data, d=1, s0=0).value
+    if join1 == 0.0:
         raise EmptyCell("no treated joiners (d=1, s0=0, s1=1)", d=1, s0=0, s1=1)
-    raw = 1.0 - join0.value / join1.value
-    if raw < 0.0:
-        warns.append("NegativeProportionClamped")
-        return 0.0
-    return raw
+    return _clamp_share(1.0 - join0 / join1, warns)
 
 
 def strata_proportions(data: PanelDataset) -> MixingProportions:
@@ -252,8 +256,9 @@ def group_proportion(mix: MixingProportions, group: str) -> float:
     return mix.strata[(group, 0)] + mix.strata[(group, 1)]
 
 
-def _support_minima(data: PanelDataset, overrides: dict | None = None) -> dict:
-    """Observed support minima for the pre/post outcome distributions."""
+def _support_minima(data: PanelDataset, keys, overrides: dict | None = None) -> dict:
+    """The support minima ``keys`` of the pre/post outcome distributions, in
+    sorted order (y00, y01, y10), observed or set by ``overrides``."""
     out = {}
     # key -> (period, the (d, s0, s1) cells whose outcomes it ranges over)
     specs = {
@@ -261,7 +266,8 @@ def _support_minima(data: PanelDataset, overrides: dict | None = None) -> dict:
         "y01_lb": (1, ((0, 0, 1), (0, 1, 1))),
         "y10_lb": (0, ((1, 1, 0), (1, 1, 1))),
     }
-    for key, (period, members) in specs.items():
+    for key in sorted(keys):
+        period, members = specs[key]
         if overrides and key in overrides and overrides[key] is not None:
             out[key] = float(overrides[key])
             continue
@@ -278,16 +284,17 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
-# The table of bound formulas: one row per two-period panel bound. A row
-# names the mean dominance and the joint independence the bound requires
-# (tau_OOO requires neither and holds under every assumption set); its shares,
-# in the order they are checked, each marked True where it must be positive;
-# and its lb and ub as terms (sign, statistic, sample, share). A share is a
-# weight (p_ooo1, p_ooo0), p_ono0 or p_nno1, or 1 minus one of those. A
-# statistic is "mean", "lower" or "upper" (the trimmed tail means of ``core``
-# at the share) of a sample, which is a cell (d, s0, s1, period) or an arm's
-# Delta Y ("dY", d); or it is "min", a support minimum, whose sample is its
-# key in ``_support_minima``.
+# The table of bound formulas: one row per two-period bound. A row names the
+# mean dominance and the joint independence the bound requires (tau_OOO and
+# tau_OO_rcs require neither); its shares, in the order they are checked, each
+# marked True where it must be positive; and its lb and ub as terms (sign,
+# statistic, sample, share) or groups of terms, each summed on its own, then
+# added. A share is a weight (p_ooo1, p_ooo0: for RCS, q_OO11 and q_OO01),
+# p_ono0 or p_nno1, or 1 minus one of those. A statistic is "mean", "lower" or
+# "upper" (the trimmed tail means of ``core`` at the share) of a sample: a
+# panel cell (d, s0, s1, period), an arm's Delta Y ("dY", d) or an RCS cell's
+# observed rows ("y", d, t); or it is "min", a support minimum, whose sample
+# is its key in ``_support_minima``.
 
 
 @dataclass(frozen=True)
@@ -299,15 +306,21 @@ class _Formula:
     ub: tuple
 
     @cached_property
+    def terms(self) -> tuple:
+        """The terms of lb and then ub, each group's members in its place."""
+        return tuple(t for term in self.lb + self.ub
+                     for t in (term if isinstance(term[0], tuple) else (term,)))
+
+    @cached_property
     def samples(self) -> tuple:
         """The cells the terms read, each once, in term order."""
-        return tuple(dict.fromkeys(sample for _, statistic, sample, _ in self.lb + self.ub
+        return tuple(dict.fromkeys(sample for _, statistic, sample, _ in self.terms
                                    if statistic != "min"))
 
     @cached_property
     def support_minima(self) -> frozenset:
         """The keys of the support minima the terms use, which overrides may set."""
-        return frozenset(sample for _, statistic, sample, _ in self.lb + self.ub
+        return frozenset(sample for _, statistic, sample, _ in self.terms
                          if statistic == "min")
 
 
@@ -338,44 +351,60 @@ _FORMULAS = {
         ub=((1, "upper", (1, 0, 1, 1), "1 - p_nno1"), (-1, "min", "y10_lb", None),
             (-1, "mean", (0, 0, 1, 1), None), (1, "mean", (0, 1, 1, 0), None)),
     ),
+    # both endpoints lower-trim the control post-period mean, as the theorem prints it
+    "tau_OO_rcs": _Formula(
+        None, False, (("p_ooo1", True), ("p_ooo0", True)),
+        lb=((1, "lower", ("y", 1, 1), "p_ooo1"), (-1, "lower", ("y", 0, 1), "p_ooo0"),
+            ((-1, "mean", ("y", 1, 0), None), (1, "mean", ("y", 0, 0), None))),
+        ub=((1, "upper", ("y", 1, 1), "p_ooo1"), (-1, "lower", ("y", 0, 1), "p_ooo0"),
+            ((-1, "mean", ("y", 1, 0), None), (1, "mean", ("y", 0, 0), None))),
+    ),
 }
 
 
-def _samples(data: PanelDataset, row: _Formula) -> dict:
+def _samples(data, row: _Formula) -> dict:
     """Each cell ``row`` reads, as a ``Sample``; an empty one raises ``EmptyCell``."""
     return {sample: Sample(_delta_y(data, sample[1]) if sample[0] == "dY"
+                           else _rcs_cell(data, *sample[1:]) if sample[0] == "y"
                            else _cell_y(data, *sample))
             for sample in row.samples}
 
 
 def _endpoint(terms: tuple, samples: dict, shares: dict, minima: dict | None) -> float:
-    """The sum of ``terms``, left to right from the first, so that a -0.0 stays -0.0."""
+    """The sum of ``terms``, left to right from the first, so that a -0.0 stays
+    -0.0; a group is summed on its own the same way, then added."""
     total = None
-    for sign, statistic, sample, share in terms:
-        if statistic == "min":
-            value = minima[sample]
-        elif statistic == "mean":
-            value = mean(samples[sample].values)
-        elif statistic == "lower":
-            value = trimmed_mean_lower(samples[sample], shares[share])
+    for term in terms:
+        if isinstance(term[0], tuple):
+            sign, value = 1, _endpoint(term, samples, shares, minima)
         else:
-            value = trimmed_mean_upper(samples[sample], shares[share])
+            sign, statistic, sample, share = term
+            if statistic == "min":
+                value = minima[sample]
+            elif statistic == "mean":
+                value = mean(samples[sample].values)
+            elif statistic == "lower":
+                value = trimmed_mean_lower(samples[sample], shares[share])
+            else:
+                value = trimmed_mean_upper(samples[sample], shares[share])
         total = sign * value if total is None else total + sign * value
     return total
 
 
-def _bound(parameter, data, assumptions, support_overrides=None) -> BoundsResult:
+def _bound(parameter, data, assumptions, support_overrides=None, mix=None) -> BoundsResult:
     """The bound of row ``parameter`` of ``_FORMULAS``.
 
-    tau_OOO reads its cells before it computes its weights; the other rows
-    check their assumptions, compute their weights and shares, and then read
-    their cells and support minima.
+    tau_OOO and tau_OO_rcs read their cells, then take the weights ``mix``
+    their caller computed (tau_OO_rcs) or compute the panel's, then check
+    their shares; the other rows check their assumptions, compute their
+    weights and shares, and then read their cells and support minima.
     """
     row = _FORMULAS[parameter]
     if row.dominance is None:
         samples = _samples(data, row)
-        mix = (mixing_mono(data, assumptions.direction) if assumptions.monotone
-               else mixing_no_mono(data))
+        if mix is None:
+            mix = (mixing_mono(data, assumptions.direction) if assumptions.monotone
+                   else mixing_no_mono(data))
     else:
         wanted = ("with_monotonicity", "positive", row.dominance)
         if (assumptions.variant, assumptions.direction, assumptions.mean_dominance) != wanted:
@@ -397,7 +426,8 @@ def _bound(parameter, data, assumptions, support_overrides=None) -> BoundsResult
         samples = _samples(data, row)
         mix = MixingProportions(mix.p_ooo1, 1.0, "Joint", p_ono0=shares.get("p_ono0"),
                                 p_nno1=shares.get("p_nno1"), warnings=warns)
-    minima = _support_minima(data, support_overrides) if row.support_minima else None
+    minima = (_support_minima(data, row.support_minima, support_overrides)
+              if row.support_minima else None)
     lb = _endpoint(row.lb, samples, shares, minima)
     ub = _endpoint(row.ub, samples, shares, minima)
     return BoundsResult(parameter, assumptions, lb, ub, mix, support_minima=minima,

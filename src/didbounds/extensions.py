@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundsResult, MixingProportions, bounds_tau_ooo
-from .core import Sample, mean, require_finite, trimmed_mean_lower, trimmed_mean_upper
+from .bounds import BoundsResult, MixingProportions, _bound, _rcs_cell, bounds_tau_ooo
+from .core import mean, require_finite
 from .data import (
     AssumptionSet,
     MultiPeriodPanel,
@@ -22,7 +22,6 @@ from .errors import (
     InvalidAssumptions,
     MalformedRow,
     MissingPeriod,
-    VacuousIdentification,
 )
 
 RCS_VARIANTS = ("LevelEquality", "TrendEquality")
@@ -38,13 +37,6 @@ class StaggeredTarget:
             raise InvalidAssumptions("gamma must be >= 1")
         if self.t < self.gamma:
             raise InvalidAssumptions("evaluation period t must satisfy t >= gamma")
-
-
-def _rcs_cell(data: RcsDataset, d: int, t: int) -> np.ndarray:
-    """Observed outcomes in the (d, t) cell, row order."""
-    if data.cells.count(d, t, 1) == 0:
-        raise EmptyCell(f"no selected rows with d={d}, t={t}", d=d, t=t)
-    return data.cells.values(0, d, t, 1)
 
 
 def _rcs_select_rate(data: RcsDataset, d: int, t: int) -> float:
@@ -90,13 +82,9 @@ def rcs_weights(data: RcsDataset, variant: str, mono: bool) -> MixingProportions
         trend_correction = 0.0
 
     def clamp(name, value):
-        if value > 1.0:
+        if not 0.0 <= value <= 1.0:
             warns.append(f"Clamped:{name}")
-            return 1.0
-        if value < 0.0:
-            warns.append(f"Clamped:{name}")
-            return 0.0
-        return value
+        return min(max(value, 0.0), 1.0)
 
     if mono:
         q11 = clamp("q_oo11", (s01 + trend_correction) / s11)
@@ -111,38 +99,20 @@ def rcs_weights(data: RcsDataset, variant: str, mono: bool) -> MixingProportions
     return MixingProportions(p_ooo1=q11, p_ooo0=q01, source=variant, warnings=warns)
 
 
-def bounds_tau_oo_rcs(
-    data: RcsDataset, variant: str, assumptions: AssumptionSet
-) -> BoundsResult:
+def bounds_tau_oo_rcs(data: RcsDataset, variant: str, assumptions: AssumptionSet) -> BoundsResult:
     """Bounds for the post-period always-observed group in repeated
-    cross-sections.
+    cross-sections: row tau_OO_rcs of ``bounds._FORMULAS`` at the weights of
+    ``rcs_weights``, which are computed before the cells are read.
 
-    Both endpoints subtract the lower-trimmed control post-period mean,
-    exactly as the theorem display is printed; under monotonicity its share
-    is 1, and a mean trimmed at share 1 is the plain mean bit for bit.
-    Pre-period cell means enter untrimmed, added as one group.
+    Under monotonicity the control share is 1, and a mean trimmed at share 1
+    is the plain mean bit for bit.
     """
     if assumptions.monotone and assumptions.direction != "positive":
         raise InvalidAssumptions("RCS bounds support positive monotonicity only")
     weights = rcs_weights(data, variant, mono=assumptions.monotone)
-    treated_post = Sample(_rcs_cell(data, 1, 1))
-    control_post = _rcs_cell(data, 0, 1)
-    pre_terms = -mean(_rcs_cell(data, 1, 0)) + mean(_rcs_cell(data, 0, 0))
-    q11, q01 = weights.p_ooo1, weights.p_ooo0
-    if q11 <= 0.0 or q01 <= 0.0:
-        raise VacuousIdentification("RCS trim weight is zero")
-    control_term = trimmed_mean_lower(control_post, q01)
-    lb = trimmed_mean_lower(treated_post, q11) - control_term + pre_terms
-    ub = trimmed_mean_upper(treated_post, q11) - control_term + pre_terms
-    return BoundsResult(
-        parameter="tau_OO_rcs",
-        assumptions=assumptions,
-        lb=lb,
-        ub=ub,
-        proportions=weights,
-        warnings=list(weights.warnings),
-        extras={"variant": variant},
-    )
+    result = _bound("tau_OO_rcs", data, assumptions, mix=weights)
+    result.extras = {"variant": variant}
+    return result
 
 
 def panel_from_staggered(

@@ -143,15 +143,15 @@ def ci_union(lb: float, ub: float, se_lb: float, se_ub: float) -> ConfidenceInte
     )
 
 
-def solve_c_n(delta: float, tol: float = 1e-10) -> float:
-    """Solve Phi(C + delta) - Phi(-C) = 0.95 by bisection on [1, 3]."""
+def solve_c_n(delta: float) -> float:
+    """Solve Phi(C + delta) - Phi(-C) = 0.95 by bisection on [1, 3], to 1e-10."""
     def g(c: float) -> float:
         return norm_cdf(c + delta) - norm_cdf(-c) - 0.95
 
     lo, hi = 1.0, 3.0
     if g(lo) > 0.0 or g(hi) < 0.0:
         raise RootNotBracketed(f"no root in [1,3] for delta={delta}", delta=delta)
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if g(mid) < 0.0:
             lo = mid

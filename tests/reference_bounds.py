@@ -1,6 +1,6 @@
-"""The four two-period panel bounds written out one function each: the
-reference the table of bound formulas in ``didbounds.bounds`` is checked
-against.
+"""The four two-period panel bounds and the repeated cross-section bound
+written out one function each: the reference the table of bound formulas in
+``didbounds.bounds`` is checked against.
 
 Each function checks its assumptions, computes its weights and shares, reads
 its cells and support minima, and sums its terms in the order the bound's
@@ -15,13 +15,15 @@ from didbounds.bounds import (
     _cell_y,
     _p_nno1,
     _p_ono0,
+    _rcs_cell,
     _require_positive,
     _support_minima,
     mixing_mono,
     mixing_no_mono,
 )
-from didbounds.core import Sample, trimmed_mean_lower, trimmed_mean_upper
+from didbounds.core import Sample, mean, trimmed_mean_lower, trimmed_mean_upper
 from didbounds.errors import InvalidAssumptions
+from didbounds.extensions import rcs_weights
 
 
 def _delta_y(data, d):
@@ -95,7 +97,7 @@ def bounds_tau_ono(data, assumptions, support_overrides=None):
     treated = Sample(_delta_y(data, 1))
     control_post = _cell_y(data, d=0, s0=1, s1=1, period=1)
     attrit_pre = Sample(_cell_y(data, d=0, s0=1, s1=0, period=0))
-    minima = _support_minima(data, support_overrides)
+    minima = _support_minima(data, ("y01_lb",), support_overrides)
     lb = (
         trimmed_mean_lower(treated, trim)
         - float(np.mean(control_post))
@@ -120,7 +122,7 @@ def bounds_tau_nno(data, assumptions, support_overrides=None):
     both_pre = _cell_y(data, d=1, s0=1, s1=1, period=0)
     control_joiner_post = _cell_y(data, d=0, s0=0, s1=1, period=1)
     attrit_pre = _cell_y(data, d=0, s0=1, s1=0, period=0)
-    minima = _support_minima(data, support_overrides)
+    minima = _support_minima(data, ("y00_lb", "y01_lb", "y10_lb"), support_overrides)
     lb = (
         trimmed_mean_lower(joiner_post, p_nno1)
         - trimmed_mean_lower(both_pre, trim_ooo)
@@ -149,7 +151,7 @@ def bounds_tau_noo(data, assumptions, support_overrides=None):
     both_pre = _cell_y(data, d=1, s0=1, s1=1, period=0)
     control_joiner_post = _cell_y(data, d=0, s0=0, s1=1, period=1)
     control_both_pre = _cell_y(data, d=0, s0=1, s1=1, period=0)
-    minima = _support_minima(data, support_overrides)
+    minima = _support_minima(data, ("y00_lb", "y10_lb"), support_overrides)
     lb = (
         trimmed_mean_lower(joiner_post, trim)
         - trimmed_mean_lower(both_pre, p_ooo1)
@@ -164,4 +166,32 @@ def bounds_tau_noo(data, assumptions, support_overrides=None):
     )
     return _other_group_result(
         "tau_NOO", assumptions, lb, ub, mono, warns, minima, p_nno1=p_nno1
+    )
+
+
+def bounds_tau_oo_rcs(data, variant, assumptions):
+    """Both endpoints subtract the lower-trimmed control post-period mean,
+    exactly as the theorem display is printed; under monotonicity its share
+    is 1, and a mean trimmed at share 1 is the plain mean bit for bit.
+    Pre-period cell means enter untrimmed, added as one group.
+    """
+    if assumptions.monotone and assumptions.direction != "positive":
+        raise InvalidAssumptions("RCS bounds support positive monotonicity only")
+    weights = rcs_weights(data, variant, mono=assumptions.monotone)
+    treated_post = Sample(_rcs_cell(data, 1, 1))
+    control_post = _rcs_cell(data, 0, 1)
+    pre_terms = -mean(_rcs_cell(data, 1, 0)) + mean(_rcs_cell(data, 0, 0))
+    q11 = _require_positive("p_ooo1", weights.p_ooo1)
+    q01 = _require_positive("p_ooo0", weights.p_ooo0)
+    control_term = trimmed_mean_lower(control_post, q01)
+    lb = trimmed_mean_lower(treated_post, q11) - control_term + pre_terms
+    ub = trimmed_mean_upper(treated_post, q11) - control_term + pre_terms
+    return BoundsResult(
+        parameter="tau_OO_rcs",
+        assumptions=assumptions,
+        lb=lb,
+        ub=ub,
+        proportions=weights,
+        warnings=list(weights.warnings),
+        extras={"variant": variant},
     )

@@ -497,21 +497,64 @@ def test_formula_table_matches_written_out_bounds(rows, overrides):
         assert got.proportions.warnings == ref.proportions.warnings, (param, args)
 
 
+# one to five rows in each of the eight (d, t, s) cells but those drawn to be
+# empty; outcomes tied as often as not
+RCS_CELLS = [(d, t, s) for d in (0, 1) for t in (0, 1) for s in (0, 1)]
+
+
+@st.composite
+def sparse_rcs_rows(draw):
+    empty = draw(st.sets(st.sampled_from(RCS_CELLS), max_size=2))
+    sizes = [0 if cell in empty else draw(st.sampled_from(range(1, 6))) for cell in RCS_CELLS]
+    return [
+        (t, d, s, y if s else None)
+        for (d, t, s), size in zip(RCS_CELLS, sizes)
+        for y in draw(st.lists(_tied, min_size=size, max_size=size))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=sparse_rcs_rows())
+def test_formula_table_matches_written_out_rcs_bound(rows):
+    data = make_rcs(rows)
+    for variant in RCS_VARIANTS:
+        for aset in (WITHOUT_MONOTONICITY, MONO_POSITIVE, MONO_NEGATIVE):
+            ref = _result_or_error(reference_bounds.bounds_tau_oo_rcs, data, variant, aset)
+            got = _result_or_error(bounds_tau_oo_rcs, data, variant, aset)
+            assert type(got) is type(ref), (variant, aset, ref, got)
+            if isinstance(ref, Exception):
+                assert str(got) == str(ref), (variant, aset)
+                assert getattr(got, "context", None) == getattr(ref, "context", None)
+                continue
+            bits = lambda r: np.float64([r.lb, r.ub]).tobytes()
+            assert bits(got) == bits(ref), (variant, aset)
+            assert got.to_dict() == ref.to_dict(), (variant, aset)
+            assert got.proportions.warnings == ref.proportions.warnings, (variant, aset)
+
+
 def test_formula_table_reads_observed_cells_and_its_own_shares():
-    assert sorted(_FORMULAS) == ["tau_NNO", "tau_NOO", "tau_ONO", "tau_OOO"]
+    assert sorted(_FORMULAS) == ["tau_NNO", "tau_NOO", "tau_ONO", "tau_OOO", "tau_OO_rcs"]
     for parameter, row in _FORMULAS.items():
         shares = [name for name, _ in row.shares]
         assert len(set(shares)) == len(shares), parameter
-        for sign, statistic, sample, share in row.lb + row.ub:
+        rcs = parameter.endswith("_rcs")
+        for sign, statistic, sample, share in row.terms:
             assert sign in (1, -1), parameter
             if statistic == "min":
-                assert sample in SUPPORT_KEYS and share is None, parameter
+                assert not rcs and sample in SUPPORT_KEYS and share is None, parameter
                 continue
-            # a cell's outcome is observed in period 0 where s0 = 1, in period
-            # 1 where s1 = 1; an arm's Delta Y needs both
-            d, s0, s1, periods = ((sample[1], 1, 1, (0, 1)) if sample[0] == "dY"
-                                  else (*sample[:3], sample[3:]))
-            assert d in (0, 1) and all((s0, s1)[t] == 1 for t in periods), (parameter, sample)
+            # a repeated cross-section reads the observed rows of (d, t)
+            # cells, and nothing else; a panel never does
+            assert (sample[0] == "y") == rcs, (parameter, sample)
+            if rcs:
+                assert len(sample) == 3 and set(sample[1:]) <= {0, 1}, (parameter, sample)
+            else:
+                # a cell's outcome is observed in period 0 where s0 = 1, in
+                # period 1 where s1 = 1; an arm's Delta Y needs both
+                d, s0, s1, periods = ((sample[1], 1, 1, (0, 1)) if sample[0] == "dY"
+                                      else (*sample[:3], sample[3:]))
+                assert d in (0, 1) and all((s0, s1)[t] == 1 for t in periods), (parameter,
+                                                                                 sample)
             if statistic == "mean":
                 assert share is None, parameter
             else:
@@ -519,4 +562,14 @@ def test_formula_table_reads_observed_cells_and_its_own_shares():
     # the support minima each row's terms use: the overrides the CLI accepts
     assert {p: sorted(row.support_minima) for p, row in _FORMULAS.items()} == {
         "tau_OOO": [], "tau_ONO": ["y01_lb"], "tau_NNO": ["y00_lb", "y01_lb", "y10_lb"],
-        "tau_NOO": ["y00_lb", "y10_lb"]}
+        "tau_NOO": ["y00_lb", "y10_lb"], "tau_OO_rcs": []}
+    # the one group: the RCS pre-period means, -mean(y10) + mean(y00), last
+    # in both endpoints
+    pre_means = ((-1, "mean", ("y", 1, 0), None), (1, "mean", ("y", 0, 0), None))
+    groups = {p: [(end, k) for end, terms in (("lb", row.lb), ("ub", row.ub))
+                  for k, term in enumerate(terms) if isinstance(term[0], tuple)]
+              for p, row in _FORMULAS.items()}
+    assert groups == {**{p: [] for p in _FORMULAS}, "tau_OO_rcs": [("lb", 2), ("ub", 2)]}
+    rcs = _FORMULAS["tau_OO_rcs"]
+    assert rcs.lb[2] == rcs.ub[2] == pre_means
+    assert rcs.terms[2:4] == rcs.terms[-2:] == pre_means

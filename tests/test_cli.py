@@ -677,7 +677,7 @@ PUBLIC_SURFACE = {
     "oracle_true_values": ["config", "mc_draws", "seed"],
     "rcs_weights": ["data", "variant", "mono"],
     "run_monte_carlo": ["config", "reps", "assumption_sets", "coverage", "oracle_draws"],
-    "solve_c_n": ["delta", "tol"],
+    "solve_c_n": ["delta"],
     "strata_proportions": ["data"],
     "trimmed_mean_lower": ["values", "p"],
     "trimmed_mean_upper": ["values", "p"],
