@@ -474,6 +474,20 @@ def _result_or_error(fn, *args):
         return exc
 
 
+def _assert_matches_reference(reference_fn, fn, *args):
+    """``fn(*args)`` gives the reference's result bit for bit, or its error."""
+    ref, got = _result_or_error(reference_fn, *args), _result_or_error(fn, *args)
+    assert type(got) is type(ref), (args, ref, got)
+    if isinstance(ref, Exception):
+        assert str(got) == str(ref), args
+        assert getattr(got, "context", None) == getattr(ref, "context", None), args
+        return
+    bits = lambda r: np.float64([r.lb, r.ub]).tobytes()
+    assert bits(got) == bits(ref), args
+    assert got.to_dict() == ref.to_dict(), args
+    assert got.proportions.warnings == ref.proportions.warnings, args
+
+
 @settings(max_examples=150, deadline=None)
 @given(rows=sparse_panel_rows(),
        overrides=st.fixed_dictionaries({k: st.one_of(st.none(), outcomes) for k in SUPPORT_KEYS}))
@@ -484,17 +498,7 @@ def test_formula_table_matches_written_out_bounds(rows, overrides):
               for aset in ASSUMPTION_SETS for support in (None, overrides)]
     for param, args in calls:
         name = f"bounds_tau_{param}"
-        ref = _result_or_error(getattr(reference_bounds, name), panel, *args)
-        got = _result_or_error(globals()[name], panel, *args)
-        assert type(got) is type(ref), (param, args, ref, got)
-        if isinstance(ref, Exception):
-            assert str(got) == str(ref), (param, args)
-            assert getattr(got, "context", None) == getattr(ref, "context", None)
-            continue
-        bits = lambda r: np.float64([r.lb, r.ub]).tobytes()
-        assert bits(got) == bits(ref), (param, args)
-        assert got.to_dict() == ref.to_dict(), (param, args)
-        assert got.proportions.warnings == ref.proportions.warnings, (param, args)
+        _assert_matches_reference(getattr(reference_bounds, name), globals()[name], panel, *args)
 
 
 # one to five rows in each of the eight (d, t, s) cells but those drawn to be
@@ -519,17 +523,8 @@ def test_formula_table_matches_written_out_rcs_bound(rows):
     data = make_rcs(rows)
     for variant in RCS_VARIANTS:
         for aset in (WITHOUT_MONOTONICITY, MONO_POSITIVE, MONO_NEGATIVE):
-            ref = _result_or_error(reference_bounds.bounds_tau_oo_rcs, data, variant, aset)
-            got = _result_or_error(bounds_tau_oo_rcs, data, variant, aset)
-            assert type(got) is type(ref), (variant, aset, ref, got)
-            if isinstance(ref, Exception):
-                assert str(got) == str(ref), (variant, aset)
-                assert getattr(got, "context", None) == getattr(ref, "context", None)
-                continue
-            bits = lambda r: np.float64([r.lb, r.ub]).tobytes()
-            assert bits(got) == bits(ref), (variant, aset)
-            assert got.to_dict() == ref.to_dict(), (variant, aset)
-            assert got.proportions.warnings == ref.proportions.warnings, (variant, aset)
+            _assert_matches_reference(reference_bounds.bounds_tau_oo_rcs, bounds_tau_oo_rcs,
+                                      data, variant, aset)
 
 
 def test_formula_table_reads_observed_cells_and_its_own_shares():
