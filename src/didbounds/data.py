@@ -6,8 +6,10 @@ indicator is 1. A dataset, loaded or built in code, holds each column as a
 read-only numpy array of its class's ``_DTYPES``: a numeric array that has
 that dtype already and owns its data is frozen in place, not copied (a view is
 copied, since its base could still be written), and columns of unequal
-lengths are a ``ValidationError``. Datasets are immutable after construction
-and safe to share across threads.
+lengths are a ``ValidationError``. A loaded panel or cross-section keeps its
+ids packed in one string until ``ids`` is first read, which builds the
+object array once (``_PackedIds``, ``_gather_column``); no bound reads ids.
+Datasets are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import weakref
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, islice, pairwise, repeat
 
 import numpy as np
 
@@ -122,15 +124,44 @@ def _id_array(ids) -> np.ndarray:
 def _freeze_columns(self):
     """A dataset's columns as read-only arrays of its ``_DTYPES``, ``ids`` by
     ``_id_array``; an array that has its dtype and owns its data is frozen in
-    place, not copied. Columns of unequal lengths are a ``ValidationError``."""
-    columns = {name: _id_array(getattr(self, name)) if dtype is object
+    place, not copied. Ids a loader packed (``_PackedIds``) are kept so, as
+    ``_packed_ids``, until ``ids`` is read (``_gather_column``). Columns of
+    unequal lengths are a ``ValidationError``."""
+    ids = self.ids
+    packed = isinstance(ids, _PackedIds)
+    columns = {name: (ids if packed else _id_array(ids)) if dtype is object
                else _frozen_array(getattr(self, name), dtype)
                for name, dtype in self._DTYPES.items()}
     lengths = {name: len(column) for name, column in columns.items()}
     if len(set(lengths.values())) > 1:
         raise ValidationError(
             f"{type(self).__name__} columns differ in length: {lengths}", **lengths)
+    if packed:
+        del vars(self)["ids"]
+        columns["_packed_ids"] = columns.pop("ids")
     vars(self).update(columns)
+
+
+class _PackedIds:
+    """A file's ids as one string, each id's characters in turn, and each
+    id's offsets in it: 1 to 4 bytes a character and 8 bytes a row, against
+    about 59 bytes a row as one ``str`` each."""
+
+    __slots__ = ("text", "bounds")
+
+    def __init__(self, text: str, lengths: np.ndarray):
+        self.text = text
+        self.bounds = np.zeros(lengths.size + 1, np.intp)  # id i is text[bounds[i]:bounds[i+1]]
+        np.cumsum(lengths, out=self.bounds[1:])
+
+    def __len__(self) -> int:
+        return self.bounds.size - 1
+
+    def unpack(self) -> np.ndarray:
+        """The ids as a read-only object array of ``str`` (``_str_ids``)."""
+        text = self.text
+        ids = np.array([text[a:b] for a, b in pairwise(self.bounds.tolist())], object)
+        return _str_ids(_frozen_array(ids))
 
 
 def _take_rows(self, indices):
@@ -153,16 +184,27 @@ def _take_rows(self, indices):
 
 
 def _gather_column(self, name):
-    """A taken dataset's column ``name``, gathered from its parent and kept.
+    """A column built on its first read and kept: a loaded dataset's ``ids``
+    unpacked from ``_packed_ids``, which is then dropped, or a taken dataset's
+    column gathered from its parent.
 
     Reached only for attributes the instance does not hold, so anything but
-    a not-yet-read column of a taken dataset raises at once.
+    such a column raises at once.
     """
-    parent, rows = vars(self).get("_rows", (None, None))
+    state = vars(self)
+    packed = state.get("_packed_ids") if name == "ids" else None
+    if packed is not None:
+        # the first thread to store its array wins, so every reader gets one array
+        value = state.setdefault(name, packed.unpack())
+        state.pop("_packed_ids", None)
+        return value
+    if name in state:  # another thread built it after this lookup missed it
+        return state[name]
+    parent, rows = state.get("_rows", (None, None))
     if rows is None or name not in self.__dataclass_fields__:
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
     value = _frozen_array(getattr(parent, name)[rows])
-    vars(self)[name] = value
+    state[name] = value
     return value
 
 
@@ -312,6 +354,9 @@ _BINARY = frozenset(("0", "1"))
 # records read and converted at a time (see _read_columns)
 _BLOCK = 4096
 
+# bytes read at a time from a file whose lines end in a lone \r (see _any_lines)
+_CHUNK = 1 << 16
+
 # a line as reading a file with newline="" gives it: up to \r\n, \r or \n
 _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
@@ -329,19 +374,46 @@ def _line_breaks(raw: bytes) -> int:
     return ends
 
 
+def _lone_cr_first(fh) -> bool:
+    """Whether the first line end in the buffered start of binary file ``fh``
+    is a ``\\r`` not before a ``\\n`` (old Mac line ends)."""
+    start = fh.peek()
+    cr, lf = start.find(b"\r"), start.find(b"\n")
+    return 0 <= cr < len(start) - 1 and start[cr + 1] != ord("\n") and not 0 <= lf < cr
+
+
+def _any_lines(fh):
+    """A binary file's lines, each with its end: ``\\r\\n``, ``\\r`` or ``\\n``.
+
+    The last line of each read is kept for the next, so a ``\\r\\n`` is never
+    cut. A read is at least as long as that line, so a line that spans many
+    reads is copied in all about twice its length.
+    """
+    tail = b""
+    while chunk := fh.read(max(_CHUNK, len(tail))):
+        *lines, tail = (tail + chunk).splitlines(keepends=True)
+        yield from lines
+    if tail:
+        yield tail
+
+
 def _texts(fh):
     """A binary file's text: its first line, then pieces of ``_BLOCK`` lines.
 
-    Each piece ends with a ``\\n`` (the last perhaps not) and is decoded on
-    its own, which is how the whole text would decode: no UTF-8 sequence
-    holds a ``\\n`` byte. A leading byte-order mark is dropped. A byte that
-    is not UTF-8 raises ``MalformedRow`` on its line.
+    Lines end as iterating the file gives them, at each ``\\n``; a file whose
+    first line ends in a lone ``\\r`` is cut at every line end instead
+    (``_any_lines``), so that it too is read a piece at a time. Each piece ends
+    with a line end (the last perhaps not) and is decoded on its own, which
+    is how the whole text would decode: no UTF-8 sequence holds a ``\\n`` or
+    ``\\r`` byte. A leading byte-order mark is dropped. A byte that is not
+    UTF-8 raises ``MalformedRow`` on its line.
     """
     line = 1
-    head = fh.readline()
+    lines = _any_lines(fh) if _lone_cr_first(fh) else fh
+    head = next(lines, b"")
     if head.startswith(codecs.BOM_UTF8):
         head = head[len(codecs.BOM_UTF8):]
-    for piece in chain([head], iter(lambda: b"".join(islice(fh, _BLOCK)), b"")):
+    for piece in chain([head], iter(lambda: b"".join(islice(lines, _BLOCK)), b"")):
         try:
             text = piece.decode()
         except UnicodeDecodeError as exc:
@@ -353,15 +425,16 @@ def _texts(fh):
 
 
 def _plain(text: str) -> bool:
-    """Whether ``text`` has no ``"`` and no ``\\r`` outside a ``\\r\\n``, so
-    that a line is a record whose fields are split on ``,``."""
-    return '"' not in text and ("\r" not in text or text.count("\r") == text.count("\r\n"))
+    """Whether ``text`` has no ``"``, and either no ``\\r`` outside a ``\\r\\n``
+    or no ``\\n``, so that a line is a record whose fields are split on ``,``."""
+    return '"' not in text and ("\r" not in text or text.count("\r") == text.count("\r\n")
+                                or "\n" not in text)
 
 
 def _lines(text: str) -> list:
     """The lines of plain text, without their ends."""
     if "\r" in text:
-        text = text.replace("\r\n", "\n")
+        text = text.replace("\r\n", "\n") if "\n" in text else text.replace("\r", "\n")
     lines = text.split("\n")
     if lines[-1] == "":  # the newline that ends the text
         lines.pop()
@@ -481,8 +554,16 @@ def _read_columns(path, header, convert):
     checks = [_joined(check) for check in zip(*(checks for _, checks in parts))]
     del parts
     # each column's blocks are dropped as soon as it is joined
-    arrays = [_frozen_array(np.concatenate(columns.pop(0))) for _ in range(len(columns))]
+    arrays = [_joined_column(columns.pop(0)) for _ in range(len(columns))]
     return arrays, checks, error
+
+
+def _joined_column(parts):
+    """A column of the whole file from its blocks: ``str`` blocks are joined,
+    array blocks concatenated into one read-only array."""
+    if isinstance(parts[0], str):
+        return "".join(parts)
+    return _frozen_array(np.concatenate(parts))
 
 
 def _convert_blocks(blocks, k, convert) -> tuple:
@@ -628,12 +709,14 @@ def _outcome(fields, s, col):
 
 def _header_block(header, columns, start):
     """A block of a panel or cross-section file, converted column by column
-    in header order: the ids, each 0/1 column by ``_binary`` and each outcome
-    ``y…`` by ``_outcome`` with its selection column ``s…``."""
+    in header order: the ids as one string and each id's length, each 0/1
+    column by ``_binary`` and each outcome ``y…`` by ``_outcome`` with its
+    selection column ``s…``."""
     arrays, checks = {}, []
     for col, fields in zip(header, columns):
         if col == "id":
-            arrays[col] = np.array(fields, object)
+            arrays[col] = "".join(fields)
+            arrays["id lengths"] = np.fromiter(map(len, fields), np.intp, len(fields))
         elif col.startswith("y"):
             arrays[col], col_checks = _outcome(fields, arrays["s" + col[1:]], col)
             checks += col_checks
@@ -647,16 +730,16 @@ def load_panel_csv(path) -> PanelDataset:
     columns, checks, width_error = _read_columns(path, PANEL_HEADER,
                                                  partial(_header_block, PANEL_HEADER))
     _raise_first(checks, width_error)
-    ids, *rest = columns
-    return PanelDataset.from_records(_str_ids(ids), *rest)
+    text, lengths, *rest = columns
+    return PanelDataset.from_records(_PackedIds(text, lengths), *rest)
 
 
 def load_rcs_csv(path) -> RcsDataset:
     columns, checks, width_error = _read_columns(path, RCS_HEADER,
                                                  partial(_header_block, RCS_HEADER))
     _raise_first(checks, width_error)
-    ids, *rest = columns
-    data = RcsDataset(_str_ids(ids), *rest)
+    text, lengths, *rest = columns
+    data = RcsDataset(_PackedIds(text, lengths), *rest)
     if not 0.0 < data.lam < 1.0:
         raise DegenerateSampling(
             f"post-period sampling share must lie strictly in (0,1), got {data.lam}",

@@ -513,6 +513,29 @@ CI_COMMANDS = sorted(c for c in GOLDEN_COMMANDS if "--ci" in c) + [
     "bounds-rcs --data RCS --variant level --assumptions mono-pos --ci union --boot 30 --seed 6"]
 
 
+def _no_ids(packed):
+    raise AssertionError("a command built a loaded dataset's ids")
+
+
+# every golden command that loads a panel or a repeated cross-section: none
+# reads a unit's id, so none builds a loaded dataset's ids
+ID_FREE_COMMANDS = [c for c in sorted(GOLDEN_COMMANDS) if "PANEL" in c or "RCS" in c] + [
+    f"{c} --data PANEL" for c in sorted(GOLDEN)]
+
+
+@pytest.mark.parametrize("command", ID_FREE_COMMANDS)
+def test_commands_never_build_ids(tmp_path, capsys, monkeypatch, command):
+    files = _golden_inputs(tmp_path)
+    argv = [files.get(a, a) for a in command.split()]
+    want = (0, GOLDEN_COMMANDS.get(command) or GOLDEN[command.removesuffix(" --data PANEL")], "")
+    monkeypatch.setattr(didbounds.data._PackedIds, "unpack", _no_ids)
+    assert _run(capsys, argv) == want
+    if "--ci" in command:  # two workers and one replicate per task, as below
+        monkeypatch.setattr(core, "_worker_count", lambda: 2)
+        monkeypatch.setattr(inference, "_BOOT_DRAWS", 1)
+        assert _run(capsys, argv) == want
+
+
 @pytest.mark.parametrize("command", CI_COMMANDS)
 def test_forked_bootstrap_matches_in_process_stdout(tmp_path, capsys, monkeypatch, command):
     files = _golden_inputs(tmp_path)

@@ -1,4 +1,8 @@
 import codecs
+import io
+import pickle
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -17,14 +21,20 @@ from didbounds import (
     MultiPeriodPanel,
     PanelDataset,
     RcsDataset,
+    BootstrapSpec,
     StaggeredTarget,
+    bootstrap_ses,
     bounds_staggered,
+    bounds_tau_oo_rcs,
+    bounds_tau_ooo,
     load_multi_csv,
     load_panel_csv,
     load_rcs_csv,
     write_panel_csv,
 )
+from didbounds import core
 from didbounds import data as data_module
+from didbounds import inference
 from didbounds.data import MULTI_HEADER, PANEL_HEADER, RCS_HEADER
 from didbounds.errors import (
     DataWarning,
@@ -506,14 +516,26 @@ def csv_cases(draw):
 
 
 def _texts(header, records):
-    """The file written plain, with quoted fields, with CRLF line ends, and
-    without a trailing newline. A blank line stays blank in every one."""
+    """The file written plain, with quoted fields, with CRLF line ends, with
+    lone CR line ends, and without a trailing newline. A blank line stays
+    blank in every one."""
     lines = [header] + records
     plain = "\n".join(",".join(r) for r in lines)
     yield plain + "\n"
     yield "\n".join(",".join(f'"{f}"' for f in r) for r in lines) + "\n"
     yield "\r\n".join(",".join(r) for r in lines) + "\r\n"
+    yield "\r".join(",".join(r) for r in lines) + "\r"
     yield plain
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.binary().map(lambda b: bytes(b"\r\na,"[k % 4] for k in b)),
+       chunk=st.integers(1, 5))
+def test_any_lines_cuts_at_every_line_end(raw, chunk):
+    # a \r\n is one line end, even when it spans two reads
+    with mock.patch.object(data_module, "_CHUNK", chunk):
+        got = list(data_module._any_lines(io.BytesIO(raw)))
+    assert got == raw.splitlines(keepends=True)
 
 
 def _load(load, path):
@@ -574,7 +596,8 @@ def test_loaders_match_row_by_row_reference(case, tmp_path_factory):
         path.write_bytes(text.encode("utf-8"))
         want, want_warnings = _load(reference, path)
         for block in (1, 3, data_module._BLOCK):
-            with mock.patch.object(data_module, "_BLOCK", block):
+            # reads of as many bytes cut a file with lone CR line ends mid-line
+            with mock.patch.multiple(data_module, _BLOCK=block, _CHUNK=block):
                 got, got_warnings = _load(load, path)
             assert got_warnings == want_warnings
             assert type(got) is type(want)
@@ -659,7 +682,7 @@ def _valid_csv(kind, n, newline):
     return newline.join([",".join(LOADERS[kind][0])] + lines) + newline
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("kind", sorted(LOADERS))
 def test_load_memory_follows_the_dataset(kind, newline, tmp_path):
     # a load holds one block of field strings at a time and never the whole
@@ -715,3 +738,134 @@ def test_written_panel_has_lf_line_ends_and_reloads_equal(rows, tmp_path_factory
         a, b = getattr(again, field.name), getattr(data, field.name)[order]
         assert a.dtype == b.dtype
         assert a.tolist() == b.tolist() if b.dtype == object else a.tobytes() == b.tobytes()
+
+
+# --- a loaded dataset's ids, kept as one string until read ---
+
+# per loader of a panel or a cross-section: a bound that reads no id
+ID_FREE_BOUNDS = {
+    "panel": lambda data: bounds_tau_ooo(data, MONO_POSITIVE),
+    "rcs": lambda data: bounds_tau_oo_rcs(data, "TrendEquality", MONO_POSITIVE),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", sorted(ID_FREE_BOUNDS))
+def test_loaded_ids_are_built_on_first_read(kind, workers, tmp_path, monkeypatch):
+    path = tmp_path / "valid.csv"
+    path.write_bytes(_valid_csv(kind, 300, "\n").encode("ascii"))
+    data = LOADERS[kind][1](path)
+    bound = ID_FREE_BOUNDS[kind]
+    assert "ids" not in vars(data)
+    bound(data)
+    assert "ids" not in vars(data)
+    # in-process, and on two workers with one replicate per task
+    monkeypatch.setattr(core, "_worker_count", lambda: workers)
+    monkeypatch.setattr(inference, "_BOOT_DRAWS", 1)
+    bootstrap_ses(data, bound, BootstrapSpec(reps=20, seed=3))
+    assert "ids" not in vars(data)
+    ids = data.ids
+    assert ids.tolist() == LOADERS[kind][2](path).ids.tolist()
+    assert not ids.flags.writeable and "_packed_ids" not in vars(data)
+    assert data.ids is ids and data_module._id_array(ids) is ids
+
+
+def test_ids_of_a_take_are_those_of_the_loaded_rows(tmp_path):
+    path = tmp_path / "valid.csv"
+    path.write_bytes(_valid_csv("panel", 300, "\n").encode("ascii"))
+    data = load_panel_csv(path)
+    idx = [7, 7, 0, 299, 3]
+    sample = data.take(idx)
+    ids = sample.ids  # gathered from the parent's, which this builds
+    assert "ids" in vars(data) and ids.tolist() == data.ids[idx].tolist()
+    assert sample.take([4, 0]).ids.tolist() == data.ids[[3, 7]].tolist()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("kind", sorted(ID_FREE_BOUNDS))
+def test_loaded_ids_match_reference_loader(kind, newline, tmp_path):
+    # 1-, 2- and 4-byte characters, in one id and across blocks; empty ids;
+    # and quoted ids that hold the delimiter or a line end
+    header, load, reference = LOADERS[kind]
+    ids = ["a", "", "caf\u00e9", "\u0100x", "", "\U0001f600", "x,y", "two\nlines",
+           "cr\rinside", 'q"uote', "\u00e9\u0100\U0001f600", "7", ""]
+    rows = [[i, "1", "1", "1", "1.0", "2.0"] if kind == "panel" else [i, str(k % 2), "1", "1", "1.0"]
+            for k, i in enumerate(ids)]
+    quote = lambda f: '"' + f.replace('"', '""') + '"' if set(f) & set(',"\r\n') else f
+    text = newline.join(",".join(map(quote, r)) for r in [header] + rows) + newline
+    path = tmp_path / "ids.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = reference(path).ids.tolist()
+    assert want == ids
+    for block in (1, 3, data_module._BLOCK):
+        with mock.patch.object(data_module, "_BLOCK", block):
+            data = load(path)
+        assert data.ids.tolist() == want
+        assert all(type(i) is str for i in data.ids)
+    if kind == "panel":
+        # the writer's csv.writer quotes an id with a \n but not one with a
+        # lone \r, which then reads back as two records
+        again, kept = tmp_path / "again.csv", [k for k, i in enumerate(ids) if "\r" not in i]
+        write_panel_csv(load(path).take(kept), again)
+        assert load_panel_csv(again).ids.tolist() == sorted(ids[k] for k in kept)
+
+
+@pytest.mark.parametrize("kind", sorted(ID_FREE_BOUNDS))
+def test_loaded_dataset_pickles_before_and_after_its_ids_are_read(kind, tmp_path):
+    path = tmp_path / "valid.csv"
+    path.write_bytes(_valid_csv(kind, 300, "\n").encode("ascii"))
+    data = LOADERS[kind][1](path)
+    before = pickle.loads(pickle.dumps(data))
+    assert "ids" not in vars(before)
+    data.ids  # read: the ids are an array from now on
+    after = pickle.loads(pickle.dumps(data))
+    assert "_packed_ids" not in vars(after)
+    for copy in (before, after):
+        for field in fields(data):
+            a, b = getattr(copy, field.name), getattr(data, field.name)
+            assert a.dtype == b.dtype
+            assert a.tolist() == b.tolist() if b.dtype == object else a.tobytes() == b.tobytes()
+
+
+def test_concurrent_first_reads_of_ids_get_one_array(tmp_path):
+    path = tmp_path / "valid.csv"
+    path.write_bytes(_valid_csv("panel", 20_000, "\n").encode("ascii"))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            data = load_panel_csv(path)
+            start, got = threading.Barrier(8), []
+
+            def read():
+                start.wait(timeout=30)
+                got.append(data.ids)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(got) == 8 and all(ids is data.ids for ids in got)
+            assert "_packed_ids" not in vars(data) and data.ids.size == 20_000
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("kind", sorted(ID_FREE_BOUNDS))
+def test_loaded_dataset_keeps_its_ids_compact(kind, tmp_path):
+    # ids "u0".."u99999" kept as one string and its offsets, beside the 0/1
+    # and outcome columns, take about 33 bytes a row; a str object per id
+    # would take about 78
+    n = 100_000
+    path = tmp_path / "valid.csv"
+    path.write_bytes(_valid_csv(kind, n, "\n").encode("ascii"))
+    tracemalloc.start()
+    try:
+        data = LOADERS[kind][1](path)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert data.n == n
+    assert retained < 45 * n
