@@ -145,7 +145,7 @@ def _freeze_columns(self):
 class _PackedIds:
     """A file's ids as one string, each id's characters in turn, and each
     id's offsets in it: 1 to 4 bytes a character and 8 bytes a row, against
-    about 59 bytes a row as one ``str`` each."""
+    about 60 bytes a row as one ``str`` each."""
 
     __slots__ = ("text", "bounds")
 
