@@ -10,6 +10,10 @@ lengths are a ``ValidationError``. A loaded panel or cross-section keeps its
 ids packed in one string until ``ids`` is first read, which builds the
 object array once (``_PackedIds``, ``_gather_column``); no bound reads ids.
 Datasets are immutable after construction and safe to share across threads.
+
+A CSV file is read in pieces of about ``_CHUNK`` bytes, each cut at a line
+end, ``\\r\\n``, ``\\r`` or ``\\n`` alike (``_texts``), so a file with any
+line ends is loaded a piece at a time through the same code.
 """
 
 from __future__ import annotations
@@ -351,18 +355,18 @@ class MultiPeriodPanel:
 
 _BINARY = frozenset(("0", "1"))
 
-# records read and converted at a time (see _read_columns)
+# records converted at a time from a file that has a '"' (see _quoted_blocks)
 _BLOCK = 4096
 
-# bytes read at a time from a file whose lines end in a lone \r (see _any_lines)
-_CHUNK = 1 << 16
+# bytes read at a time (see _texts)
+_CHUNK = 1 << 17
 
 # a line as reading a file with newline="" gives it: up to \r\n, \r or \n
 _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 
 def _fields(line: str) -> list:
-    """A line's fields as ``csv.reader`` gives them when it has no ``"`` or ``\\r``."""
+    """A line's fields as ``csv.reader`` gives them when it has no ``"``."""
     return line.split(",") if line else []
 
 
@@ -374,46 +378,26 @@ def _line_breaks(raw: bytes) -> int:
     return ends
 
 
-def _lone_cr_first(fh) -> bool:
-    """Whether the first line end in the buffered start of binary file ``fh``
-    is a ``\\r`` not before a ``\\n`` (old Mac line ends)."""
-    start = fh.peek()
-    cr, lf = start.find(b"\r"), start.find(b"\n")
-    return 0 <= cr < len(start) - 1 and start[cr + 1] != ord("\n") and not 0 <= lf < cr
-
-
-def _any_lines(fh):
-    """A binary file's lines, each with its end: ``\\r\\n``, ``\\r`` or ``\\n``.
-
-    The last line of each read is kept for the next, so a ``\\r\\n`` is never
-    cut. A read is at least as long as that line, so a line that spans many
-    reads is copied in all about twice its length.
-    """
-    tail = b""
-    while chunk := fh.read(max(_CHUNK, len(tail))):
-        *lines, tail = (tail + chunk).splitlines(keepends=True)
-        yield from lines
-    if tail:
-        yield tail
-
-
 def _texts(fh):
-    """A binary file's text: its first line, then pieces of ``_BLOCK`` lines.
+    """A binary file's text, in pieces of about ``_CHUNK`` bytes.
 
-    Lines end as iterating the file gives them, at each ``\\n``; a file whose
-    first line ends in a lone ``\\r`` is cut at every line end instead
-    (``_any_lines``), so that it too is read a piece at a time. Each piece ends
-    with a line end (the last perhaps not) and is decoded on its own, which
-    is how the whole text would decode: no UTF-8 sequence holds a ``\\n`` or
-    ``\\r`` byte. A leading byte-order mark is dropped. A byte that is not
-    UTF-8 raises ``MalformedRow`` on its line.
+    Each read is cut after its last line end, ``\\n`` or ``\\r``; the rest
+    waits for the next read, and so does a ``\\r`` that ends the read, so a
+    ``\\r\\n`` is never split. A read is at least as long as what waits, so a
+    line that spans many reads is copied in all about twice its length. Each
+    piece ends with a line end (the last perhaps not) and is decoded on its
+    own, which is how the whole text would decode: no UTF-8 sequence holds a
+    ``\\n`` or ``\\r`` byte. A leading byte-order mark is dropped. A byte that
+    is not UTF-8 raises ``MalformedRow`` on its line.
     """
-    line = 1
-    lines = _any_lines(fh) if _lone_cr_first(fh) else fh
-    head = next(lines, b"")
-    if head.startswith(codecs.BOM_UTF8):
-        head = head[len(codecs.BOM_UTF8):]
-    for piece in chain([head], iter(lambda: b"".join(islice(lines, _BLOCK)), b"")):
+    line, tail = 1, b""
+    reads = iter(lambda: fh.read(max(_CHUNK, len(tail))), b"")
+    for chunk in chain(reads, [b""]):  # b"": the file has ended, and what waits ends it
+        raw = tail + chunk
+        cut = max(raw.rfind(b"\n"), raw.rfind(b"\r", 0, -1)) + 1 if chunk else len(raw)
+        piece, tail = raw[:cut], raw[cut:]
+        if line == 1 and piece.startswith(codecs.BOM_UTF8):  # no earlier piece held a byte
+            piece = piece[len(codecs.BOM_UTF8):]
         try:
             text = piece.decode()
         except UnicodeDecodeError as exc:
@@ -425,16 +409,15 @@ def _texts(fh):
 
 
 def _plain(text: str) -> bool:
-    """Whether ``text`` has no ``"``, and either no ``\\r`` outside a ``\\r\\n``
-    or no ``\\n``, so that a line is a record whose fields are split on ``,``."""
-    return '"' not in text and ("\r" not in text or text.count("\r") == text.count("\r\n")
-                                or "\n" not in text)
+    """Whether ``text`` has no ``"``, so that a line is a record whose fields
+    are split on ``,``."""
+    return '"' not in text
 
 
 def _lines(text: str) -> list:
     """The lines of plain text, without their ends."""
     if "\r" in text:
-        text = text.replace("\r\n", "\n") if "\n" in text else text.replace("\r", "\n")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if lines[-1] == "":  # the newline that ends the text
         lines.pop()
@@ -480,10 +463,10 @@ def _blocks(texts):
 
     Each block is ``(records, widths, split)``: ``split(records, k)`` gives
     the fields of records that are all ``k`` wide, by column. Plain texts
-    (``_plain``) are split on ``\\n`` and ``,``, which is what ``csv.reader``'s
-    excel dialect makes of them, a blank line included (a record with no
-    fields; its width reads 1). From the first text that is not plain on,
-    the rest of the file goes through one ``csv.reader``.
+    (``_plain``) are split at every line end and on ``,``, which is what
+    ``csv.reader``'s excel dialect makes of them, a blank line included (a
+    record with no fields; its width reads 1). From the first text that is
+    not plain on, the rest of the file goes through one ``csv.reader``.
     """
     head = next(texts, None)
     if head is None:
@@ -491,9 +474,10 @@ def _blocks(texts):
     if not _plain(head):
         records = _records(chain([head], texts), 0)
         return next(records, None), _quoted_blocks(records)
-    head = _lines(head)[0]
-    _check_field_limit([head], 1)
-    return _fields(head), _plain_blocks(texts)
+    end = _LINE.match(head).end()  # the header line, which the rest of the text follows
+    line = head[:end].rstrip("\r\n")
+    _check_field_limit([line], 1)
+    return _fields(line), _plain_blocks(chain([head[end:]] if end < len(head) else [], texts))
 
 
 def _plain_blocks(texts):
@@ -517,15 +501,16 @@ def _quoted_blocks(records):
 def _read_columns(path, header, convert):
     """A CSV file's data records, read and converted a block at a time.
 
-    The file is read once, ``_BLOCK`` lines at a time (``_texts``), and its
-    records are split into fields ``_BLOCK`` at a time (``_blocks``). A
-    block's fields go to ``convert(columns, start)``, by column, with the
-    index of the block's first record; records are numbered from 2, after
-    the header. ``convert`` returns the block's typed arrays and its record
-    checks (see ``_raise_first``), whose faults quote no field but the first
-    each check rejects. Then the block's strings are dropped, but for those
-    ``convert`` keeps in an array, so that a load holds about one block of
-    field strings at a time.
+    The file is read once, about ``_CHUNK`` bytes at a time (``_texts``), and
+    each piece's records are split into fields (``_blocks``; ``_BLOCK``
+    records at a time once a ``"`` is met). A block's fields go to
+    ``convert(columns, start)``, by column, with the index of the block's
+    first record; records are numbered from 2, after the header. ``convert``
+    returns the block's typed arrays and its record checks (see
+    ``_raise_first``), whose faults quote no field but the first each check
+    rejects. Then the block's strings are dropped, but for those ``convert``
+    keeps in an array, so that a load holds about one block of field strings
+    at a time.
 
     Returns the arrays of the whole file, its checks, and the
     ``MalformedRow`` of the first record with the wrong number of fields or
@@ -828,13 +813,16 @@ def _format_outcome(v) -> str:
 
 
 def write_panel_csv(data: PanelDataset, path) -> None:
-    """Canonical writer: rows sorted by id, shortest round-trip floats, LF line ends."""
+    """Canonical writer: rows sorted by id, shortest round-trip floats, LF line
+    ends; every field of a row whose id holds a ``\\r`` is quoted."""
     order = sorted(range(data.n), key=data.ids.__getitem__)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # csv.writer quotes a field with a "\n", but not one with a lone "\r"
+        quoting = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(PANEL_HEADER)
         for i in order:
-            writer.writerow(
+            (quoting if "\r" in data.ids[i] else writer).writerow(
                 [
                     data.ids[i],
                     int(data.d[i]),

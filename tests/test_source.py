@@ -35,3 +35,43 @@ def test_module_uses_every_name_it_imports(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imports(tree).items() if name not in used}
     assert unused == {}, f"{module} imports names it does not use (name: line)"
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Each ``_name`` but a dunder that a module-level statement defines, with its line."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            continue
+        defined.update({name: node.lineno for name in names
+                        if name.startswith("_") and not name.endswith("__")})
+    return defined
+
+
+def _reads(tree: ast.Module) -> set:
+    """Each name ``tree`` reads: a loaded name, an attribute or an imported name."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def test_every_private_name_is_used():
+    # a use in the tests alone does not count: the package must read the name
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    reads = set().union(*map(_reads, trees.values()))
+    unused = {f"{module}:{line}": name for module, tree in trees.items()
+              for name, line in _private_definitions(tree).items() if name not in reads}
+    assert unused == {}, "private names the package never reads (module:line: name)"
