@@ -6,14 +6,18 @@ indicator is 1. A dataset, loaded or built in code, holds each column as a
 read-only numpy array of its class's ``_DTYPES``: a numeric array that has
 that dtype already and owns its data is frozen in place, not copied (a view is
 copied, since its base could still be written), and columns of unequal
-lengths are a ``ValidationError``. A loaded panel or cross-section keeps its
-ids packed in one string until ``ids`` is first read, which builds the
-object array once (``_PackedIds``, ``_gather_column``); no bound reads ids.
-Datasets are immutable after construction and safe to share across threads.
+lengths are a ``ValidationError``. A loaded dataset keeps its ids packed
+until ``ids`` is first read, which builds the object array once
+(``_gather_column``): a panel's or cross-section's as one text and offsets
+(``_PackedIds``), a staggered panel's as its units' codes (``_UnitIds``).
+No bound reads ids. Datasets are immutable after construction and safe to
+share across threads.
 
 A CSV file is read in pieces of about ``_CHUNK`` bytes, each cut at a line
 end, ``\\r\\n``, ``\\r`` or ``\\n`` alike (``_texts``), so a file with any
-line ends is loaded a piece at a time through the same code.
+line ends is loaded a piece at a time through the same code. Each column of
+the file is one array, grown as each piece's records are converted
+(``_grown``).
 """
 
 from __future__ import annotations
@@ -128,11 +132,11 @@ def _id_array(ids) -> np.ndarray:
 def _freeze_columns(self):
     """A dataset's columns as read-only arrays of its ``_DTYPES``, ``ids`` by
     ``_id_array``; an array that has its dtype and owns its data is frozen in
-    place, not copied. Ids a loader packed (``_PackedIds``) are kept so, as
-    ``_packed_ids``, until ``ids`` is read (``_gather_column``). Columns of
+    place, not copied. Ids a loader packed (``_PackedIds``, ``_UnitIds``) are
+    kept so, as ``_packed_ids``, until ``ids`` is read (``_gather_column``). Columns of
     unequal lengths are a ``ValidationError``."""
     ids = self.ids
-    packed = isinstance(ids, _PackedIds)
+    packed = isinstance(ids, (_PackedIds, _UnitIds))
     columns = {name: (ids if packed else _id_array(ids)) if dtype is object
                else _frozen_array(getattr(self, name), dtype)
                for name, dtype in self._DTYPES.items()}
@@ -147,25 +151,52 @@ def _freeze_columns(self):
 
 
 class _PackedIds:
-    """A file's ids as one string, each id's characters in turn, and each
-    id's offsets in it: 1 to 4 bytes a character and 8 bytes a row, against
-    about 60 bytes a row as one ``str`` each."""
+    """A file's ids as one UTF-8 text, each id's characters in turn, and each
+    id's offsets in it, in characters: 1 to 4 bytes a character and 8 bytes a
+    row, against about 60 bytes a row as one ``str`` each. A loader adds each
+    block's ids as it converts the block (``extend``), and both arrays grow in
+    place (``_grown``)."""
 
     __slots__ = ("text", "bounds")
 
-    def __init__(self, text: str, lengths: np.ndarray):
-        self.text = text
-        self.bounds = np.zeros(lengths.size + 1, np.intp)  # id i is text[bounds[i]:bounds[i+1]]
-        np.cumsum(lengths, out=self.bounds[1:])
+    def __init__(self):
+        self.text = np.empty(0, np.uint8)
+        self.bounds = np.zeros(1, np.intp)  # id i is text[bounds[i]:bounds[i+1]]
+
+    def extend(self, ids: list) -> None:
+        """Add ``ids`` after those held."""
+        ends = np.fromiter(map(len, ids), np.intp, len(ids))
+        np.cumsum(ends, out=ends)
+        ends += self.bounds[-1]
+        self.bounds = _grown(self.bounds, ends)
+        self.text = _grown(self.text, np.frombuffer("".join(ids).encode(), np.uint8))
 
     def __len__(self) -> int:
         return self.bounds.size - 1
 
     def unpack(self) -> np.ndarray:
         """The ids as a read-only object array of ``str`` (``_str_ids``)."""
-        text = self.text
+        text = str(self.text, "utf-8")
         ids = np.array([text[a:b] for a, b in pairwise(self.bounds.tolist())], object)
         return _str_ids(_frozen_array(ids))
+
+
+class _UnitIds:
+    """A loaded staggered panel's ids as its units' ids and each row's
+    index into them: the arrays of its ``_units``, which it keeps anyway."""
+
+    __slots__ = ("names", "codes")
+
+    def __init__(self, names: np.ndarray, codes: np.ndarray):
+        self.names, self.codes = names, codes
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    def unpack(self) -> np.ndarray:
+        """Each row's id, as a read-only object array in which every row of a
+        unit holds the unit's one ``str`` (``_str_ids``)."""
+        return _str_ids(_frozen_array(self.names[self.codes]))
 
 
 def _take_rows(self, indices):
@@ -352,10 +383,13 @@ class MultiPeriodPanel:
         """Distinct ids in the order they first appear in the rows."""
         return tuple(self._units[0])
 
+    __getattr__ = _gather_column
+
 
 _BINARY = frozenset(("0", "1"))
 
-# records converted at a time from a file that has a '"' (see _quoted_blocks)
+# records converted at a time from a file that has a '"' (see _quoted_blocks),
+# and rows coded at a time (see _unit_codes)
 _BLOCK = 4096
 
 # bytes read at a time (see _texts)
@@ -450,19 +484,25 @@ def _records(texts, lines_before: int):
 
 
 def _plain_columns(lines: list, k: int) -> list:
-    flat = ",".join(lines).split(",") if lines else []
+    text = ",".join(lines)
+    lines.clear()  # each line's string is dropped before its fields are made
+    flat = text.split(",") if text else []
+    del text
     return [flat[j::k] for j in range(k)]
 
 
 def _quoted_columns(records: list, k: int) -> list:
-    return list(zip(*records)) or [()] * k
+    columns = list(zip(*records)) or [()] * k
+    records.clear()
+    return columns
 
 
 def _blocks(texts):
     """The header's fields and the record blocks of a file's texts.
 
     Each block is ``(records, widths, split)``: ``split(records, k)`` gives
-    the fields of records that are all ``k`` wide, by column. Plain texts
+    the fields of records that are all ``k`` wide, by column, and empties
+    ``records``. Plain texts
     (``_plain``) are split at every line end and on ``,``, which is what
     ``csv.reader``'s excel dialect makes of them, a blank line included (a
     record with no fields; its width reads 1). From the first text that is
@@ -508,16 +548,18 @@ def _read_columns(path, header, convert):
     first record; records are numbered from 2, after the header. ``convert``
     returns the block's typed arrays and its record checks (see
     ``_raise_first``), whose faults quote no field but the first each check
-    rejects. Then the block's strings are dropped, but for those ``convert``
-    keeps in an array, so that a load holds about one block of field strings
-    at a time.
+    rejects. Each array is written at the end of its column of the file as
+    soon as it is made (``_convert_blocks``). Then the block's strings are
+    dropped, but for those ``convert`` keeps, so that a load holds about one
+    block of field strings at a time and each column once.
 
-    Returns the arrays of the whole file, its checks, and the
-    ``MalformedRow`` of the first record with the wrong number of fields or
-    None. The arrays hold the records before that one, which the caller
-    checks before it raises the error. Text that is not UTF-8, anywhere in
-    the file, raises ``MalformedRow`` before any other fault; so does a field
-    longer than ``csv.field_size_limit()``, even after a width error.
+    Returns the columns of the whole file, as writable arrays, its checks,
+    and the ``MalformedRow`` of the first record with the wrong number of
+    fields or None. The columns hold the records before that one, which the
+    caller checks before it raises the error. Text that is not UTF-8,
+    anywhere in the file, raises ``MalformedRow`` before any other fault; so
+    does a field longer than ``csv.field_size_limit()``, even after a width
+    error.
     """
     with open(path, "rb") as fh:
         texts = _texts(fh)
@@ -529,61 +571,66 @@ def _read_columns(path, header, convert):
                 raise MalformedRow(
                     f"{path}: expected header {','.join(header)}, got {','.join(got)}", line=1
                 )
-            parts, error = _convert_blocks(blocks, len(header), convert)
+            columns, checks, error = _convert_blocks(blocks, len(header), convert)
         except MalformedRow:
             deque(texts, maxlen=0)  # a byte that is not UTF-8, anywhere, comes first
             raise
-    if not parts:
+    if columns is None:
         raise EmptyFile(f"{path}: no data rows", path=str(path))
-    columns = list(zip(*(arrays for arrays, _ in parts)))
-    checks = [_joined(check) for check in zip(*(checks for _, checks in parts))]
-    del parts
-    # each column's blocks are dropped as soon as it is joined
-    arrays = [_joined_column(columns.pop(0)) for _ in range(len(columns))]
-    return arrays, checks, error
+    return columns, checks, error
 
 
-def _joined_column(parts):
-    """A column of the whole file from its blocks: ``str`` blocks are joined,
-    array blocks concatenated into one read-only array."""
-    if isinstance(parts[0], str):
-        return "".join(parts)
-    return _frozen_array(np.concatenate(parts))
+def _grown(column: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``column`` with ``values`` after its own, resized in place to the
+    exact length (``ndarray.resize``, a ``realloc``): no block's part is kept
+    and none is joined at the end of the file. A block of another dtype
+    (``_integers``'s objects) first turns the column into the dtype of both."""
+    dtype = np.result_type(column, values)
+    if dtype != column.dtype:
+        column = column.astype(dtype)
+    n = column.size
+    column.resize(n + values.size, refcheck=False)  # the loader holds its only reference
+    column[n:] = values
+    return column
 
 
 def _convert_blocks(blocks, k, convert) -> tuple:
-    """``(arrays, checks)`` of each block, a check's mask turned into its
-    rows, and the ``MalformedRow`` of the first record not ``k`` wide or None."""
-    parts, start = [], 0
+    """Each block converted (see ``_read_columns``) and written at the end of
+    the file's columns and checks (``_grown``), a check's mask turned into
+    its rows; and the ``MalformedRow`` of the first record not ``k`` wide or
+    None. A check's fault is that of the first block it rejects a record of,
+    since a fault quotes only the first record its check rejects (a warning
+    quotes none). Columns and checks are None if there is no block."""
+    columns = checks = None
+    start = 0
     for records, widths, split in blocks:
         bad = np.flatnonzero(widths != k)
         if bad.size:
             end = int(bad[0])
             got = int(widths[end]) if records[end] else 0  # a blank line has no field
             del records[end:]
-        columns, size = split(records, k), len(records)
-        records.clear()  # the block's lines or records: its fields are all it needs now
-        arrays, checks = convert(columns, start)
-        del columns
-        parts.append((arrays, [(np.flatnonzero(mask) + start, fault, warn)
-                               for mask, fault, warn in checks]))
+        size = len(records)
+        # split drops the block's lines or records; its fields, once converted
+        arrays, block_checks = convert(split(records, k), start)
+        if columns is None:
+            columns = [np.empty(0, array.dtype) for array in arrays]
+            checks = [(np.empty(0, np.intp), fault, warn) for _, fault, warn in block_checks]
+        for j, array in enumerate(arrays):
+            columns[j] = _grown(columns[j], array)
+        for j, (mask, fault, warn) in enumerate(block_checks):
+            rows = np.flatnonzero(mask)
+            if rows.size:
+                before, first_fault, _ = checks[j]
+                if before.size:
+                    fault = first_fault
+                checks[j] = (_grown(before, rows + start), fault, warn)
+        del arrays, block_checks  # before the next block is read
         start += size
         if bad.size:
             deque(blocks, maxlen=0)  # csv.reader raises on a later record before any is checked
-            return parts, MalformedRow(f"line {start + 2}: expected {k} fields, got {got}",
-                                       line=start + 2)
-    return parts, None
-
-
-def _joined(parts) -> tuple:
-    """One check of the whole file from that check of each block in turn.
-
-    A fault quotes only the first record its check rejects (a warning quotes
-    none), so the fault of the first block with a rejected record is the file's.
-    """
-    rows = np.concatenate([r for r, _, _ in parts])
-    fault = next((f for r, f, _ in parts if r.size), parts[0][1])
-    return rows, fault, parts[0][2]
+            return columns, checks, MalformedRow(
+                f"line {start + 2}: expected {k} fields, got {got}", line=start + 2)
+    return columns, checks, None
 
 
 def _raise_first(checks, after=None):
@@ -692,16 +739,15 @@ def _outcome(fields, s, col):
     ]
 
 
-def _header_block(header, columns, start):
+def _header_block(header, ids, columns, start):
     """A block of a panel or cross-section file, converted column by column
-    in header order: the ids as one string and each id's length, each 0/1
+    in header order: the ids added to ``ids`` (``_PackedIds``), each 0/1
     column by ``_binary`` and each outcome ``y…`` by ``_outcome`` with its
     selection column ``s…``."""
     arrays, checks = {}, []
     for col, fields in zip(header, columns):
         if col == "id":
-            arrays[col] = "".join(fields)
-            arrays["id lengths"] = np.fromiter(map(len, fields), np.intp, len(fields))
+            ids.extend(fields)
         elif col.startswith("y"):
             arrays[col], col_checks = _outcome(fields, arrays["s" + col[1:]], col)
             checks += col_checks
@@ -712,19 +758,19 @@ def _header_block(header, columns, start):
 
 
 def load_panel_csv(path) -> PanelDataset:
+    ids = _PackedIds()
     columns, checks, width_error = _read_columns(path, PANEL_HEADER,
-                                                 partial(_header_block, PANEL_HEADER))
+                                                 partial(_header_block, PANEL_HEADER, ids))
     _raise_first(checks, width_error)
-    text, lengths, *rest = columns
-    return PanelDataset.from_records(_PackedIds(text, lengths), *rest)
+    return PanelDataset.from_records(ids, *columns)
 
 
 def load_rcs_csv(path) -> RcsDataset:
+    ids = _PackedIds()
     columns, checks, width_error = _read_columns(path, RCS_HEADER,
-                                                 partial(_header_block, RCS_HEADER))
+                                                 partial(_header_block, RCS_HEADER, ids))
     _raise_first(checks, width_error)
-    text, lengths, *rest = columns
-    data = RcsDataset(_PackedIds(text, lengths), *rest)
+    data = RcsDataset(ids, *columns)
     if not 0.0 < data.lam < 1.0:
         raise DegenerateSampling(
             f"post-period sampling share must lie strictly in (0,1), got {data.lam}",
@@ -739,16 +785,22 @@ def _first_rows(seen: dict, ids: list, start: int = 0) -> np.ndarray:
 
 
 def _unit_codes(seen: dict, first: np.ndarray) -> tuple:
-    """The ids of ``seen`` in first-seen order, and each row's index into them."""
+    """The ids of ``seen`` in first-seen order, and each row's index into
+    them, written over ``first`` (each row's first row, by ``_first_rows``)
+    a block at a time, so that the rows are never coded twice over."""
     rows = np.fromiter(seen.values(), np.intp, len(seen))
     names = _frozen_array(np.fromiter(seen, object, len(seen)))
-    return names, _frozen_array(np.searchsorted(rows, first))
+    for a in range(0, first.size, _BLOCK):
+        first[a:a + _BLOCK] = np.searchsorted(rows, first[a:a + _BLOCK])
+    return names, _frozen_array(first)
 
 
 def _multi_block(seen, columns, start):
     """A block of a staggered panel, each row's unit coded by ``_first_rows``."""
     ids, gvar, t, s, y = columns
+    columns.clear()  # each column's strings go as soon as it is converted
     unit = _first_rows(seen, ids, start)
+    del ids
     gvar, gvar_rejected = _parse(int, gvar, 0)
     t, t_rejected = _parse(int, t, 0)
     gvar, t = _integers(gvar), _integers(t)
@@ -775,24 +827,30 @@ def _repeats(values: np.ndarray) -> np.ndarray:
 
 
 def load_multi_csv(path) -> MultiPeriodPanel:
+    """A staggered panel, its rows' units coded as the file is read
+    (``_first_rows``, then ``_unit_codes``); its ids are built from the
+    units on their first read (``_UnitIds``)."""
     seen = {}
-    (unit, gvar, t, s, y), checks, width_error = _read_columns(
+    (code, gvar, t, s, y), checks, width_error = _read_columns(
         path, MULTI_HEADER, partial(_multi_block, seen))
-    names, code = _unit_codes(seen, unit)
+    earlier = gvar[np.fromiter(seen.values(), np.intp, len(seen))]  # each unit's first gvar
+    names, code = _unit_codes(seen, code)
     del seen  # its hash table is not kept
-    ids = _str_ids(_frozen_array(names[code]))  # every row of a unit keeps its one str
-    order = np.lexsort((t, unit))  # stable: rows of one (id, t) stay in file order
-    duplicate = np.zeros(unit.size, bool)
-    duplicate[order[1:]] = _repeats(unit[order]) & _repeats(t[order])
+    order = np.lexsort((t, code))  # stable: rows of one (id, t) stay in file order
+    duplicate = np.zeros(code.size, bool)
+    same = _repeats(code[order])
+    same &= _repeats(t[order])
+    duplicate[order[1:]] = same
+    del order, same
     _raise_first([
         *checks[:3],
-        (np.flatnonzero(gvar != gvar[unit]),
-         lambda i: InconsistentGvar(f"line {i + 2}: id {ids[i]} has gvar {gvar[i]} "
-                                    f"but earlier gvar {gvar[unit[i]]}", id=ids[i]),
+        (np.flatnonzero(gvar != earlier[code]),
+         lambda i: InconsistentGvar(f"line {i + 2}: id {names[code[i]]} has gvar {gvar[i]} "
+                                    f"but earlier gvar {earlier[code[i]]}", id=names[code[i]]),
          False),
         (np.flatnonzero(duplicate),
-         lambda i: MalformedRow(f"line {i + 2}: id {ids[i]} already has a row for t={t[i]}",
-                                line=i + 2, id=ids[i]),
+         lambda i: MalformedRow(f"line {i + 2}: id {names[code[i]]} already has a row "
+                                f"for t={t[i]}", line=i + 2, id=names[code[i]]),
          False),
         *checks[3:],
     ], width_error)
@@ -801,7 +859,7 @@ def load_multi_csv(path) -> MultiPeriodPanel:
     missing = names[~has_baseline].tolist()
     if missing:
         raise MissingBaseline(f"ids without a period-0 row: {missing[:5]}", ids=missing)
-    data = MultiPeriodPanel(ids, gvar, t, s, y)
+    data = MultiPeriodPanel(_UnitIds(names, code), gvar, t, s, y)
     vars(data)["_units"] = (names, code)
     return data
 

@@ -136,15 +136,15 @@ def panel_from_staggered(
 
     rows = np.flatnonzero(keep[unit] & ((data.t == 0) | (data.t == target.t)))
     is_post = data.t[rows] != 0
-    _, first = np.unique(2 * unit[rows] + is_post, return_index=True)
-    if first.size < rows.size:
+    at = np.full((2, unit_ids.size), -1)   # [pre/post, unit] -> row
+    at[is_post.astype(np.intp), unit[rows]] = rows
+    if np.count_nonzero(at >= 0) < rows.size:  # a unit has two rows for one period
+        _, first = np.unique(2 * unit[rows] + is_post, return_index=True)
         repeat = np.ones(rows.size, dtype=bool)
         repeat[first] = False
         row = rows[np.argmax(repeat)]
         uid = unit_ids[unit[row]]
         raise MalformedRow(f"id {uid} has more than one row for t={data.t[row]}", id=uid)
-    at = np.full((2, unit_ids.size), -1)   # [pre/post, unit] -> row
-    at[is_post.astype(np.intp), unit[rows]] = rows
     for period, have in ((0, at[0]), (target.t, at[1])):
         missing = unit_ids[keep & (have < 0)].tolist()
         if missing:
