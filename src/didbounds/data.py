@@ -796,7 +796,8 @@ def _unit_codes(seen: dict, first: np.ndarray) -> tuple:
 
 
 def _multi_block(seen, columns, start):
-    """A block of a staggered panel, each row's unit coded by ``_first_rows``."""
+    """A block of a staggered panel, each row's unit given as its first row
+    (``_first_rows``), which ``_unit_codes`` turns into the unit's code."""
     ids, gvar, t, s, y = columns
     columns.clear()  # each column's strings go as soon as it is converted
     unit = _first_rows(seen, ids, start)
@@ -831,10 +832,10 @@ def load_multi_csv(path) -> MultiPeriodPanel:
     (``_first_rows``, then ``_unit_codes``); its ids are built from the
     units on their first read (``_UnitIds``)."""
     seen = {}
-    (code, gvar, t, s, y), checks, width_error = _read_columns(
+    (first, gvar, t, s, y), checks, width_error = _read_columns(
         path, MULTI_HEADER, partial(_multi_block, seen))
     earlier = gvar[np.fromiter(seen.values(), np.intp, len(seen))]  # each unit's first gvar
-    names, code = _unit_codes(seen, code)
+    names, code = _unit_codes(seen, first)  # the codes are written over first
     del seen  # its hash table is not kept
     order = np.lexsort((t, code))  # stable: rows of one (id, t) stay in file order
     duplicate = np.zeros(code.size, bool)
