@@ -258,6 +258,9 @@ class Cells:
     ``take`` resamples the rows without copying the dataset: it keeps the
     parent's outcome columns and maps each row to its parent row. A cell's
     values then come out in the order the cells of the copied rows give them.
+    A dataset's own cells keep each cell's rows once read; a take's keep
+    none, since a bootstrap replicate reads most cells once, and what it
+    keeps stays in memory until the replicate is freed.
     """
 
     def __init__(self, code: np.ndarray, outcomes: tuple, parent_rows=None):
@@ -267,7 +270,7 @@ class Cells:
         self._count = self.counts.tolist()  # the same counts as Python ints
         self._outcomes = outcomes
         self._parent_rows = parent_rows
-        self._cell_rows = {}  # code -> that cell's outcome-column rows
+        self._cell_rows = {}  # code -> that cell's rows, for a dataset's own cells
 
     def count(self, a: int, b: int, c: int | None = None) -> int:
         """Rows in cell (a, b, c); without ``c``, in both cells of (a, b)."""
@@ -278,10 +281,10 @@ class Cells:
         """Outcome column ``column`` (a panel's period, or 2 for its ΔY) of the
         rows in cell (a, b, c)."""
         key = 4 * a + 2 * b + c
+        if self._parent_rows is not None:
+            return self._outcomes[column][self._parent_rows.compress(self.code == key)]
         if key not in self._cell_rows:
-            rows = np.flatnonzero(self.code == key)
-            parent = self._parent_rows
-            self._cell_rows[key] = rows if parent is None else parent[rows]
+            self._cell_rows[key] = np.flatnonzero(self.code == key)
         return self._outcomes[column][self._cell_rows[key]]
 
     def take(self, indices) -> "Cells":
