@@ -133,8 +133,8 @@ def _freeze_columns(self):
     """A dataset's columns as read-only arrays of its ``_DTYPES``, ``ids`` by
     ``_id_array``; an array that has its dtype and owns its data is frozen in
     place, not copied. Ids a loader packed (``_PackedIds``, ``_UnitIds``) are
-    kept so, as ``_packed_ids``, until ``ids`` is read (``_gather_column``). Columns of
-    unequal lengths are a ``ValidationError``."""
+    kept so, as ``_packed_ids``, until ``ids`` is read (``_gather_column``).
+    Columns of unequal lengths are a ``ValidationError``."""
     ids = self.ids
     packed = isinstance(ids, (_PackedIds, _UnitIds))
     columns = {name: (ids if packed else _id_array(ids)) if dtype is object
