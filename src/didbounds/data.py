@@ -258,9 +258,9 @@ class Cells:
     ``take`` resamples the rows without copying the dataset: it keeps the
     parent's outcome columns and maps each row to its parent row. A cell's
     values then come out in the order the cells of the copied rows give them.
-    A dataset's own cells keep each cell's rows once read; a take's keep
-    none, since a bootstrap replicate reads most cells once, and what it
-    keeps stays in memory until the replicate is freed.
+    No cell's rows are kept: a cell's values are gathered each time they
+    are read, since most bounds read a cell once, and what a bootstrap
+    replicate kept would stay in memory until the replicate is freed.
     """
 
     def __init__(self, code: np.ndarray, outcomes: tuple, parent_rows=None):
@@ -270,7 +270,6 @@ class Cells:
         self._count = self.counts.tolist()  # the same counts as Python ints
         self._outcomes = outcomes
         self._parent_rows = parent_rows
-        self._cell_rows = {}  # code -> that cell's rows, for a dataset's own cells
 
     def count(self, a: int, b: int, c: int | None = None) -> int:
         """Rows in cell (a, b, c); without ``c``, in both cells of (a, b)."""
@@ -280,12 +279,9 @@ class Cells:
     def values(self, column: int, a: int, b: int, c: int) -> np.ndarray:
         """Outcome column ``column`` (a panel's period, or 2 for its ΔY) of the
         rows in cell (a, b, c)."""
-        key = 4 * a + 2 * b + c
-        if self._parent_rows is not None:
-            return self._outcomes[column][self._parent_rows.compress(self.code == key)]
-        if key not in self._cell_rows:
-            self._cell_rows[key] = np.flatnonzero(self.code == key)
-        return self._outcomes[column][self._cell_rows[key]]
+        mask = self.code == 4 * a + 2 * b + c
+        rows = mask if self._parent_rows is None else self._parent_rows.compress(mask)
+        return self._outcomes[column][rows]
 
     def take(self, indices) -> "Cells":
         """The cells of rows ``indices``, as ``take(indices).cells`` would give them."""

@@ -355,9 +355,6 @@ def test_taken_cells_reindex_the_parent(mixed_panel):
             for period in (0, 1):
                 np.testing.assert_array_equal(cells.values(period, *key),
                                               ref.values(period, *key))
-        # a replicate keeps no cell's rows, which would stay until it is freed
-        assert cells._cell_rows == {}
-    assert sorted(ref._cell_rows) == list(range(8))  # a dataset's own cells keep theirs
 
 
 @given(rows=panel_rows, seed=st.integers(0, 2**32 - 1))
