@@ -1,4 +1,4 @@
-"""Numerical primitives shared by every bound, and the forked worker pool
+"""Numerical primitives shared by every bound, and the forked-worker runner
 (``_forked_map``) that the bootstrap and the Monte Carlo share.
 
 Tie handling follows the estimator definitions literally: the lower tail keeps
@@ -25,6 +25,7 @@ from .errors import (
     PZero,
     QOutOfRange,
     ValidationError,
+    WorkerDied,
 )
 
 
@@ -183,50 +184,61 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-# ``(fn, state)`` of the ``_forked_map`` call that a pool worker serves; set
-# in each worker by the pool's initializer, never in the calling process
-_worker_job = None
+def _serve(tasks: list, conn) -> None:
+    """A forked worker: answer each task index with ``(raised, result or exception)``."""
+    while True:
+        i = conn.recv()
+        try:
+            reply = False, tasks[i]()
+        except Exception as exc:
+            reply = True, exc
+        conn.send(reply)
 
 
-def _start_worker(fn, state) -> None:
-    global _worker_job
-    _worker_job = (fn, state)
+def _forked_map(tasks: list) -> list:
+    """``[task() for task in tasks]`` of zero-argument callables, on forked workers.
 
-
-def _run_task(task) -> tuple:
-    """``(False, fn(state, task))``, or ``(True, exc)`` where it raised ``exc``:
-    returned, not raised, so that the parent raises the first exception in task
-    order rather than in the order tasks finish."""
-    fn, state = _worker_job
-    try:
-        return False, fn(state, task)
-    except Exception as exc:
-        return True, exc
-
-
-def _forked_map(fn, tasks: list, state) -> list:
-    """``[fn(state, task) for task in tasks]``, on a pool of forked workers.
-
-    ``min(CPUs, len(tasks))`` workers start with the package already imported
-    and inherit ``fn`` and ``state`` at fork, so neither is pickled and a
-    closure will do; each task and its result are. Results come back in task
-    order, and where tasks raised, the first exception in task order is raised
-    as soon as the tasks before it are done, and the workers are stopped. With
-    one worker, or in a process that is itself a pool worker (which may not
-    start children), the tasks run here, in order.
+    ``min(CPUs, len(tasks))`` workers inherit ``tasks`` at fork, so no task is
+    pickled, and get one task index at a time. Results come back in task order;
+    the first exception in task order, or ``WorkerDied`` for a task whose worker
+    ended, is raised once the tasks before it are done, and every worker is
+    killed and joined. With one worker, or in a daemonic process, they run here.
     """
     workers = min(_worker_count(), len(tasks))
     if workers > 1:
         # imported here so that importing the package does not pay for it
-        import multiprocessing
-
-        if not multiprocessing.current_process().daemon:
-            results = []
-            with multiprocessing.get_context("fork").Pool(
-                    workers, _start_worker, (fn, state)) as pool:
-                for failed, value in pool.imap(_run_task, tasks):
-                    if failed:
-                        raise value
-                    results.append(value)
-            return results
-    return [fn(state, task) for task in tasks]
+        import multiprocessing.connection
+    if workers < 2 or multiprocessing.current_process().daemon:
+        return [task() for task in tasks]
+    context = multiprocessing.get_context("fork")
+    procs, idle, running, done, results, sent = [], [], {}, {}, [], 0
+    try:
+        for _ in range(workers):
+            conn, end = context.Pipe()
+            (proc := context.Process(target=_serve, args=(tasks, end), daemon=True)).start()
+            procs.append((proc, conn))
+            end.close()  # before the next fork, so that EOF on conn means this worker died
+            idle.append(conn)
+        while len(results) < len(tasks):
+            while idle and sent < len(tasks):
+                running[idle[0]] = sent
+                idle.pop(0).send(sent)
+                sent += 1
+            for conn in multiprocessing.connection.wait(list(running)):
+                i = running.pop(conn)
+                try:
+                    done[i] = conn.recv()
+                    idle.append(conn)
+                except EOFError:
+                    done[i] = True, WorkerDied(f"a worker died running task {i}", task=i)
+            while len(results) in done:
+                failed, value = done.pop(len(results))
+                if failed:
+                    raise value
+                results.append(value)
+        return results
+    finally:
+        for proc, conn in procs:
+            proc.kill()
+            proc.join()
+            conn.close()

@@ -105,5 +105,10 @@ class NonFiniteEstimate(EstimationError):
     code = "NonFiniteEstimate"
 
 
+class WorkerDied(DidBoundsError):
+    """A forked worker ended before it returned its task's result."""
+    code = "WorkerDied"
+
+
 class DataWarning(UserWarning):
     """Warning category used by the CSV loaders."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,10 +20,10 @@ Z_975 = 1.959963984540054  # Phi^{-1}(0.975)
 Z_95 = 1.6448536269514722  # Phi^{-1}(0.95)
 
 # unit draws per worker task of ``bootstrap_ses``; results do not depend on
-# it. A pool costs about 10 ms to start and stop, so a bootstrap of fewer
-# draws than this in all is one task and runs in-process: on a 2-core host,
-# 20 replicates of 3,000 units took 3 ms in-process against 13 ms forked, and
-# 200 of 20,000 units 0.091 s against 0.074 s
+# it. Forking and stopping two workers costs about 5 ms, so a bootstrap of
+# fewer draws than this in all is one task and runs in-process: on a 2-core
+# host, 20 replicates of 3,000 units took 3-4 ms in-process against 12 ms
+# forked, and 200 of 20,000 units 0.08-0.10 s against 0.06-0.08 s
 _BOOT_DRAWS = 2**20
 
 
@@ -101,9 +102,9 @@ def bootstrap_ses(data, bound_fn, spec: BootstrapSpec) -> BootstrapResult:
     empty resampled cell, an overflow) are dropped and counted. A standard
     error that overflows raises ``NonFiniteEstimate``.
 
-    Blocks of about ``_BOOT_DRAWS`` unit draws run on forked workers, one per
-    CPU (``core._forked_map``), which inherit ``data`` and ``bound_fn``; a
-    smaller bootstrap runs in-process. Replicate ``rep`` draws from ``[seed,
+    Blocks of about ``_BOOT_DRAWS`` unit draws are ``core._forked_map`` tasks,
+    run on forked workers, one per CPU, that inherit ``data`` and ``bound_fn``;
+    a smaller bootstrap runs in-process. Replicate ``rep`` draws from ``[seed,
     rep]`` wherever it runs and the replicates are folded in order, so the
     result does not depend on the layout, and any other error is that of the
     first replicate that raises one.
@@ -111,7 +112,8 @@ def bootstrap_ses(data, bound_fn, spec: BootstrapSpec) -> BootstrapResult:
     per_block = -(-_BOOT_DRAWS // max(data.n, 1))
     blocks = [(a, min(a + per_block, spec.reps)) for a in range(0, spec.reps, per_block)]
     data.cells  # built once here, not once per worker
-    done = _forked_map(_replicate_block, blocks, (data, bound_fn, spec.seed))
+    state = data, bound_fn, spec.seed
+    done = _forked_map([partial(_replicate_block, state, block) for block in blocks])
     replicates = [rep for block in done for rep in block if rep is not None]
     failed = spec.reps - len(replicates)
     if failed > 0.2 * spec.reps:

@@ -14,7 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from statistics import NormalDist
 
 import numpy as np
@@ -335,15 +335,6 @@ def _replicates(config: DgpConfig, asets: list, start: int, stop: int) -> list:
     return out
 
 
-def _mc_task(config: DgpConfig, task: tuple):
-    """Run one task of ``run_monte_carlo``, ``("oracle", draws)`` or ``("reps",
-    asets, start, stop)``."""
-    kind, *args = task
-    if kind == "oracle":
-        return oracle_true_values(config, *args)
-    return _replicates(config, *args)
-
-
 def run_monte_carlo(
     config: DgpConfig,
     reps: int,
@@ -364,26 +355,29 @@ def run_monte_carlo(
     usual DiD raises one in every row's. The true bounds for "interval" come
     from ``oracle_true_values`` with ``oracle_draws``.
 
-    Blocks of ``_MC_BLOCK`` replicates, and the oracle when it is needed, run
-    on forked workers, one per CPU (``core._forked_map``). Replicate ``rep``
-    draws from ``[seed, rep]``, or ``[*seed, rep]`` for a seed list, wherever
-    it runs, and the results are folded in replicate order, so the rows do not
-    depend on the number of workers. Any other error is raised as a serial run would
-    raise it: the oracle's first, then that of the first replicate that
-    raises one.
+    The oracle when it is needed, and blocks of ``_MC_BLOCK`` replicates, are
+    tasks of ``core._forked_map`` on forked workers, one per CPU. Replicate
+    ``rep`` draws from ``[seed, rep]``, or ``[*seed, rep]`` for a seed list,
+    wherever it runs, and the results are folded in replicate order, so the
+    rows do not depend on the number of workers. Any other error is raised as
+    a serial run would raise it: the oracle's first, then that of the first
+    replicate that raises one.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     if coverage not in ("att", "interval"):
         raise ValidationError(f"unknown coverage definition {coverage!r}")
+    if not assumption_sets:
+        raise ValidationError("no assumption set given: name mono-pos, nomono or both")
     for name in assumption_sets:
         if name not in ASSUMPTION_SET_NAMES:
             raise ValidationError(f"unknown assumption set {name!r}")
     asets = [ASSUMPTION_SET_NAMES[name] for name in assumption_sets]
 
-    tasks = [("oracle", oracle_draws)] if coverage == "interval" else []
-    tasks += [("reps", asets, a, min(a + _MC_BLOCK, reps)) for a in range(0, reps, _MC_BLOCK)]
-    results = _forked_map(_mc_task, tasks, config)
+    tasks = [partial(oracle_true_values, config, oracle_draws)] if coverage == "interval" else []
+    tasks += [partial(_replicates, config, asets, a, min(a + _MC_BLOCK, reps))
+              for a in range(0, reps, _MC_BLOCK)]
+    results = _forked_map(tasks)
     # what an interval must contain to cover: the ATT, or the whole true interval
     if coverage == "interval":
         oracle = results.pop(0)

@@ -308,6 +308,14 @@ class TestRejectedFlags:
         assert code == 2
         assert out == "" and "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("names", ["", " , "])
+    def test_empty_assumption_list_exits_2(self, capsys, names):
+        # it used to run every replicate and print only the CSV header
+        argv = ["simulate", "--n", "50", "--reps", "3", "--seed", "1", "--assumptions", names]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["code"] == "ValidationError"
+
     def test_duplicate_id_period_row_exits_2(self, tmp_path, capsys):
         # unit 1 has two period-1 rows; the second (y=50.0) used to win silently
         text = (

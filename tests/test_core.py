@@ -1,5 +1,9 @@
 import multiprocessing
+import os
+import signal
+import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,9 +24,12 @@ from didbounds import (
 from didbounds.errors import (
     EmptyCell,
     EmptyTrimSet,
+    EstimationError,
     OutOfRange,
     PZero,
     QOutOfRange,
+    ValidationError,
+    WorkerDied,
 )
 from didbounds import core
 from didbounds.core import Sample, _forked_map, _sorted_quantile, mean
@@ -272,6 +279,72 @@ def test_forked_map_stops_the_workers_at_the_first_failure(tmp_path, monkeypatch
     # their workers are stopped before they finish
     monkeypatch.setattr(core, "_worker_count", lambda: 2)
     with pytest.raises(RuntimeError, match="task 0"):
-        _forked_map(_fail_first, [0, 1, 2, 3], tmp_path)
+        _forked_map([partial(_fail_first, tmp_path, i) for i in range(4)])
     assert multiprocessing.active_children() == []
     assert list(tmp_path.iterdir()) == []
+
+
+def _dies_at(dead, path, task):
+    """Task ``dead`` ends its process at once; every other task marks ``path``
+    after ``task / 2`` s and returns its number."""
+    if task == dead:
+        os._exit(1)
+    time.sleep(task / 2)
+    (path / f"done{task}").touch()
+    return task
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Two workers, and an alarm that fails a test that would hang."""
+    monkeypatch.setattr(core, "_worker_count", lambda: 2)
+
+    def hung(signum, frame):
+        raise TimeoutError("forked map still waiting after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_first_worker_fails_the_call(tmp_path, two_workers):
+    # the first-forked worker runs task 0 and dies; its pipe reaches EOF only
+    # if the worker forked after it does not hold a copy of its end
+    with pytest.raises(WorkerDied) as exc:
+        _forked_map([partial(_dies_at, 0, tmp_path, i) for i in range(4)])
+    assert exc.value.context == {"task": 0}
+    assert not isinstance(exc.value, (ValidationError, EstimationError))
+
+
+def test_dead_worker_fails_the_call_in_task_order(tmp_path, two_workers):
+    # task 0 is done at once and task 2, next on its worker, dies while task 1
+    # still runs on the other: the death is raised once task 1 is done, and
+    # task 3, which follows task 1, never finishes
+    with pytest.raises(WorkerDied) as exc:
+        _forked_map([partial(_dies_at, 2, tmp_path, i) for i in range(5)])
+    assert exc.value.context == {"task": 2}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["done0", "done1"]
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("tasks, error", [
+    ([partial(int, i) for i in range(5)], None),
+    ([partial(int, 0), partial(_raise, KeyError("task 1")), partial(int, 2)], KeyError),
+    ([partial(int, 0), partial(os._exit, 1), partial(int, 2)], WorkerDied),
+], ids=["results", "task-exception", "worker-died"])
+def test_forked_map_leaves_nothing_running(monkeypatch, tasks, error):
+    monkeypatch.setattr(core, "_worker_count", lambda: 2)
+    threads = threading.active_count()
+    if error is None:
+        assert _forked_map(tasks) == list(range(5))
+    else:
+        with pytest.raises(error):
+            _forked_map(tasks)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads

@@ -297,7 +297,7 @@ class TestMonteCarlo:
 
     def test_interval_coverage_runs_a_wrapped_oracle(self, monkeypatch):
         # a profiler may wrap oracle_true_values in a local closure, which cannot
-        # be pickled: the worker tasks name the oracle rather than carry it. This
+        # be pickled: the workers inherit their tasks, so none is pickled. This
         # wrapper makes the true interval the point att, so the rows must be those
         # of coverage="att", which also shows that the workers ran the wrapper
         oracle = simulation.oracle_true_values
@@ -320,6 +320,12 @@ class TestMonteCarlo:
             run_monte_carlo(DgpConfig(n=300), 10, ["mono-pos"], coverage="sideways")
         with pytest.raises(ValidationError):
             run_monte_carlo(DgpConfig(n=300), 0, ["mono-pos"])
+
+    def test_empty_assumption_list_runs_nothing(self, monkeypatch):
+        # it used to run every replicate and return no rows
+        monkeypatch.setattr(simulation, "_replicates", None)
+        with pytest.raises(ValidationError, match="no assumption set"):
+            run_monte_carlo(DgpConfig(n=300), 10, [])
 
     def test_seed_list_prefixes_replicate_seeds(self):
         # replicate r of seed [1, 2] draws from [1, 2, r], so [1, 2] and [1, 3]
