@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 validation error (bad files/flags), 3 estimation
-error (empty cells, vacuous identification). Errors go to stderr as one JSON
+error (empty cells, vacuous identification), 1 a forked worker that died
+before it returned its task (``WorkerDied``). Errors go to stderr as one JSON
 object {code, message, context}; results go to stdout as schema-versioned JSON
 or CSV. Identical invocations produce byte-identical output.
 """
@@ -30,7 +31,7 @@ from .data import (
     load_panel_csv,
     load_rcs_csv,
 )
-from .errors import DataWarning, EstimationError, ValidationError
+from .errors import DataWarning, DidBoundsError, EstimationError, ValidationError
 
 SCHEMA = 1
 
@@ -267,9 +268,11 @@ def run(argv) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", DataWarning)
             sys.stdout.write(args.handler(args, caught))
-    except (ValidationError, EstimationError) as exc:
+    except DidBoundsError as exc:
         sys.stderr.write(json.dumps(exc.to_dict()) + "\n")
-        return 2 if isinstance(exc, ValidationError) else 3
+        if isinstance(exc, ValidationError):
+            return 2
+        return 3 if isinstance(exc, EstimationError) else 1  # 1: a WorkerDied
     except OSError as exc:
         sys.stderr.write(
             json.dumps({"code": "IOError", "message": str(exc), "context": {}}) + "\n"

@@ -3,15 +3,15 @@
 Missing outcomes are blank CSV fields (never sentinel numbers) and are stored
 as NaN internally; an outcome is defined exactly when the matching selection
 indicator is 1. A dataset, loaded or built in code, holds each column as a
-read-only numpy array of its class's ``_DTYPES``: a numeric array that has
-that dtype already and owns its data is frozen in place, not copied (a view is
-copied, since its base could still be written), and columns of unequal
-lengths are a ``ValidationError``. A loaded dataset keeps its ids packed
-until ``ids`` is first read, which builds the object array once
-(``_gather_column``): a panel's or cross-section's as one text and offsets
-(``_PackedIds``), a staggered panel's as its units' codes (``_UnitIds``).
-No bound reads ids. Datasets are immutable after construction and safe to
-share across threads.
+read-only numpy array of its class's ``_DTYPES`` (a numeric array of that
+dtype that owns its data is frozen in place, not copied; a view is copied,
+since its base could still be written) and passes the loaders' checks: equal
+lengths, 0/1 ``int8`` columns, and no NaN outcome where it is selected. No
+bound reads ids, so they stay unbuilt until ``ids`` is first read, which
+builds the object array once (``_gather_column``): a loaded or generated
+panel's or a cross-section's from one text and offsets (``_PackedIds``), a
+staggered panel's and its 2x2 panel's from units' names and codes
+(``_UnitIds``). Datasets are immutable and safe to share across threads.
 
 A CSV file is read in pieces of about ``_CHUNK`` bytes, each cut at a line
 end, ``\\r\\n``, ``\\r`` or ``\\n`` alike (``_texts``), so a file with any
@@ -27,7 +27,6 @@ import csv
 import operator
 import re
 import warnings
-import weakref
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
@@ -104,46 +103,42 @@ def _frozen_array(values, dtype=None) -> np.ndarray:
     return arr
 
 
-# the read-only id arrays the package built from ``str`` ids (the loaders,
-# the staggered pivot and ``_id_array``), by ``id``; an array leaves when it is
-# freed
-_STR_IDS = weakref.WeakValueDictionary()
-
-
-def _str_ids(ids: np.ndarray) -> np.ndarray:
-    """Mark ``ids``, a read-only object array of ``str`` the package built,
-    as one ``_id_array`` uses as it is."""
-    _STR_IDS[id(ids)] = ids
-    return ids
-
-
 def _id_array(ids) -> np.ndarray:
-    """Ids as a read-only object array of the ids' own ``str`` values.
-
-    An array the package built from ``str`` ids (``_str_ids``), such as a
-    dataset's ``ids`` or the ids ``simulation`` shares between panels, is used
-    as it is; any other input is converted id by id.
-    """
-    if _STR_IDS.get(id(ids)) is ids:
-        return ids
-    return _str_ids(_frozen_array(np.fromiter(map(str, ids), dtype=object)))
+    """Ids as a read-only object array of the ids' own ``str`` values,
+    converted id by id."""
+    return _frozen_array(np.fromiter(map(str, ids), dtype=object))
 
 
 def _freeze_columns(self):
     """A dataset's columns as read-only arrays of its ``_DTYPES``, ``ids`` by
     ``_id_array``; an array that has its dtype and owns its data is frozen in
-    place, not copied. Ids a loader packed (``_PackedIds``, ``_UnitIds``) are
-    kept so, as ``_packed_ids``, until ``ids`` is read (``_gather_column``).
-    Columns of unequal lengths are a ``ValidationError``."""
+    place, not copied. Unbuilt ids (``_PackedIds``, ``_UnitIds``) are kept so,
+    as ``_packed_ids``, until ``ids`` is read (``_gather_column``). Columns of
+    unequal lengths are a ``ValidationError``; then, in column order, so is an
+    ``int8`` column holding anything but 0 and 1, and an outcome ``y…`` that
+    is NaN where its ``s…`` is 1 is a ``MissingOutcome``, as on loading."""
     ids = self.ids
     packed = isinstance(ids, (_PackedIds, _UnitIds))
     columns = {name: (ids if packed else _id_array(ids)) if dtype is object
                else _frozen_array(getattr(self, name), dtype)
                for name, dtype in self._DTYPES.items()}
     lengths = {name: len(column) for name, column in columns.items()}
+    kind = type(self).__name__
     if len(set(lengths.values())) > 1:
-        raise ValidationError(
-            f"{type(self).__name__} columns differ in length: {lengths}", **lengths)
+        raise ValidationError(f"{kind} columns differ in length: {lengths}", **lengths)
+    for name, column in columns.items():
+        if self._DTYPES[name] is np.int8:
+            bad = column.view(np.uint8) > 1
+            if bad.any():
+                row = int(bad.argmax())
+                raise ValidationError(f"{kind} row {row}: {name} must be 0 or 1, "
+                                      f"got {column[row]}", row=row, column=name)
+        elif name[0] == "y":
+            bad = np.isnan(column) & (columns["s" + name[1:]] == 1)
+            if bad.any():
+                row = int(bad.argmax())
+                raise MissingOutcome(f"{kind} row {row}: {name} is NaN but selected",
+                                     row=row, column=name)
     if packed:
         del vars(self)["ids"]
         columns["_packed_ids"] = columns.pop("ids")
@@ -151,11 +146,11 @@ def _freeze_columns(self):
 
 
 class _PackedIds:
-    """A file's ids as one UTF-8 text, each id's characters in turn, and each
-    id's offsets in it, in characters: 1 to 4 bytes a character and 8 bytes a
-    row, against about 60 bytes a row as one ``str`` each. A loader adds each
-    block's ids as it converts the block (``extend``), and both arrays grow in
-    place (``_grown``)."""
+    """Ids, a file's or ``simulation``'s, as one UTF-8 text, each id's
+    characters in turn, and each id's offsets in it, in characters: 1 to 4
+    bytes a character and 8 bytes a row, against about 60 bytes a row as one
+    ``str`` each. A loader adds each block's ids as it converts the block
+    (``extend``), and both arrays grow in place (``_grown``)."""
 
     __slots__ = ("text", "bounds")
 
@@ -175,15 +170,14 @@ class _PackedIds:
         return self.bounds.size - 1
 
     def unpack(self) -> np.ndarray:
-        """The ids as a read-only object array of ``str`` (``_str_ids``)."""
+        """The ids as a read-only object array of ``str``."""
         text = str(self.text, "utf-8")
-        ids = np.array([text[a:b] for a, b in pairwise(self.bounds.tolist())], object)
-        return _str_ids(_frozen_array(ids))
+        return _frozen_array([text[a:b] for a, b in pairwise(self.bounds.tolist())], object)
 
 
 class _UnitIds:
-    """A loaded staggered panel's ids as its units' ids and each row's
-    index into them: the arrays of its ``_units``, which it keeps anyway."""
+    """A staggered panel's ids, or its 2x2 panel's, as the units' ids and
+    each row's index into them: arrays of its ``_units``, kept anyway."""
 
     __slots__ = ("names", "codes")
 
@@ -195,8 +189,8 @@ class _UnitIds:
 
     def unpack(self) -> np.ndarray:
         """Each row's id, as a read-only object array in which every row of a
-        unit holds the unit's one ``str`` (``_str_ids``)."""
-        return _str_ids(_frozen_array(self.names[self.codes]))
+        unit holds the unit's one ``str``."""
+        return _frozen_array(self.names[self.codes])
 
 
 def _take_rows(self, indices):
@@ -207,19 +201,17 @@ def _take_rows(self, indices):
     re-index the parent's (``Cells.take``), so a bootstrap replicate that reads
     only ``cells`` costs one int8 gather and eight counts over it, with no
     array wider than a byte a row. A take of a take indexes the first parent
-    directly.
+    directly, by the rows its cells map to.
     """
-    idx = np.asarray(indices, dtype=np.intp)
-    parent, rows = vars(self).get("_rows", (self, None))
-    if rows is not None:
-        idx = rows[idx]
+    cells = self.cells.take(indices)
     view = object.__new__(type(self))
-    vars(view).update(_rows=(parent, idx), cells=parent.cells.take(idx))
+    parent = vars(self).get("_rows", (self,))[0]
+    vars(view).update(_rows=(parent, cells._parent_rows), cells=cells)
     return view
 
 
 def _gather_column(self, name):
-    """A column built on its first read and kept: a loaded dataset's ``ids``
+    """A column built on its first read and kept: a dataset's unbuilt ``ids``
     unpacked from ``_packed_ids``, which is then dropped, or a taken dataset's
     column gathered from its parent.
 

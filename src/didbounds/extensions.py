@@ -13,8 +13,7 @@ from .data import (
     MultiPeriodPanel,
     PanelDataset,
     RcsDataset,
-    _frozen_array,
-    _str_ids,
+    _UnitIds,
 )
 from .errors import (
     EmptyCell,
@@ -121,7 +120,8 @@ def panel_from_staggered(
     """Build the 2x2 comparison: cohort gamma vs never-treated, period 0 vs t.
 
     Units keep the panel's codes (``MultiPeriodPanel._units``), in first-seen
-    order, so a cell's outcomes keep the rows' order.
+    order, so a cell's outcomes keep the rows' order. The panel's ids are its
+    units' (``_UnitIds``), built only if they are read.
     """
     unit_ids, unit = data._units
     treated = np.zeros(unit_ids.size, dtype=bool)
@@ -153,10 +153,8 @@ def panel_from_staggered(
             )
     units = np.flatnonzero(keep)
     pre, post = at[:, units]
-    ids = _str_ids(_frozen_array(unit_ids[units]))  # so from_records keeps it
-    return PanelDataset.from_records(
-        ids, treated[units], data.s[pre], data.s[post], data.y[pre], data.y[post]
-    )
+    return PanelDataset.from_records(_UnitIds(unit_ids, units), treated[units],
+                                     data.s[pre], data.s[post], data.y[pre], data.y[post])
 
 
 def bounds_staggered(

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from .core import _forked_map, mean, require_seed
-from .data import MONO_POSITIVE, WITHOUT_MONOTONICITY, PanelDataset, _id_array
+from .data import MONO_POSITIVE, WITHOUT_MONOTONICITY, PanelDataset, _PackedIds
 from .errors import EmptyCell, EstimationError, ValidationError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -87,10 +87,12 @@ def _latents(rng: np.random.Generator, n: int, config: DgpConfig) -> dict:
 
 
 @lru_cache(maxsize=4)
-def _unit_ids(n: int) -> np.ndarray:
-    """The read-only ids "1".."n", built once per ``n`` and shared by every
-    panel drawn at that size."""
-    return _id_array(map(str, range(1, n + 1)))
+def _unit_ids(n: int) -> _PackedIds:
+    """The ids "1".."n", packed (``data._PackedIds``) once per ``n`` and shared
+    by every panel drawn at that size, none of which builds them unless read."""
+    ids = _PackedIds()
+    ids.extend(list(map(str, range(1, n + 1))))
+    return ids
 
 
 def generate_panel(config: DgpConfig) -> PanelDataset:

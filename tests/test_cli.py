@@ -3,11 +3,14 @@ import contextlib
 import inspect
 import io
 import json
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -522,12 +525,13 @@ CI_COMMANDS = sorted(c for c in GOLDEN_COMMANDS if "--ci" in c) + [
 
 
 def _no_ids(packed):
-    raise AssertionError("a command built a loaded dataset's ids")
+    raise AssertionError("a command built a dataset's unbuilt ids")
 
 
-# every golden command that loads a panel or a repeated cross-section: none
-# reads a unit's id, so none builds a loaded dataset's ids
-ID_FREE_COMMANDS = [c for c in sorted(GOLDEN_COMMANDS) if "PANEL" in c or "RCS" in c] + [
+# every golden command that loads a panel, a repeated cross-section or a
+# staggered panel: none reads a unit's id, so none builds a loaded dataset's
+# ids, nor those of the staggered 2x2 panel
+ID_FREE_COMMANDS = [c for c in sorted(GOLDEN_COMMANDS) if "--data" in c] + [
     f"{c} --data PANEL" for c in sorted(GOLDEN)]
 
 
@@ -537,11 +541,51 @@ def test_commands_never_build_ids(tmp_path, capsys, monkeypatch, command):
     argv = [files.get(a, a) for a in command.split()]
     want = (0, GOLDEN_COMMANDS.get(command) or GOLDEN[command.removesuffix(" --data PANEL")], "")
     monkeypatch.setattr(didbounds.data._PackedIds, "unpack", _no_ids)
+    monkeypatch.setattr(didbounds.data._UnitIds, "unpack", _no_ids)
+    pivot, panels = didbounds.extensions.panel_from_staggered, []
+    monkeypatch.setattr(didbounds.extensions, "panel_from_staggered",
+                        lambda *args: panels.append(pivot(*args)) or panels[-1])
     assert _run(capsys, argv) == want
+    # a staggered command's 2x2 panel holds its ids unbuilt too
+    assert len(panels) == ("MULTI" in command)
+    assert all("ids" not in vars(panel) for panel in panels)
     if "--ci" in command:  # two workers and one replicate per task, as below
         monkeypatch.setattr(core, "_worker_count", lambda: 2)
         monkeypatch.setattr(inference, "_BOOT_DRAWS", 1)
         assert _run(capsys, argv) == want
+
+
+def _dies_at_block_3(replicate_block, state, block):
+    if block[0] == 3:
+        os._exit(1)
+    return replicate_block(state, block)
+
+
+def test_dead_worker_is_reported_as_a_json_line(tmp_path, capsys, monkeypatch):
+    # one replicate per block on two workers, and the worker running block 3
+    # dies; the alarm fails the test instead of letting it hang
+    path = tmp_path / "panel.csv"
+    write_panel_csv(generate_panel(DgpConfig(n=300, seed=7)), path)
+    monkeypatch.setattr(core, "_worker_count", lambda: 2)
+    monkeypatch.setattr(inference, "_BOOT_DRAWS", 1)
+    monkeypatch.setattr(inference, "_replicate_block",
+                        partial(_dies_at_block_3, inference._replicate_block))
+
+    def hung(signum, frame):
+        raise TimeoutError("the CLI still waits 5 s after a worker died")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        code, out, err = _run(capsys, ["bounds", "--data", str(path), "--ci", "im",
+                                       "--boot", "20", "--seed", "1"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"code": "WorkerDied", "message": "a worker died running task 3",
+                               "context": {"task": 3}}
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("command", CI_COMMANDS)

@@ -254,11 +254,15 @@ class TestDatasetsBuiltInCode:
         data = PanelDataset.from_records(ids, *columns)
         assert data.ids is not ids and data.ids.tolist() == ["3", "1", "2"]
         assert all(type(i) is str for i in data.ids)
-        # ids the package built from str are kept as they are, not converted
-        # id by id: a dataset's own, and a loader's
-        assert PanelDataset.from_records(data.ids, *columns).ids is data.ids
+        # an id array the package built, a dataset's own or a loader's, is
+        # converted like any other: a new read-only array of the same strs
+        again = PanelDataset.from_records(data.ids, *columns).ids
+        assert again is not data.ids and again.tolist() == ["3", "1", "2"]
+        assert not again.flags.writeable and all(type(i) is str for i in again)
         loaded = load_panel_csv(_write(tmp_path, "id,d,s0,s1,y0,y1\na,1,1,1,1.0,2.0\n"))
-        assert data_module._id_array(loaded.ids) is loaded.ids
+        converted = data_module._id_array(loaded.ids)
+        assert converted is not loaded.ids and converted.tolist() == loaded.ids.tolist() == ["a"]
+        assert not converted.flags.writeable
 
     def test_unequal_lengths_are_a_validation_error(self):
         with pytest.raises(ValidationError) as exc:
@@ -271,6 +275,43 @@ class TestDatasetsBuiltInCode:
                                  s=[1, 1, 1, 1], y=[1.0, 2.0, 1.5, 1.8]),
                 StaggeredTarget(1, 1), MONO_POSITIVE)
         assert exc.value.context == {"ids": 3, "gvar": 4, "t": 4, "s": 4, "y": 4}
+
+    @pytest.mark.parametrize("kind, columns, error, context", [
+        # a d of 2 was dropped from every cell, and a bound printed
+        ("panel", dict(d=[0, 0, 1, 1, 2, 1]), ValidationError, {"row": 4, "column": "d"}),
+        ("panel", dict(s0=[1, 1, 1, -1, 1, 1]), ValidationError, {"row": 3, "column": "s0"}),
+        # a selected NaN outcome made the bound's mean divide by zero
+        ("panel", dict(y0=[1.0, 2.0, 3.0, np.nan, 5.0, 6.0]), MissingOutcome,
+         {"row": 3, "column": "y0"}),
+        # in column order: s1 before y0, y0 before y1
+        ("panel", dict(s1=[1, 1, 1, 1, 1, 3], y0=[np.nan] * 6), ValidationError,
+         {"row": 5, "column": "s1"}),
+        ("panel", dict(y0=[1, 1, 1, 1, np.nan, 1], y1=[np.nan] * 6), MissingOutcome,
+         {"row": 4, "column": "y0"}),
+        ("rcs", dict(t=[0, 1, 0, 1, 0, 2]), ValidationError, {"row": 5, "column": "t"}),
+        ("rcs", dict(y=[1, 1, np.nan, 1, 1, 1]), MissingOutcome, {"row": 2, "column": "y"}),
+        ("multi", dict(s=[1, 1, 1, 1, 1, 2]), ValidationError, {"row": 5, "column": "s"}),
+        ("multi", dict(y=[np.nan, 1, 1, 1, 1, 1]), MissingOutcome, {"row": 0, "column": "y"}),
+    ])
+    def test_values_the_loaders_reject_are_rejected(self, kind, columns, error, context):
+        cls, valid = {
+            "panel": (PanelDataset, dict(ids="abcdef", d=[0, 0, 0, 1, 1, 1], s0=[1] * 6,
+                                         s1=[1] * 6, y0=[1.0] * 6, y1=[2.0] * 6)),
+            "rcs": (RcsDataset, dict(ids="abcdef", t=[0, 1, 0, 1, 0, 1], d=[0, 0, 0, 1, 1, 1],
+                                     s=[1] * 6, y=[1.0] * 6)),
+            "multi": (MultiPeriodPanel, dict(ids="aabbcc", gvar=[0, 0, 1, 1, 0, 0],
+                                             t=[0, 1] * 3, s=[1] * 6, y=[1.0] * 6)),
+        }[kind]
+        cls(**valid)
+        with pytest.raises(error) as exc:
+            cls(**{**valid, **columns})
+        assert type(exc.value) is error and exc.value.context == context
+
+    def test_unselected_nan_outcomes_and_bool_columns_are_valid(self):
+        data = PanelDataset.from_records("ab", np.array([False, True]), [True, False],
+                                         [0, 1], [1.0, np.nan], [np.nan, 2.0])
+        assert data.d.dtype == data.s0.dtype == np.int8
+        assert data.d.tolist() == [0, 1] and data.s0.tolist() == [1, 0]
 
 
 class TestAssumptionSet:
@@ -848,7 +889,8 @@ def test_loaded_ids_are_built_on_first_read(kind, workers, tmp_path, monkeypatch
     ids = data.ids
     assert ids.tolist() == LOADERS[kind][2](path).ids.tolist()
     assert not ids.flags.writeable and "_packed_ids" not in vars(data)
-    assert data.ids is ids and data_module._id_array(ids) is ids
+    assert data.ids is ids and vars(data)["ids"] is ids  # built once, then kept
+    assert ids.dtype == object and all(type(i) is str for i in ids)
 
 
 def test_ids_of_a_take_are_those_of_the_loaded_rows(tmp_path):

@@ -177,6 +177,23 @@ class TestStaggered:
         panel = panel_from_staggered(data, StaggeredTarget(1, 2))
         assert tuple(panel.ids) == data.unit_ids
 
+    def test_panel_builds_its_ids_only_when_read(self):
+        data = multi_fixture()
+        target = StaggeredTarget(1, 2)
+        panel = panel_from_staggered(data, target)
+        assert "ids" not in vars(panel)
+        # the bound reads no id, of the 2x2 panel or of the staggered one
+        panels = []
+        pivot = lambda *args: panels.append(panel_from_staggered(*args)) or panels[-1]
+        with mock.patch("didbounds.extensions.panel_from_staggered", pivot), \
+                mock.patch.object(data_module._UnitIds, "unpack", side_effect=AssertionError):
+            bounds_staggered(data, target, MONO_POSITIVE)
+        assert len(panels) == 1 and "ids" not in vars(panels[0])
+        ids = panels[0].ids
+        assert ids.tolist() == ["t1", "t2", "t3", "c1", "c2", "c3"]
+        assert not ids.flags.writeable and panels[0].ids is ids
+        assert "_packed_ids" not in vars(panels[0])
+
     def test_delegates_to_panel_bound_bitwise(self):
         data = multi_fixture()
         target = StaggeredTarget(1, 2)
@@ -327,9 +344,11 @@ def test_loaded_unit_codes_match_codes_built_in_code(units, data, tmp_path_facto
             panel_from_staggered(loaded, target)
         assert got.value.context == exc.context
         return
-    # the loaded panel's pivot codes no unit, and from_records keeps its ids
-    with mock.patch.object(data_module, "_first_rows", side_effect=AssertionError), \
-            mock.patch.object(data_module, "_id_array", wraps=data_module._id_array) as spy:
+    # the loaded panel's pivot codes no unit, and its 2x2 panel keeps its
+    # ids unbuilt, as the units' names and its units' codes
+    with mock.patch.object(data_module, "_first_rows", side_effect=AssertionError):
         got = panel_from_staggered(loaded, target)
-    assert got.ids is spy.call_args.args[0]
+    packed = vars(got)["_packed_ids"]
+    assert "ids" not in vars(got) and type(packed) is data_module._UnitIds
+    assert packed.names is names and packed.codes.size == got.n
     assert _panel_bits(got) == _panel_bits(want)

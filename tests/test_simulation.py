@@ -70,9 +70,12 @@ class TestGenerator:
     def test_panels_of_one_size_share_their_ids(self):
         a = generate_panel(DgpConfig(n=500, seed=9))
         b = generate_panel(DgpConfig(n=500, seed=10))
-        assert a.ids is b.ids and not a.ids.flags.writeable
-        assert a.ids.dtype == object
-        assert a.ids.tolist() == [str(i) for i in range(1, 501)]
+        # packed once for the size, and built by neither panel until read
+        assert vars(a)["_packed_ids"] is vars(b)["_packed_ids"]
+        assert "ids" not in vars(a) and "ids" not in vars(b)
+        assert not a.ids.flags.writeable and a.ids.dtype == object
+        assert a.ids.tolist() == b.ids.tolist() == [str(i) for i in range(1, 501)]
+        assert a.ids is vars(a)["ids"] and "_packed_ids" not in vars(a)  # built once, kept
         assert generate_panel(DgpConfig(n=3, seed=9)).ids.tolist() == ["1", "2", "3"]
 
     def test_seed_matters(self):
@@ -268,6 +271,14 @@ class TestMonteCarlo:
             for rep in range(5)
         ]
         assert row.mean_naive == float(np.mean(draws))
+
+    def test_replicates_build_no_ids(self, monkeypatch):
+        monkeypatch.setattr(core, "_worker_count", lambda: 1)  # panels drawn in-process
+        panels = []
+        draw = lambda config: panels.append(generate_panel(config)) or panels[-1]
+        monkeypatch.setattr(simulation, "generate_panel", draw)
+        run_monte_carlo(DgpConfig(n=300, seed=7), 5, ["mono-pos", "nomono"])
+        assert len(panels) == 5 and all("ids" not in vars(p) for p in panels)
 
     def test_deterministic(self):
         cfg = DgpConfig(n=300, seed=7)
