@@ -182,7 +182,7 @@ class TestStaggered:
         target = StaggeredTarget(1, 2)
         panel = panel_from_staggered(data, target)
         assert "ids" not in vars(panel)
-        # the bound reads no id, of the 2x2 panel or of the staggered one
+        # the bound reads no id of the 2x2 panel it builds
         panels = []
         pivot = lambda *args: panels.append(panel_from_staggered(*args)) or panels[-1]
         with mock.patch("didbounds.extensions.panel_from_staggered", pivot), \
