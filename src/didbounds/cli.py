@@ -5,6 +5,12 @@ error (empty cells, vacuous identification), 1 a forked worker that died
 before it returned its task (``WorkerDied``). Errors go to stderr as one JSON
 object {code, message, context}; results go to stdout as schema-versioned JSON
 or CSV. Identical invocations produce byte-identical output.
+
+Stderr also carries, one JSON line each: ``simulate``'s row of an
+assumption set with failed replicates (code ``FailedReplicates``), and,
+under ``--timings``, a bound command's stage timings in seconds of the
+process's wall clock: ``load_s``, ``bound_s``, ``bootstrap_s`` (0 without a
+CI) and ``emit_s``. Neither changes stdout or the exit code.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import io
 import json
 import math
 import sys
+import time
 import warnings
 from functools import partial
 
@@ -135,6 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_stag.add_argument("--assumptions", default="mono-pos")
     p_stag.add_argument("--output", choices=["json", "csv"], default="json")
     p_stag.set_defaults(handler=partial(_bound_command, load_multi_csv, _staggered_fn))
+    for sub in (p_bounds, p_rcs, p_stag):
+        sub.add_argument("--timings", action="store_true",
+                         help="write the stage timings to stderr as one JSON line")
 
     p_naive = commands.add_parser("naive", help="naive DiD on observed units")
     p_naive.add_argument("--data", required=True)
@@ -209,8 +219,11 @@ def _bound_command(load, build, args, caught) -> str:
         if args.seed is None:
             raise ValidationError("--seed is required when a CI is requested")
         spec = _inf.BootstrapSpec(200 if args.boot is None else args.boot, args.seed)
+    clock = [time.perf_counter()]
     data = load(args.data)
+    clock.append(time.perf_counter())
     result = fn(data)
+    clock.append(time.perf_counter())
     payload = {"schema": SCHEMA, **result.to_dict()}
     if wants_ci:
         boot = _inf.bootstrap_ses(data, fn, spec)
@@ -218,8 +231,15 @@ def _bound_command(load, build, args, caught) -> str:
         ci = method(result.lb, result.ub, boot.se_lb, boot.se_ub)
         ci.reps_used, ci.failed_reps = boot.reps_used, boot.failed_reps
         payload["ci"] = ci.to_dict()
+    clock.append(time.perf_counter())
     payload["warnings"] = _collect_warnings(caught) + payload["warnings"]
-    return _emit(payload, args.output)
+    text = _emit(payload, args.output)
+    clock.append(time.perf_counter())
+    if args.timings:
+        stages = ("load_s", "bound_s", "bootstrap_s", "emit_s")
+        sys.stderr.write(json.dumps({stage: b - a for stage, a, b in
+                                     zip(stages, clock, clock[1:])}) + "\n")
+    return text
 
 
 def _naive_command(args, caught) -> str:
@@ -246,9 +266,17 @@ def _simulate_command(args, caught) -> str:
                               flags=["--oracle-draws"])
     config = _sim.DgpConfig(n=args.n, att=args.att, seed=args.seed)
     names = [a.strip() for a in args.assumptions.split(",") if a.strip()]
-    return _sim.monte_carlo_csv(_sim.run_monte_carlo(
-        config, args.reps, names, coverage=args.coverage, **draws
-    ))
+    rows = _sim.run_monte_carlo(config, args.reps, names, coverage=args.coverage, **draws)
+    for row in rows:
+        if row.failed_reps:
+            sys.stderr.write(json.dumps({
+                "code": "FailedReplicates",
+                "message": f"{row.failed_reps} of {row.reps} replicates failed "
+                           f"under {row.assumption_set}",
+                "context": {"assumption_set": row.assumption_set,
+                            "failed_reps": row.failed_reps, "reps": row.reps},
+            }) + "\n")
+    return _sim.monte_carlo_csv(rows)
 
 
 def _oracle_command(args, caught) -> str:

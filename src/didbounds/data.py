@@ -6,8 +6,9 @@ indicator is 1. A dataset, loaded or built in code, holds each column as a
 read-only numpy array of its class's ``_DTYPES`` (a numeric array of that
 dtype that owns its data is frozen in place, not copied; a view is copied,
 since its base could still be written) and passes the loaders' checks: equal
-lengths, 0/1 ``int8`` columns, and no NaN outcome where it is selected. No
-bound reads ids, so they stay unbuilt until ``ids`` is first read, which
+lengths, 0/1 ``int8`` columns, and no NaN outcome where it is selected; a
+staggered panel also has no negative ``gvar`` or ``t`` and one ``gvar`` a
+unit. No bound reads ids, so they stay unbuilt until ``ids`` is first read, which
 builds the object array once (``_gather_column``): a loaded or generated
 panel's or a cross-section's from one text and offsets (``_PackedIds``), a
 staggered panel's and its 2x2 panel's from units' names and codes
@@ -15,7 +16,14 @@ staggered panel's and its 2x2 panel's from units' names and codes
 
 A CSV file is read in pieces of about ``_CHUNK`` bytes, each cut at a line
 end, ``\\r\\n``, ``\\r`` or ``\\n`` alike (``_texts``), so a file with any
-line ends is loaded a piece at a time through the same code. Each column of
+line ends is loaded a piece at a time through the same code. A piece with no
+``"`` is split into fields as bytes, in one numpy pass (``_plain_fields``);
+from the first piece with one on, ``csv.reader`` reads the records, and
+their fields are packed into one text the same way (``_packed_records``).
+Either way a block is one text and each field's byte offsets in it
+(``_Fields``), which one set of converters reads: a 0/1 field and an
+integer of up to 18 ASCII digits in numpy, any other integer by ``int()``,
+an outcome by ``float()`` of its own text, and ids as bytes. Each column of
 the file is one array, grown as each piece's records are converted
 (``_grown``).
 """
@@ -24,13 +32,12 @@ from __future__ import annotations
 
 import codecs
 import csv
-import operator
 import re
 import warnings
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
-from itertools import chain, count, islice, pairwise, repeat
+from itertools import chain, count, islice, pairwise
 
 import numpy as np
 
@@ -158,13 +165,11 @@ class _PackedIds:
         self.text = np.empty(0, np.uint8)
         self.bounds = np.zeros(1, np.intp)  # id i is text[bounds[i]:bounds[i+1]]
 
-    def extend(self, ids: list) -> None:
-        """Add ``ids`` after those held."""
-        ends = np.fromiter(map(len, ids), np.intp, len(ids))
-        np.cumsum(ends, out=ends)
-        ends += self.bounds[-1]
-        self.bounds = _grown(self.bounds, ends)
-        self.text = _grown(self.text, np.frombuffer("".join(ids).encode(), np.uint8))
+    def extend(self, text: np.ndarray, ends: np.ndarray) -> None:
+        """Add the ids whose UTF-8 bytes are ``text``, one after another, each
+        ending ``ends`` characters into it, after those held."""
+        self.bounds = _grown(self.bounds, ends + self.bounds[-1])
+        self.text = _grown(self.text, text)
 
     def __len__(self) -> int:
         return self.bounds.size - 1
@@ -361,13 +366,39 @@ class MultiPeriodPanel:
     y: np.ndarray
 
     _DTYPES = dict(ids=object, gvar=np.int64, t=np.int64, s=np.int8, y=np.float64)
-    __post_init__ = _freeze_columns
 
-    @cached_property
-    def _units(self) -> tuple:
-        """``_unit_codes`` of ``str`` of the ids, unless ``load_multi_csv`` set it."""
-        seen = {}
-        return _unit_codes(seen, _first_rows(seen, list(map(str, self.ids))))
+    def __post_init__(self):
+        """The columns frozen and checked (``_freeze_columns``), and the rows'
+        units coded (``_units``): kept from a loader's ``_UnitIds``, else by
+        ``_unit_codes`` of ``str`` of the ids. Then, as on loading, a negative
+        ``gvar`` or ``t`` is a ``ValidationError`` and a unit whose ``gvar``
+        changes across its rows an ``InconsistentGvar``, each on the first
+        such row, before anything reads a unit's ``gvar``."""
+        _freeze_columns(self)
+        kind = type(self).__name__
+        for name in ("gvar", "t"):
+            bad = getattr(self, name) < 0
+            if bad.any():
+                row = int(bad.argmax())
+                raise ValidationError(f"{kind} row {row}: {name} must be non-negative, "
+                                      f"got {getattr(self, name)[row]}", row=row, column=name)
+        packed = vars(self).get("_packed_ids")
+        if isinstance(packed, _UnitIds):
+            names, code = packed.names, packed.codes
+        else:
+            seen = {}
+            names, code = _unit_codes(seen, _first_rows(seen, list(map(str, self.ids))))
+        gvar = np.empty(names.size, np.int64)
+        gvar[code] = self.gvar  # some row's gvar for each unit, compared a block at a time
+        if any((gvar[code[a:a + _BLOCK]] != self.gvar[a:a + _BLOCK]).any()
+               for a in range(0, code.size, _BLOCK)):
+            earlier = {}
+            for row, (unit, g) in enumerate(zip(code.tolist(), self.gvar.tolist())):
+                if earlier.setdefault(unit, g) != g:
+                    raise InconsistentGvar(f"{kind} row {row}: id {names[unit]} has gvar {g} "
+                                           f"but earlier gvar {earlier[unit]}",
+                                           row=row, id=names[unit])
+        vars(self)["_units"] = (names, code)
 
     @property
     def unit_ids(self) -> tuple:
@@ -376,8 +407,6 @@ class MultiPeriodPanel:
 
     __getattr__ = _gather_column
 
-
-_BINARY = frozenset(("0", "1"))
 
 # records converted at a time from a file that has a '"' (see _quoted_blocks),
 # and rows coded at a time (see _unit_codes)
@@ -389,10 +418,10 @@ _CHUNK = 1 << 17
 # a line as reading a file with newline="" gives it: up to \r\n, \r or \n
 _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
+_COMMA, _CR, _LF, _ZERO = b",\r\n0"
 
-def _fields(line: str) -> list:
-    """A line's fields as ``csv.reader`` gives them when it has no ``"``."""
-    return line.split(",") if line else []
+# the most digits a field converted in numpy has (see _integers): 10**18 < 2**63
+_DIGITS = 18
 
 
 def _line_breaks(raw: bytes) -> int:
@@ -429,6 +458,7 @@ def _texts(fh):
             line += _line_breaks(piece[:exc.start])
             raise MalformedRow(f"line {line}: not UTF-8 text", line=line) from None
         line += _line_breaks(piece)
+        del chunk, raw, piece  # only the text is held while it is converted
         if text:
             yield text
 
@@ -439,26 +469,137 @@ def _plain(text: str) -> bool:
     return '"' not in text
 
 
-def _lines(text: str) -> list:
-    """The lines of plain text, without their ends."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if lines[-1] == "":  # the newline that ends the text
-        lines.pop()
-    return lines
+def _gathered(text: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The bytes ``text[starts[i]:ends[i]]``, one span after another, for
+    spans in order that do not overlap. Spans of at most a quarter of the
+    text, such as a file's ids, are taken by an index per byte taken, 16
+    bytes of scratch each; longer ones by a one-byte mask of the text made
+    of the spans and the gaps between them. Either way a column of a piece
+    needs at most about four times the piece's bytes of scratch."""
+    sizes = ends - starts
+    if 4 * sizes.sum() <= text.size:
+        index = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        index += np.arange(index.size)
+        return text[index]
+    bounds = np.empty(2 * starts.size + 2, np.intp)
+    bounds[0], bounds[-1] = 0, text.size
+    bounds[1:-1:2], bounds[2:-1:2] = starts, ends
+    inside = np.zeros(bounds.size - 1, bool)
+    inside[1::2] = True
+    return text[np.repeat(inside, np.diff(bounds))]
 
 
-def _check_field_limit(lines: list, line: int) -> None:
-    """Raise ``csv.reader``'s error on the first of the plain ``lines``,
-    numbered from ``line``, with a field longer than ``csv.field_size_limit()``."""
-    if max(map(len, lines), default=0) <= csv.field_size_limit():
+class _Fields:
+    """Fields of a UTF-8 text, such as a block's or one of its columns: the
+    text and each field's byte offsets in it. Field ``i`` is
+    ``text[starts[i]:ends[i]]``, and a byte that is in no field, its ``,``,
+    line end or ``\\n``, follows it at ``ends[i]``."""
+
+    __slots__ = ("text", "starts", "ends")
+
+    def __init__(self, text, starts, ends):
+        self.text, self.starts, self.ends = text, starts, ends
+
+    def __len__(self) -> int:
+        return self.starts.size
+
+    def __getitem__(self, rows) -> "_Fields":
+        """The fields ``rows`` (a slice or a mask) selects, in order."""
+        return _Fields(self.text, self.starts[rows], self.ends[rows])
+
+    def lengths(self) -> np.ndarray:
+        """Each field's length in bytes."""
+        return self.ends - self.starts
+
+    def field(self, i: int) -> str:
+        return str(self.text[self.starts[i]:self.ends[i]], "utf-8")
+
+    def first(self, mask: np.ndarray):
+        """The first field ``mask`` marks, which its check's fault quotes, or None."""
+        return self.field(int(mask.argmax())) if mask.any() else None
+
+    def strings(self) -> list:
+        """The fields as ``str``: their bytes, each with the byte after it
+        made a ``\\n``, decoded at once and split. If a field holds a
+        ``\\n``, as only a quoted one can, each is decoded on its own instead."""
+        starts, ends = self.starts, self.ends
+        text = _gathered(self.text, starts, ends + 1)
+        text[np.cumsum(ends - starts + 1) - 1] = _LF
+        fields = str(text, "utf-8").split("\n")
+        fields.pop()  # after the last field's \n
+        if len(fields) == starts.size:
+            return fields
+        return [str(self.text[a:b], "utf-8") for a, b in zip(starts.tolist(), ends.tolist())]
+
+    def packed(self) -> tuple:
+        """The fields' bytes, one after another, and where each field ends
+        in characters: its end in bytes less the UTF-8 continuation bytes
+        before it."""
+        text = _gathered(self.text, self.starts, self.ends)
+        ends = np.cumsum(self.lengths())
+        ends -= np.searchsorted(np.flatnonzero((text & 0xC0) == 0x80), ends)
+        return text, ends
+
+
+def _plain_fields(raw: bytes) -> tuple:
+    """The records of plain text (``_plain``) as ``csv.reader``'s excel
+    dialect reads them, one a line, split on ``,``: their fields
+    (``_Fields``) and each record's number of fields, a blank line's none.
+    A line ends at ``\\r\\n``, ``\\r`` or ``\\n``. None of these bytes, nor
+    ``,``, is part of a longer UTF-8 character, so the text is split as
+    bytes, in one numpy pass over them."""
+    if not raw.endswith((b"\n", b"\r")):
+        raw += b"\n"  # the file's last line, which had no line end
+    text = np.frombuffer(raw, np.uint8)
+    sep = text == _LF
+    sep |= text == _COMMA
+    crlf = None
+    if b"\r" in raw:
+        crlf = text == _CR  # then, each \r that a \n follows
+        sep |= crlf
+        crlf[-1] = False
+        crlf[:-1] &= text[1:] == _LF
+        sep[1:] &= ~crlf[:-1]  # the \n of a \r\n ends no field: its \r does
+    ends = np.flatnonzero(sep)
+    del sep
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    if crlf is not None:
+        starts[1:] += crlf[ends[:-1]]  # a field after a \r\n starts after its \n
+    del crlf
+    last = np.flatnonzero(text[ends] != _COMMA)  # the last field of each line
+    widths = np.empty_like(last)
+    widths[0] = last[0] + 1
+    np.subtract(last[1:], last[:-1], out=widths[1:])
+    blank = np.flatnonzero(widths == 1)
+    blank = blank[starts[last[blank]] == ends[last[blank]]]
+    if blank.size:  # a blank line has no field
+        widths[blank] = 0
+        keep = np.ones(ends.size, bool)
+        keep[last[blank]] = False
+        starts, ends = starts[keep], ends[keep]
+    return _Fields(text, starts, ends), widths
+
+
+def _check_field_limit(fields: _Fields, widths: np.ndarray, line: int) -> None:
+    """Raise ``csv.reader``'s error on the first of the plain records
+    (``_plain_fields``), each a line numbered from ``line``, with a field
+    longer than ``csv.field_size_limit()``. A field has at least as many
+    bytes as characters, so only a line with a field that long in bytes is
+    read again."""
+    limit = csv.field_size_limit()
+    if fields.text.size <= limit:  # no field is longer than the text
         return
-    for number, text in enumerate(lines, line):
+    long = np.flatnonzero(fields.lengths() > limit)
+    after = np.cumsum(widths)  # each record's fields end before this one
+    for i in dict.fromkeys(np.searchsorted(after, long, side="right").tolist()):
+        first, end = after[i] - widths[i], after[i] - 1
+        text = str(fields.text[fields.starts[first]:fields.ends[end]], "utf-8")
         try:
             next(csv.reader([text]), None)
         except csv.Error as exc:
-            raise MalformedRow(f"line {number}: {exc}", line=number) from None
+            raise MalformedRow(f"line {line + i}: {exc}", line=line + i) from None
 
 
 def _records(texts, lines_before: int):
@@ -474,30 +615,28 @@ def _records(texts, lines_before: int):
         raise MalformedRow(f"line {line}: {exc}", line=line) from None
 
 
-def _plain_columns(lines: list, k: int) -> list:
-    text = ",".join(lines)
-    lines.clear()  # each line's string is dropped before its fields are made
-    flat = text.split(",") if text else []
-    del text
-    return [flat[j::k] for j in range(k)]
-
-
-def _quoted_columns(records: list, k: int) -> list:
-    columns = list(zip(*records)) or [()] * k
-    records.clear()
-    return columns
+def _packed_records(records: list) -> tuple:
+    """Records as ``csv.reader`` gives them, as ``_plain_fields`` gives
+    plain ones: their fields, packed in one text, each followed by a
+    ``\\n``, and each record's number of fields."""
+    fields = list(chain.from_iterable(records))
+    text = "\n".join(fields) + "\n"
+    sizes = np.fromiter(map(len, fields if text.isascii() else map(str.encode, fields)),
+                        np.intp, len(fields)) + 1
+    ends = np.cumsum(sizes) - 1
+    return (_Fields(np.frombuffer(text.encode(), np.uint8), ends - sizes + 1, ends),
+            np.fromiter(map(len, records), np.intp, len(records)))
 
 
 def _blocks(texts):
-    """The header's fields and the record blocks of a file's texts.
+    """The header's fields and the record blocks of a file's texts, each
+    ``(fields, widths)`` (see ``_plain_fields``).
 
-    Each block is ``(records, widths, split)``: ``split(records, k)`` gives
-    the fields of records that are all ``k`` wide, by column, and empties
-    ``records``. Plain texts
-    (``_plain``) are split at every line end and on ``,``, which is what
-    ``csv.reader``'s excel dialect makes of them, a blank line included (a
-    record with no fields; its width reads 1). From the first text that is
-    not plain on, the rest of the file goes through one ``csv.reader``.
+    Plain texts (``_plain``) are split at every line end and on ``,``, as
+    bytes (``_plain_fields``), which is what ``csv.reader``'s excel dialect
+    makes of them, a blank line included (a record with no fields). From the
+    first text that is not plain on, the rest of the file goes through one
+    ``csv.reader``, ``_BLOCK`` records at a time (``_packed_records``).
     """
     head = next(texts, None)
     if head is None:
@@ -506,9 +645,9 @@ def _blocks(texts):
         records = _records(chain([head], texts), 0)
         return next(records, None), _quoted_blocks(records)
     end = _LINE.match(head).end()  # the header line, which the rest of the text follows
-    line = head[:end].rstrip("\r\n")
-    _check_field_limit([line], 1)
-    return _fields(line), _plain_blocks(chain([head[end:]] if end < len(head) else [], texts))
+    fields, widths = _plain_fields(head[:end].encode())
+    _check_field_limit(fields, widths, 1)
+    return fields.strings(), _plain_blocks(chain([head[end:]] if end < len(head) else [], texts))
 
 
 def _plain_blocks(texts):
@@ -517,16 +656,15 @@ def _plain_blocks(texts):
         if not _plain(text):
             yield from _quoted_blocks(_records(chain([text], texts), line - 1))
             return
-        lines = _lines(text)
-        _check_field_limit(lines, line)
-        line += len(lines)
-        widths = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines)) + 1
-        yield lines, widths, _plain_columns
+        fields, widths = _plain_fields(text.encode())
+        _check_field_limit(fields, widths, line)
+        line += widths.size
+        yield fields, widths
 
 
 def _quoted_blocks(records):
     for block in iter(lambda: list(islice(records, _BLOCK)), []):
-        yield block, np.fromiter(map(len, block), np.intp, len(block)), _quoted_columns
+        yield _packed_records(block)
 
 
 def _read_columns(path, header, convert):
@@ -535,14 +673,14 @@ def _read_columns(path, header, convert):
     The file is read once, about ``_CHUNK`` bytes at a time (``_texts``), and
     each piece's records are split into fields (``_blocks``; ``_BLOCK``
     records at a time once a ``"`` is met). A block's fields go to
-    ``convert(columns, start)``, by column, with the index of the block's
-    first record; records are numbered from 2, after the header. ``convert``
-    returns the block's typed arrays and its record checks (see
-    ``_raise_first``), whose faults quote no field but the first each check
-    rejects. Each array is written at the end of its column of the file as
-    soon as it is made (``_convert_blocks``). Then the block's strings are
-    dropped, but for those ``convert`` keeps, so that a load holds about one
-    block of field strings at a time and each column once.
+    ``convert(columns, start)``, by column (``_Fields``), with the index of
+    the block's first record; records are numbered from 2, after the
+    header. ``convert`` returns the block's typed arrays and its record
+    checks (see ``_raise_first``), whose faults quote no field but the first
+    each check rejects. Each array is written at the end of its column of
+    the file as soon as it is made (``_convert_blocks``), and the block is
+    dropped, so that a load holds about one block at a time and each column
+    once.
 
     Returns the columns of the whole file, as writable arrays, its checks,
     and the ``MalformedRow`` of the first record with the wrong number of
@@ -594,15 +732,11 @@ def _convert_blocks(blocks, k, convert) -> tuple:
     quotes none). Columns and checks are None if there is no block."""
     columns = checks = None
     start = 0
-    for records, widths, split in blocks:
+    for fields, widths in blocks:
         bad = np.flatnonzero(widths != k)
-        if bad.size:
-            end = int(bad[0])
-            got = int(widths[end]) if records[end] else 0  # a blank line has no field
-            del records[end:]
-        size = len(records)
-        # split drops the block's lines or records; its fields, once converted
-        arrays, block_checks = convert(split(records, k), start)
+        size = int(bad[0]) if bad.size else widths.size
+        # the records before the first not k wide, by column
+        arrays, block_checks = convert([fields[j:size * k:k] for j in range(k)], start)
         if columns is None:
             columns = [np.empty(0, array.dtype) for array in arrays]
             checks = [(np.empty(0, np.intp), fault, warn) for _, fault, warn in block_checks]
@@ -615,12 +749,14 @@ def _convert_blocks(blocks, k, convert) -> tuple:
                 if before.size:
                     fault = first_fault
                 checks[j] = (_grown(before, rows + start), fault, warn)
-        del arrays, block_checks  # before the next block is read
         start += size
         if bad.size:
+            got = int(widths[size])
+            del fields, arrays, block_checks
             deque(blocks, maxlen=0)  # csv.reader raises on a later record before any is checked
             return columns, checks, MalformedRow(
                 f"line {start + 2}: expected {k} fields, got {got}", line=start + 2)
+        del fields, arrays, block_checks  # before the next block is read
     return columns, checks, None
 
 
@@ -669,51 +805,62 @@ def _parse(convert, fields, fill):
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _integers(values) -> np.ndarray:
-    """Parsed integers as int64; as objects if one overflows int64, so that the
-    checks still run and find it."""
-    try:
-        return np.array(values, np.int64)
-    except OverflowError:
-        return np.array(values, object)
+def _integers(column: _Fields) -> tuple:
+    """A column of integers as int64, as objects if one overflows int64 so
+    that the checks still run and find it; and the mask of the fields
+    ``int()`` rejects, whose values are 0.
+
+    A field of 1 to ``_DIGITS`` ASCII digits is converted here, a digit at a
+    time; any other goes through ``int()`` (``_parse``), as a sign, spaces,
+    underscores, other digits or more digits need.
+    """
+    lengths = column.lengths()
+    values = np.zeros(lengths.size, np.int64)
+    fast = (lengths > 0) & (lengths <= _DIGITS)
+    for p in range(min(int(lengths.max(initial=0)), _DIGITS)):
+        more = lengths > p
+        digit = column.text[np.where(more, column.starts + p, 0)] - np.uint8(_ZERO)
+        fast &= ~more | (digit <= 9)
+        values = np.where(more, values * 10 + digit, values)
+    slow = ~fast
+    rejected = np.zeros(lengths.size, bool)
+    if slow.any():
+        parsed, rejected[slow] = _parse(int, column[slow].strings(), 0)
+        try:
+            values[slow] = parsed
+        except OverflowError:
+            values = values.astype(object)
+            values[slow] = parsed
+    return values, rejected
 
 
-def _first(fields, mask):
-    """The field of the first record ``mask`` marks, which its fault quotes."""
-    return fields[int(mask.argmax())] if mask.any() else None
-
-
-def _binary(fields, col):
+def _binary(column: _Fields, col):
     """A 0/1 column as int8, and its check: a field other than "0" or "1" is malformed."""
-    n = len(fields)
-    if set(fields) <= _BINARY:
-        values = np.frombuffer("".join(fields).encode("ascii"), np.int8) - ord("0")
-        bad = np.zeros(n, bool)
-    else:
-        values = np.fromiter(map("1".__eq__, fields), np.int8, n)
-        bad = ~np.fromiter(map(_BINARY.__contains__, fields), bool, n)
-    got = _first(fields, bad)
+    digit = column.text[column.starts] - np.uint8(_ZERO)  # the byte after an empty field
+    bad = (column.lengths() != 1) | (digit > 1)
+    values = ((digit == 1) & ~bad).view(np.int8)
+    got = column.first(bad)
     return values, (bad, lambda i: MalformedRow(
         f"line {i + 2}: {col} must be 0 or 1, got {got!r}", line=i + 2), False)
 
 
-def _outcome(fields, s, col):
+def _outcome(column: _Fields, s, col):
     """An outcome column as float64, NaN where its selection ``s`` is 0, and its checks.
 
-    Each non-blank field goes through ``float()`` once. A selected outcome
-    must not be blank; a present one must be numeric and finite, and is
-    dropped with a warning where the unit is not selected.
+    Each non-blank field goes through ``float()`` once, as its own text. A
+    selected outcome must not be blank; a present one must be numeric and
+    finite, and is dropped with a warning where the unit is not selected.
     """
-    n = len(fields)
-    blank = np.fromiter(map(operator.not_, fields), bool, n)
+    n = len(column)
+    blank = column.lengths() == 0
     values = np.full(n, np.nan)
     not_numeric = np.zeros(n, bool)
-    values[~blank], not_numeric[~blank] = _parse(float, list(filter(None, fields)), np.nan)
+    values[~blank], not_numeric[~blank] = _parse(float, column[~blank].strings(), np.nan)
     finite = np.isfinite(values)
     selected = s == 1
     values[~selected] = np.nan
     not_finite = ~blank & ~finite & ~not_numeric
-    got_numeric, got_finite = _first(fields, not_numeric), _first(fields, not_finite)
+    got_numeric, got_finite = column.first(not_numeric), column.first(not_finite)
     return values, [
         (blank & selected,
          lambda i: MissingOutcome(f"line {i + 2}: {col} blank but selected", line=i + 2),
@@ -732,18 +879,18 @@ def _outcome(fields, s, col):
 
 def _header_block(header, ids, columns, start):
     """A block of a panel or cross-section file, converted column by column
-    in header order: the ids added to ``ids`` (``_PackedIds``), each 0/1
-    column by ``_binary`` and each outcome ``y…`` by ``_outcome`` with its
+    in header order: the ids' bytes added to ``ids`` (``_PackedIds``), each
+    0/1 column by ``_binary`` and each outcome ``y…`` by ``_outcome`` with its
     selection column ``s…``."""
     arrays, checks = {}, []
-    for col, fields in zip(header, columns):
+    for col, column in zip(header, columns):
         if col == "id":
-            ids.extend(fields)
+            ids.extend(*column.packed())
         elif col.startswith("y"):
-            arrays[col], col_checks = _outcome(fields, arrays["s" + col[1:]], col)
+            arrays[col], col_checks = _outcome(column, arrays["s" + col[1:]], col)
             checks += col_checks
         else:
-            arrays[col], check = _binary(fields, col)
+            arrays[col], check = _binary(column, col)
             checks.append(check)
     return tuple(arrays.values()), checks
 
@@ -790,12 +937,9 @@ def _multi_block(seen, columns, start):
     """A block of a staggered panel, each row's unit given as its first row
     (``_first_rows``), which ``_unit_codes`` turns into the unit's code."""
     ids, gvar, t, s, y = columns
-    columns.clear()  # each column's strings go as soon as it is converted
-    unit = _first_rows(seen, ids, start)
-    del ids
-    gvar, gvar_rejected = _parse(int, gvar, 0)
-    t, t_rejected = _parse(int, t, 0)
-    gvar, t = _integers(gvar), _integers(t)
+    unit = _first_rows(seen, ids.strings(), start)
+    gvar, gvar_rejected = _integers(gvar)
+    t, t_rejected = _integers(t)
     s, s_check = _binary(s, "s")
     y, y_checks = _outcome(y, s, "y")
     return (unit, gvar, t, s, y), [
@@ -851,9 +995,7 @@ def load_multi_csv(path) -> MultiPeriodPanel:
     missing = names[~has_baseline].tolist()
     if missing:
         raise MissingBaseline(f"ids without a period-0 row: {missing[:5]}", ids=missing)
-    data = MultiPeriodPanel(_UnitIds(names, code), gvar, t, s, y)
-    vars(data)["_units"] = (names, code)
-    return data
+    return MultiPeriodPanel(_UnitIds(names, code), gvar, t, s, y)
 
 
 def _format_outcome(v) -> str:

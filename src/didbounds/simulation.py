@@ -90,8 +90,9 @@ def _latents(rng: np.random.Generator, n: int, config: DgpConfig) -> dict:
 def _unit_ids(n: int) -> _PackedIds:
     """The ids "1".."n", packed (``data._PackedIds``) once per ``n`` and shared
     by every panel drawn at that size, none of which builds them unless read."""
+    names = list(map(str, range(1, n + 1)))
     ids = _PackedIds()
-    ids.extend(list(map(str, range(1, n + 1))))
+    ids.extend(np.frombuffer("".join(names).encode(), np.uint8), np.cumsum(list(map(len, names))))
     return ids
 
 

@@ -243,6 +243,19 @@ class TestOtherCommands:
         assert lines[0].startswith("n,reps,assumption_set")
         assert len(lines) == 2
 
+    def test_simulate_reports_failed_replicates_on_stderr(self, capsys):
+        # two units leave every cell of a replicate empty: each row's means
+        # are nan, and its failed replicates were counted but never shown
+        code, out, err = _run(capsys, ["simulate", "--n", "2", "--reps", "5", "--seed", "0"])
+        assert code == 0
+        assert out == ("n,reps,assumption_set,mean_lb,mean_ub,mean_naive,mean_p_ooo1,coverage\n"
+                       "2,5,mono-pos,nan,nan,nan,nan,nan\n2,5,nomono,nan,nan,nan,nan,nan\n")
+        lines = [json.loads(line) for line in err.splitlines()]
+        assert [line["context"] for line in lines] == [
+            {"assumption_set": name, "failed_reps": 5, "reps": 5}
+            for name in ("mono-pos", "nomono")]
+        assert all(line["code"] == "FailedReplicates" for line in lines)
+
     def test_oracle_json(self, capsys):
         code, out, _ = _run(
             capsys, ["oracle", "--mc-draws", "200000", "--seed", "5"]
@@ -676,16 +689,38 @@ def test_emit_refuses_non_finite_values():
 # every subcommand's option strings; a new flag shows up here as a test diff
 CLI_SURFACE = {
     "bounds": ["--assumptions", "--boot", "--ci", "--data", "--output", "--param",
-               "--seed", "--support-y00", "--support-y01", "--support-y10"],
+               "--seed", "--support-y00", "--support-y01", "--support-y10", "--timings"],
     "bounds-rcs": ["--assumptions", "--boot", "--ci", "--data", "--output", "--seed",
-                   "--variant"],
-    "bounds-staggered": ["--assumptions", "--data", "--gamma", "--output", "--t"],
+                   "--timings", "--variant"],
+    "bounds-staggered": ["--assumptions", "--data", "--gamma", "--output", "--t",
+                         "--timings"],
     "naive": ["--data", "--design", "--output"],
     "strata": ["--data", "--output"],
     "simulate": ["--assumptions", "--att", "--coverage", "--n", "--oracle-draws",
                  "--reps", "--seed"],
     "oracle": ["--att", "--mc-draws", "--seed", "--selection-shift"],
 }
+
+
+@pytest.mark.parametrize("command", [
+    ["bounds", "--ci", "im", "--boot", "20", "--seed", "1"],
+    ["bounds", "--param", "ono"],
+    ["bounds-rcs"],
+    ["bounds-staggered", "--gamma", "1", "--t", "1"],
+], ids=["bounds-ci", "bounds", "bounds-rcs", "bounds-staggered"])
+def test_timings_go_to_stderr_and_leave_stdout_as_it_is(tmp_path, capsys, command):
+    text = {"bounds": PANEL_CSV, "bounds-rcs": RCS_CSV, "bounds-staggered": MULTI_CSV}[command[0]]
+    argv = command + ["--data", _panel(tmp_path, text)]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    timed_code, timed_out, timed_err = _run(capsys, argv + ["--timings"])
+    assert (timed_code, timed_out) == (0, out)
+    (line,) = timed_err.splitlines()
+    timings = json.loads(line)
+    assert list(timings) == ["load_s", "bound_s", "bootstrap_s", "emit_s"]
+    assert all(type(value) is float and value >= 0 for value in timings.values())
+    if "--ci" not in command:
+        assert timings["bootstrap_s"] < 0.01
 
 
 def test_cli_surface():

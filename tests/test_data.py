@@ -1,4 +1,5 @@
 import codecs
+import csv
 import io
 import os
 import pickle
@@ -6,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from collections import deque
 from dataclasses import fields
 from itertools import pairwise
 from unittest import mock
@@ -292,6 +294,11 @@ class TestDatasetsBuiltInCode:
         ("rcs", dict(y=[1, 1, np.nan, 1, 1, 1]), MissingOutcome, {"row": 2, "column": "y"}),
         ("multi", dict(s=[1, 1, 1, 1, 1, 2]), ValidationError, {"row": 5, "column": "s"}),
         ("multi", dict(y=[np.nan, 1, 1, 1, 1, 1]), MissingOutcome, {"row": 0, "column": "y"}),
+        # a negative gvar dropped its unit from both groups, and a bound printed
+        ("multi", dict(gvar=[0, 0, 1, 1, -1, -1]), ValidationError, {"row": 4, "column": "gvar"}),
+        ("multi", dict(t=[0, 1, 0, -1, 0, 1]), ValidationError, {"row": 3, "column": "t"}),
+        # a unit whose gvar changed across its rows was counted as treated
+        ("multi", dict(gvar=[0, 0, 1, 0, 0, 0]), InconsistentGvar, {"row": 3, "id": "b"}),
     ])
     def test_values_the_loaders_reject_are_rejected(self, kind, columns, error, context):
         cls, valid = {
@@ -306,6 +313,41 @@ class TestDatasetsBuiltInCode:
         with pytest.raises(error) as exc:
             cls(**{**valid, **columns})
         assert type(exc.value) is error and exc.value.context == context
+
+    @pytest.mark.parametrize("gvar, error, context", [
+        ([1, 1, 0, 0, -1, -1], ValidationError, {"row": 4, "column": "gvar"}),
+        ([1, 0, 0, 0, 1, 1], InconsistentGvar, {"row": 1, "id": "a"}),
+    ])
+    def test_staggered_panels_get_the_loaders_gvar_checks(self, gvar, error, context, tmp_path):
+        # bounds_staggered printed lb = ub = 0.5 on the first, and counted
+        # unit a as treated on the second; load_multi_csv rejects both files
+        with pytest.raises(error) as exc:
+            bounds_staggered(MultiPeriodPanel(ids=["a", "a", "b", "b", "c", "c"], gvar=gvar,
+                                              t=[0, 1] * 3, s=[1] * 6, y=[1.0, 2, 1, 1.5, 1, 1]),
+                             StaggeredTarget(1, 1), MONO_POSITIVE)
+        assert type(exc.value) is error and exc.value.context == context
+        lines = ["id,gvar,t,s,y"] + [f"{i},{g},{t},1,1.0" for i, g, t in
+                                      zip("aabbcc", gvar, [0, 1] * 3)]
+        path = _write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises((MalformedRow, InconsistentGvar)):
+            load_multi_csv(path)
+
+    def test_a_loaded_staggered_panel_codes_no_row_again(self, tmp_path):
+        path = tmp_path / "multi.csv"
+        path.write_bytes(_valid_csv("multi", 400, "\n").encode("ascii"))
+        loaded = load_multi_csv(path)
+        names, code = loaded._units
+        # the loader's unit codes are checked and kept as they are: no id is hashed again
+        with mock.patch.object(data_module, "_first_rows", side_effect=AssertionError):
+            again = MultiPeriodPanel(data_module._UnitIds(names, code), loaded.gvar, loaded.t,
+                                     loaded.s, loaded.y)
+            bad = loaded.gvar.copy()
+            bad[-1] = 9 - bad[-1]
+            with pytest.raises(InconsistentGvar) as exc:
+                MultiPeriodPanel(data_module._UnitIds(names, code), bad, loaded.t, loaded.s,
+                                 loaded.y)
+        assert again._units[0] is names and again._units[1] is code
+        assert exc.value.context == {"row": 399, "id": names[code[-1]]}
 
     def test_unselected_nan_outcomes_and_bool_columns_are_valid(self):
         data = PanelDataset.from_records("ab", np.array([False, True]), [True, False],
@@ -470,8 +512,11 @@ OUTCOME_COLUMNS = {"panel": [(4, 2), (5, 3)], "rcs": [(4, 3)], "multi": [(4, 3)]
 binary = st.sampled_from(["0", "1"])
 outcome_text = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.sampled_from(["0", "-0.0", "1e3", " 1.5", "1_0", "+3", "\t2 ", "\u0663"]),
+    # "2.5\n" is an outcome where it is quoted, and ends its line where it is not
+    st.sampled_from(["0", "-0.0", "1e3", " 1.5", "1_0", "+3", "\t2 ", "\u0663", "2.5\n"]),
 )
+# ids of 1, 2 and 4 bytes a character, plain where no field is quoted
+plain_ids = st.sampled_from(["a", "b", "7", "caf\u00e9", "\u0100", "\U0001f600"])
 
 
 def _outcome(s, y):
@@ -479,28 +524,34 @@ def _outcome(s, y):
 
 
 panel_records = st.lists(
-    st.tuples(st.sampled_from(["a", "b", "7"]), binary, binary, binary,
+    st.tuples(plain_ids, binary, binary, binary,
               outcome_text, outcome_text).map(
         lambda r: [r[0], r[1], r[2], r[3], _outcome(r[2], r[4]), _outcome(r[3], r[5])]),
     min_size=1, max_size=8)
 
 rcs_records = st.lists(
-    st.tuples(st.sampled_from(["a", "b", "7"]), binary, binary, binary, outcome_text).map(
+    st.tuples(plain_ids, binary, binary, binary, outcome_text).map(
         lambda r: [r[0], r[1], r[2], r[3], _outcome(r[3], r[4])]),
     min_size=1, max_size=8)
 
 
 @st.composite
 def multi_records(draw):
-    """Units with a gvar and periods that include 0; rows in any order."""
+    """Units with a gvar and periods that include 0; rows in any order. A
+    gvar or period may be spelled with a sign, spaces, leading zeros (19
+    digits and more go through ``int()``), underscores or other digits."""
     rows = []
-    for uid in draw(st.lists(st.sampled_from(["1", "2", "u", " 1"]), min_size=1,
-                             max_size=3, unique=True)):
-        gvar = draw(st.sampled_from(["0", "2", "3", " 2"]))
+    for uid in draw(st.lists(st.sampled_from(["1", "2", "u", " 1", "\u00e9", "\U0001f600"]),
+                             min_size=1, max_size=3, unique=True)):
+        gvar = draw(st.sampled_from(["0", "2", "3", " 2", "007", "+2", "1_0", "\u0663",
+                                     "1" + "0" * 18]))
         periods = draw(st.sets(st.integers(1, 3), max_size=3)) | {0}
         for t in periods:
             s = draw(binary)
-            rows.append([uid, gvar, str(t), s, _outcome(s, draw(outcome_text))])
+            # period 0 stays "0", so that the baseline fault below can drop it
+            period = draw(st.sampled_from([str(t), f"+{t}", f"{t:019d}", chr(0x660 + t)])
+                          if t else st.just("0"))
+            rows.append([uid, gvar, period, s, _outcome(s, draw(outcome_text))])
     return draw(st.permutations(rows))
 
 
@@ -583,6 +634,45 @@ def test_texts_cut_at_line_ends(raw, chunk):
     assert all(piece.endswith(("\n", "\r")) for piece in pieces[:-1])
     # a \r\n is one line end, even when it spans two reads
     assert not any(a.endswith("\r") and b.startswith("\n") for a, b in pairwise(pieces))
+
+
+def _split_records(text):
+    """The records of plain text as ``str.split`` gives them: a line each,
+    at ``\r\n``, ``\r`` or ``\n``, its fields split on ``,``."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.split(",") if line else [] for line in lines]
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.binary().map(lambda b: bytes(b"a1,\r\n"[k % 5] for k in b)),
+       chunk=st.integers(1, 5))
+def test_plain_pieces_split_as_str_split_splits_them(raw, chunk):
+    want = _split_records(raw.decode())
+    got = []
+    with mock.patch.object(data_module, "_CHUNK", chunk):
+        for piece in data_module._texts(io.BytesIO(raw)):
+            fields, widths = data_module._plain_fields(piece.encode())
+            assert widths.sum() == len(fields)
+            strings = iter(fields.strings())
+            got += [[next(strings) for _ in range(width)] for width in widths.tolist()]
+    assert got == want
+    # line numbers: records are numbered from 2, after a header, and the
+    # first with a field longer than the limit raises on its line
+    long = [i for i, record in enumerate(want, 2) if any(len(f) > 1 for f in record)]
+    limit = csv.field_size_limit(1)
+    try:
+        with mock.patch.object(data_module, "_CHUNK", chunk):
+            blocks = data_module._plain_blocks(data_module._texts(io.BytesIO(raw)))
+            if long:
+                with pytest.raises(MalformedRow) as exc:
+                    deque(blocks, maxlen=0)
+                assert exc.value.context == {"line": long[0]}
+            else:
+                deque(blocks, maxlen=0)
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _load(load, path):
