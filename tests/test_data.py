@@ -722,6 +722,12 @@ def _load(load, path):
 @example(case=("panel", [["1", "0", "0", "0", "", ""], ["2", "0", "0", "0", "", ""],
                          ["3", "0", "0", "0", "", ""], ['4"', "0", "0", "0", "", ""],
                          ["x" * 140_000, "1", "1", "1", "1.0", "2.0"]]))
+# non-ASCII ids, and gvar and t spelled with other digits, leading zeros, a
+# sign or 19 digits; then an outcome holding a \n, which only a quoted field keeps
+@example(case=("multi", [["\u00e9", "\u0663", "0", "1", "2.5"], ["\u00e9", "\u0663", "+1", "1", "1.0"],
+                         ["u", "007", "0000000000000000002", "0", ""], ["u", "007", "0", "1", "1_0"],
+                         ["\U0001f600", "1" + "0" * 18, "\u0660", "1", "3"]]))
+@example(case=("panel", [["caf\u00e9", "1", "1", "1", "1.0", "2.0"], ["\U0001f600", "0", "1", "1", "1", "2.5\n"]]))
 def test_loaders_match_row_by_row_reference(case, tmp_path_factory):
     # blocks of 1 and 3 records put block boundaries inside these small files;
     # a case may give its own header as a third item
