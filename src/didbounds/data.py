@@ -7,25 +7,26 @@ read-only numpy array of its class's ``_DTYPES`` (a numeric array of that
 dtype that owns its data is frozen in place, not copied; a view is copied,
 since its base could still be written) and passes the loaders' checks: equal
 lengths, 0/1 ``int8`` columns, and no NaN outcome where it is selected; a
-staggered panel also has no negative ``gvar`` or ``t`` and one ``gvar`` a
-unit. No bound reads ids, so they stay unbuilt until ``ids`` is first read, which
-builds the object array once (``_gather_column``): a loaded or generated
-panel's or a cross-section's from one text and offsets (``_PackedIds``), a
-staggered panel's and its 2x2 panel's from units' names and codes
-(``_UnitIds``). Datasets are immutable and safe to share across threads.
+staggered panel also has no negative ``gvar`` or ``t``, one ``gvar`` a unit
+and one row a (unit, ``t``) (``_unit_faults``). No bound reads ids, so they
+stay unbuilt until ``ids`` is first read, which builds the object array once
+(``_gather_column``): a loaded or generated panel's or a cross-section's
+from one text and offsets (``_PackedIds``), a staggered panel's and its 2x2
+panel's from units' names and codes (``_UnitIds``). Datasets are immutable
+and safe to share across threads.
 
 A CSV file is read in pieces of about ``_CHUNK`` bytes, each cut at a line
-end, ``\\r\\n``, ``\\r`` or ``\\n`` alike (``_texts``), so a file with any
-line ends is loaded a piece at a time through the same code. A piece with no
+end, ``\\r\\n``, ``\\r`` or ``\\n`` alike (``_texts``), and its records, the
+header first, come in one stream of blocks (``_blocks``). A piece with no
 ``"`` is split into fields as bytes, in one numpy pass (``_plain_fields``);
 from the first piece with one on, ``csv.reader`` reads the records, and
 their fields are packed into one text the same way (``_packed_records``).
 Either way a block is one text and each field's byte offsets in it
-(``_Fields``), which one set of converters reads: a 0/1 field and an
-integer of up to 18 ASCII digits in numpy, any other integer by ``int()``,
-an outcome by ``float()`` of its own text, and ids as bytes. Each column of
-the file is one array, grown as each piece's records are converted
-(``_grown``).
+(``_Fields``). The header is taken off the first block (``_data_blocks``),
+and one set of converters reads the rest: a 0/1 field and an integer of up
+to 18 ASCII digits in numpy, any other integer by ``int()``, an outcome by
+``float()`` of its own text, and ids as bytes. Each column of the file is
+one array, grown as each piece's records are converted (``_grown``).
 """
 
 from __future__ import annotations
@@ -371,9 +372,9 @@ class MultiPeriodPanel:
         """The columns frozen and checked (``_freeze_columns``), and the rows'
         units coded (``_units``): kept from a loader's ``_UnitIds``, else by
         ``_unit_codes`` of ``str`` of the ids. Then, as on loading, a negative
-        ``gvar`` or ``t`` is a ``ValidationError`` and a unit whose ``gvar``
-        changes across its rows an ``InconsistentGvar``, each on the first
-        such row, before anything reads a unit's ``gvar``."""
+        ``gvar`` or ``t`` is a ``ValidationError``, then a unit whose ``gvar``
+        changes or a second row of one (id, t) is a fault (``_unit_faults``),
+        each on the first such row, before anything reads a unit's rows."""
         _freeze_columns(self)
         kind = type(self).__name__
         for name in ("gvar", "t"):
@@ -388,16 +389,8 @@ class MultiPeriodPanel:
         else:
             seen = {}
             names, code = _unit_codes(seen, _first_rows(seen, list(map(str, self.ids))))
-        gvar = np.empty(names.size, np.int64)
-        gvar[code] = self.gvar  # some row's gvar for each unit, compared a block at a time
-        if any((gvar[code[a:a + _BLOCK]] != self.gvar[a:a + _BLOCK]).any()
-               for a in range(0, code.size, _BLOCK)):
-            earlier = {}
-            for row, (unit, g) in enumerate(zip(code.tolist(), self.gvar.tolist())):
-                if earlier.setdefault(unit, g) != g:
-                    raise InconsistentGvar(f"{kind} row {row}: id {names[unit]} has gvar {g} "
-                                           f"but earlier gvar {earlier[unit]}",
-                                           row=row, id=names[unit])
+        _raise_first(_unit_faults(names, code, self.gvar, self.t,
+                                  lambda i: (f"{kind} row {i}", {"row": i})))
         vars(self)["_units"] = (names, code)
 
     @property
@@ -408,8 +401,8 @@ class MultiPeriodPanel:
     __getattr__ = _gather_column
 
 
-# records converted at a time from a file that has a '"' (see _quoted_blocks),
-# and rows coded at a time (see _unit_codes)
+# records converted at a time from a file that has a '"' (see _blocks), and
+# rows coded at a time (see _unit_codes)
 _BLOCK = 4096
 
 # bytes read at a time (see _texts)
@@ -461,12 +454,6 @@ def _texts(fh):
         del chunk, raw, piece  # only the text is held while it is converted
         if text:
             yield text
-
-
-def _plain(text: str) -> bool:
-    """Whether ``text`` has no ``"``, so that a line is a record whose fields
-    are split on ``,``."""
-    return '"' not in text
 
 
 def _gathered(text: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -542,7 +529,7 @@ class _Fields:
 
 
 def _plain_fields(raw: bytes) -> tuple:
-    """The records of plain text (``_plain``) as ``csv.reader``'s excel
+    """The records of plain text, with no ``"``, as ``csv.reader``'s excel
     dialect reads them, one a line, split on ``,``: their fields
     (``_Fields``) and each record's number of fields, a blank line's none.
     A line ends at ``\\r\\n``, ``\\r`` or ``\\n``. None of these bytes, nor
@@ -602,19 +589,6 @@ def _check_field_limit(fields: _Fields, widths: np.ndarray, line: int) -> None:
             raise MalformedRow(f"line {line + i}: {exc}", line=line + i) from None
 
 
-def _records(texts, lines_before: int):
-    """The records ``csv.reader`` reads from ``texts``; its ``csv.Error`` (a
-    field longer than ``csv.field_size_limit()``) is a ``MalformedRow`` on
-    the line it stopped at."""
-    reader = csv.reader(chain.from_iterable(
-        map(re.Match.group, _LINE.finditer(text)) for text in texts))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        line = lines_before + reader.line_num
-        raise MalformedRow(f"line {line}: {exc}", line=line) from None
-
-
 def _packed_records(records: list) -> tuple:
     """Records as ``csv.reader`` gives them, as ``_plain_fields`` gives
     plain ones: their fields, packed in one text, each followed by a
@@ -629,32 +603,27 @@ def _packed_records(records: list) -> tuple:
 
 
 def _blocks(texts):
-    """The header's fields and the record blocks of a file's texts, each
+    """The records of a file's texts, the header first, in blocks, each
     ``(fields, widths)`` (see ``_plain_fields``).
 
-    Plain texts (``_plain``) are split at every line end and on ``,``, as
-    bytes (``_plain_fields``), which is what ``csv.reader``'s excel dialect
-    makes of them, a blank line included (a record with no fields). From the
-    first text that is not plain on, the rest of the file goes through one
-    ``csv.reader``, ``_BLOCK`` records at a time (``_packed_records``).
+    Texts with no ``"`` are split at every line end and on ``,``, as bytes
+    (``_plain_fields``), which is what ``csv.reader``'s excel dialect makes
+    of them, a blank line included (a record with no fields). From the first
+    text with a ``"`` on, the rest of the file goes through one
+    ``csv.reader``, ``_BLOCK`` records at a time (``_packed_records``). A
+    field longer than ``csv.field_size_limit()`` raises before its block.
     """
-    head = next(texts, None)
-    if head is None:
-        return None, iter(())
-    if not _plain(head):
-        records = _records(chain([head], texts), 0)
-        return next(records, None), _quoted_blocks(records)
-    end = _LINE.match(head).end()  # the header line, which the rest of the text follows
-    fields, widths = _plain_fields(head[:end].encode())
-    _check_field_limit(fields, widths, 1)
-    return fields.strings(), _plain_blocks(chain([head[end:]] if end < len(head) else [], texts))
-
-
-def _plain_blocks(texts):
-    line = 2  # the number of the text's first line
+    line = 1  # the number of the text's first line
     for text in texts:
-        if not _plain(text):
-            yield from _quoted_blocks(_records(chain([text], texts), line - 1))
+        if '"' in text:
+            reader = csv.reader(chain.from_iterable(
+                map(re.Match.group, _LINE.finditer(piece)) for piece in chain([text], texts)))
+            try:
+                for records in iter(lambda: list(islice(reader, _BLOCK)), []):
+                    yield _packed_records(records)
+            except csv.Error as exc:
+                line += reader.line_num - 1
+                raise MalformedRow(f"line {line}: {exc}", line=line) from None
             return
         fields, widths = _plain_fields(text.encode())
         _check_field_limit(fields, widths, line)
@@ -662,9 +631,21 @@ def _plain_blocks(texts):
         yield fields, widths
 
 
-def _quoted_blocks(records):
-    for block in iter(lambda: list(islice(records, _BLOCK)), []):
-        yield _packed_records(block)
+def _data_blocks(blocks, header, path):
+    """``blocks`` (``_blocks``) with the header, the first record, taken off
+    and checked. The rest of the first block is dropped once it is given,
+    before the next piece is split."""
+    fields, widths = next(blocks, (None, None))
+    if fields is None:
+        raise EmptyFile(f"{path}: empty file", path=str(path))
+    got = fields[:widths[0]].strings()
+    if got != header:
+        raise MalformedRow(f"{path}: expected header {','.join(header)}, got {','.join(got)}",
+                           line=1)
+    if widths.size > 1:
+        yield fields[widths[0]:], widths[1:]
+    del fields, widths
+    yield from blocks
 
 
 def _read_columns(path, header, convert):
@@ -672,15 +653,15 @@ def _read_columns(path, header, convert):
 
     The file is read once, about ``_CHUNK`` bytes at a time (``_texts``), and
     each piece's records are split into fields (``_blocks``; ``_BLOCK``
-    records at a time once a ``"`` is met). A block's fields go to
-    ``convert(columns, start)``, by column (``_Fields``), with the index of
-    the block's first record; records are numbered from 2, after the
-    header. ``convert`` returns the block's typed arrays and its record
-    checks (see ``_raise_first``), whose faults quote no field but the first
-    each check rejects. Each array is written at the end of its column of
-    the file as soon as it is made (``_convert_blocks``), and the block is
-    dropped, so that a load holds about one block at a time and each column
-    once.
+    records at a time once a ``"`` is met), the header first
+    (``_data_blocks``). A block's fields go to ``convert(columns, start)``,
+    by column (``_Fields``), with the index of the block's first record;
+    records are numbered from 2, after the header. ``convert`` returns the
+    block's typed arrays and its record checks (see ``_raise_first``), whose
+    faults quote no field but the first each check rejects. Each array is
+    written at the end of its column of the file as soon as it is made
+    (``_convert_blocks``), and the block is dropped, so that a load holds
+    about one block at a time and each column once.
 
     Returns the columns of the whole file, as writable arrays, its checks,
     and the ``MalformedRow`` of the first record with the wrong number of
@@ -693,14 +674,8 @@ def _read_columns(path, header, convert):
     with open(path, "rb") as fh:
         texts = _texts(fh)
         try:
-            got, blocks = _blocks(texts)
-            if got is None:
-                raise EmptyFile(f"{path}: empty file", path=str(path))
-            if got != header:
-                raise MalformedRow(
-                    f"{path}: expected header {','.join(header)}, got {','.join(got)}", line=1
-                )
-            columns, checks, error = _convert_blocks(blocks, len(header), convert)
+            columns, checks, error = _convert_blocks(_data_blocks(_blocks(texts), header, path),
+                                                     len(header), convert)
         except MalformedRow:
             deque(texts, maxlen=0)  # a byte that is not UTF-8, anywhere, comes first
             raise
@@ -750,13 +725,11 @@ def _convert_blocks(blocks, k, convert) -> tuple:
                     fault = first_fault
                 checks[j] = (_grown(before, rows + start), fault, warn)
         start += size
+        del fields, arrays, block_checks  # before the next block is read
         if bad.size:
-            got = int(widths[size])
-            del fields, arrays, block_checks
             deque(blocks, maxlen=0)  # csv.reader raises on a later record before any is checked
             return columns, checks, MalformedRow(
-                f"line {start + 2}: expected {k} fields, got {got}", line=start + 2)
-        del fields, arrays, block_checks  # before the next block is read
+                f"line {start + 2}: expected {k} fields, got {widths[size]}", line=start + 2)
     return columns, checks, None
 
 
@@ -957,37 +930,55 @@ def _multi_block(seen, columns, start):
     ]
 
 
-def _repeats(values: np.ndarray) -> np.ndarray:
-    """Whether each value but the first equals the one before it."""
-    return values[1:] == values[:-1]
+def _unit_faults(names, code, gvar, t, at) -> list:
+    """A staggered panel's unit rules, as checks of its rows (see
+    ``_raise_first``): a row whose ``gvar`` is not its unit's first row's is
+    an ``InconsistentGvar``, and a row that repeats an earlier row's (unit,
+    ``t``) a ``MalformedRow``. ``code`` gives each row's unit in ``names``;
+    ``at(i)`` gives how row ``i``'s fault begins and its context.
+
+    Each row's (unit, ``t``) is one int64 key, ``t`` counted from its least
+    value, or ranked if the keys would overflow; a stable sort keeps the
+    rows of one key in order."""
+    first = np.full(names.size, code.size)
+    np.minimum.at(first, code, np.arange(code.size))  # each unit's first row
+    earlier = gvar[first]
+    changed = np.flatnonzero(gvar != earlier[code])
+    period, low = t, int(t.min(initial=0))
+    if names.size * (int(t.max(initial=0)) - low + 1) > 2**63:
+        period, low = np.unique(t, return_inverse=True)[1], 0
+    key = code * (int(period.max(initial=0)) - low + 1)
+    key += period
+    key -= low
+    order = np.argsort(key, kind="stable")
+    key.sort(kind="stable")
+    repeated = np.sort(order[1:][key[1:] == key[:-1]])
+
+    def fault(error, i, message):
+        place, context = at(i)
+        unit = names[code[i]]
+        return error(f"{place}: id {unit} {message}", **context, id=unit)
+
+    return [
+        (changed, lambda i: fault(InconsistentGvar, i,
+                                  f"has gvar {gvar[i]} but earlier gvar {earlier[code[i]]}"),
+         False),
+        (repeated, lambda i: fault(MalformedRow, i, f"already has a row for t={t[i]}"), False),
+    ]
 
 
 def load_multi_csv(path) -> MultiPeriodPanel:
     """A staggered panel, its rows' units coded as the file is read
-    (``_first_rows``, then ``_unit_codes``); its ids are built from the
-    units on their first read (``_UnitIds``)."""
+    (``_first_rows``, then ``_unit_codes``) and checked (``_unit_faults``);
+    its ids are built from the units on their first read (``_UnitIds``)."""
     seen = {}
     (first, gvar, t, s, y), checks, width_error = _read_columns(
         path, MULTI_HEADER, partial(_multi_block, seen))
-    earlier = gvar[np.fromiter(seen.values(), np.intp, len(seen))]  # each unit's first gvar
     names, code = _unit_codes(seen, first)  # the codes are written over first
     del seen  # its hash table is not kept
-    order = np.lexsort((t, code))  # stable: rows of one (id, t) stay in file order
-    duplicate = np.zeros(code.size, bool)
-    same = _repeats(code[order])
-    same &= _repeats(t[order])
-    duplicate[order[1:]] = same
-    del order, same
     _raise_first([
         *checks[:3],
-        (np.flatnonzero(gvar != earlier[code]),
-         lambda i: InconsistentGvar(f"line {i + 2}: id {names[code[i]]} has gvar {gvar[i]} "
-                                    f"but earlier gvar {earlier[code[i]]}", id=names[code[i]]),
-         False),
-        (np.flatnonzero(duplicate),
-         lambda i: MalformedRow(f"line {i + 2}: id {names[code[i]]} already has a row "
-                                f"for t={t[i]}", line=i + 2, id=names[code[i]]),
-         False),
+        *_unit_faults(names, code, gvar, t, lambda i: (f"line {i + 2}", {"line": i + 2})),
         *checks[3:],
     ], width_error)
     has_baseline = np.zeros(names.size, bool)

@@ -19,7 +19,6 @@ from .errors import (
     EmptyCell,
     EmptyGroup,
     InvalidAssumptions,
-    MalformedRow,
     MissingPeriod,
 )
 
@@ -120,8 +119,9 @@ def panel_from_staggered(
     """Build the 2x2 comparison: cohort gamma vs never-treated, period 0 vs t.
 
     Units keep the panel's codes (``MultiPeriodPanel._units``), in first-seen
-    order, so a cell's outcomes keep the rows' order. The panel's ids are its
-    units' (``_UnitIds``), built only if they are read.
+    order, so a cell's outcomes keep the rows' order; ``data`` has at most
+    one row a (unit, t), which its constructor checks. The panel's ids are
+    its units' (``_UnitIds``), built only if they are read.
     """
     unit_ids, unit = data._units
     treated = np.zeros(unit_ids.size, dtype=bool)
@@ -138,13 +138,6 @@ def panel_from_staggered(
     is_post = data.t[rows] != 0
     at = np.full((2, unit_ids.size), -1)   # [pre/post, unit] -> row
     at[is_post.astype(np.intp), unit[rows]] = rows
-    if np.count_nonzero(at >= 0) < rows.size:  # a unit has two rows for one period
-        _, first = np.unique(2 * unit[rows] + is_post, return_index=True)
-        repeat = np.ones(rows.size, dtype=bool)
-        repeat[first] = False
-        row = rows[np.argmax(repeat)]
-        uid = unit_ids[unit[row]]
-        raise MalformedRow(f"id {uid} has more than one row for t={data.t[row]}", id=uid)
     for period, have in ((0, at[0]), (target.t, at[1])):
         missing = unit_ids[keep & (have < 0)].tolist()
         if missing:

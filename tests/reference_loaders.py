@@ -154,7 +154,8 @@ def load_multi_csv(path) -> MultiPeriodPanel:
         first_g, periods = seen[uid]
         if first_g != g:
             raise InconsistentGvar(
-                f"line {line}: id {uid} has gvar {g} but earlier gvar {first_g}", id=uid
+                f"line {line}: id {uid} has gvar {g} but earlier gvar {first_g}",
+                line=line, id=uid,
             )
         if per in periods:
             raise MalformedRow(

@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from collections import deque
 from dataclasses import fields
+from functools import partial
 from itertools import pairwise
 from unittest import mock
 
@@ -177,6 +178,12 @@ class TestMultiLoader:
         text = self.GOOD + "a,2,2,1,3.0\n"
         with pytest.raises(InconsistentGvar):
             load_multi_csv(_write(tmp_path, text))
+        # the fault names its line, as every other fault of a record does,
+        # and comes before the record's repeated (id, t)
+        with pytest.raises(InconsistentGvar) as exc:
+            load_multi_csv(_write(tmp_path, "id,gvar,t,s,y\na,0,0,1,1\na,1,0,1,2"))
+        assert exc.value.context == {"line": 3, "id": "a"}
+        assert str(exc.value) == "line 3: id a has gvar 1 but earlier gvar 0"
 
     def test_missing_baseline(self, tmp_path):
         text = "id,gvar,t,s,y\na,1,1,1,2.0\n"
@@ -299,6 +306,8 @@ class TestDatasetsBuiltInCode:
         ("multi", dict(t=[0, 1, 0, -1, 0, 1]), ValidationError, {"row": 3, "column": "t"}),
         # a unit whose gvar changed across its rows was counted as treated
         ("multi", dict(gvar=[0, 0, 1, 0, 0, 0]), InconsistentGvar, {"row": 3, "id": "b"}),
+        # a second row of one (id, t) was kept until a pivot read its period
+        ("multi", dict(t=[0, 1, 0, 0, 0, 1]), MalformedRow, {"row": 3, "id": "b"}),
     ])
     def test_values_the_loaders_reject_are_rejected(self, kind, columns, error, context):
         cls, valid = {
@@ -314,23 +323,38 @@ class TestDatasetsBuiltInCode:
             cls(**{**valid, **columns})
         assert type(exc.value) is error and exc.value.context == context
 
-    @pytest.mark.parametrize("gvar, error, context", [
-        ([1, 1, 0, 0, -1, -1], ValidationError, {"row": 4, "column": "gvar"}),
-        ([1, 0, 0, 0, 1, 1], InconsistentGvar, {"row": 1, "id": "a"}),
+    @pytest.mark.parametrize("gvar, t, error, context", [
+        ([1, 1, 0, 0, -1, -1], [0, 1] * 3, ValidationError, {"row": 4, "column": "gvar"}),
+        ([1, 0, 0, 0, 1, 1], [0, 1] * 3, InconsistentGvar, {"row": 1, "id": "a"}),
+        ([1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], MalformedRow, {"row": 5, "id": "c"}),
     ])
-    def test_staggered_panels_get_the_loaders_gvar_checks(self, gvar, error, context, tmp_path):
+    def test_staggered_panels_get_the_loaders_gvar_checks(self, gvar, t, error, context,
+                                                           tmp_path):
         # bounds_staggered printed lb = ub = 0.5 on the first, and counted
-        # unit a as treated on the second; load_multi_csv rejects both files
+        # unit a as treated on the second; the pivot caught the third only
+        # when it read the repeated period; load_multi_csv rejects all three files
         with pytest.raises(error) as exc:
             bounds_staggered(MultiPeriodPanel(ids=["a", "a", "b", "b", "c", "c"], gvar=gvar,
-                                              t=[0, 1] * 3, s=[1] * 6, y=[1.0, 2, 1, 1.5, 1, 1]),
+                                              t=t, s=[1] * 6, y=[1.0, 2, 1, 1.5, 1, 1]),
                              StaggeredTarget(1, 1), MONO_POSITIVE)
         assert type(exc.value) is error and exc.value.context == context
-        lines = ["id,gvar,t,s,y"] + [f"{i},{g},{t},1,1.0" for i, g, t in
-                                      zip("aabbcc", gvar, [0, 1] * 3)]
+        lines = ["id,gvar,t,s,y"] + [f"{i},{g},{p},1,1.0" for i, g, p in zip("aabbcc", gvar, t)]
         path = _write(tmp_path, "\n".join(lines) + "\n")
         with pytest.raises((MalformedRow, InconsistentGvar)):
             load_multi_csv(path)
+
+    def test_periods_up_to_int64_keep_their_units_apart(self, tmp_path):
+        # a (unit, t) key of unit c at period 0 is 2 * 2**63, which int64
+        # wraps to unit a's; the periods are ranked first, and no row repeats
+        ids, t = ["a", "b", "b", "c"], [0, 0, 2**63 - 1, 0]
+        built = MultiPeriodPanel(ids=ids, gvar=[0] * 4, t=t, s=[1] * 4, y=[1.0] * 4)
+        path = _write(tmp_path, "id,gvar,t,s,y\n" + "".join(f"{i},0,{p},1,1.0\n"
+                                                            for i, p in zip(ids, t)))
+        assert load_multi_csv(path).t.tolist() == built.t.tolist() == t
+        with pytest.raises(MalformedRow) as exc:
+            MultiPeriodPanel(ids=ids + ["b"], gvar=[0] * 5, t=t + [2**63 - 1], s=[1] * 5,
+                             y=[1.0] * 5)
+        assert exc.value.context == {"row": 4, "id": "b"}
 
     def test_a_loaded_staggered_panel_codes_no_row_again(self, tmp_path):
         path = tmp_path / "multi.csv"
@@ -658,13 +682,13 @@ def test_plain_pieces_split_as_str_split_splits_them(raw, chunk):
             strings = iter(fields.strings())
             got += [[next(strings) for _ in range(width)] for width in widths.tolist()]
     assert got == want
-    # line numbers: records are numbered from 2, after a header, and the
-    # first with a field longer than the limit raises on its line
-    long = [i for i, record in enumerate(want, 2) if any(len(f) > 1 for f in record)]
+    # line numbers: the stream of blocks numbers its records from 1, the
+    # header's, and the first with a field longer than the limit raises on its line
+    long = [i for i, record in enumerate(want, 1) if any(len(f) > 1 for f in record)]
     limit = csv.field_size_limit(1)
     try:
         with mock.patch.object(data_module, "_CHUNK", chunk):
-            blocks = data_module._plain_blocks(data_module._texts(io.BytesIO(raw)))
+            blocks = data_module._blocks(data_module._texts(io.BytesIO(raw)))
             if long:
                 with pytest.raises(MalformedRow) as exc:
                     deque(blocks, maxlen=0)
@@ -673,6 +697,46 @@ def test_plain_pieces_split_as_str_split_splits_them(raw, chunk):
                 deque(blocks, maxlen=0)
     finally:
         csv.field_size_limit(limit)
+
+
+@st.composite
+def staggered_rows(draw):
+    """Rows (id, gvar, t) of a few units, each unit's gvar drawn once and
+    changed on some rows, and (id, t) pairs drawn from few enough that some
+    repeat."""
+    gvars = draw(st.fixed_dictionaries({uid: st.integers(0, 2) for uid in "abc"}))
+    rows = draw(st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 2),
+                                   st.integers(0, 4)), min_size=1, max_size=8))
+    return [(uid, (gvars[uid] + (change == 0)) % 3, t) for uid, t, change in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=staggered_rows())
+def test_staggered_unit_rules_have_one_home(rows, tmp_path_factory):
+    # a file and the panel built in code from its columns break the same
+    # unit rule (a gvar that changes, a repeated (id, t)) at the same
+    # record, with the same message after its place, or neither breaks one
+    path = tmp_path_factory.mktemp("multi") / "multi.csv"
+    path.write_text("id,gvar,t,s,y\n" + "".join(f"{u},{g},{t},1,1.0\n" for u, g, t in rows))
+    loaded = None
+    try:
+        load_multi_csv(path)
+    except MissingBaseline:  # not a unit rule; a panel built in code needs no period 0
+        pass
+    except (InconsistentGvar, MalformedRow) as exc:
+        loaded = exc
+    ids, gvar, t = zip(*rows)
+    build = partial(MultiPeriodPanel, ids=ids, gvar=gvar, t=t, s=[1] * len(rows),
+                    y=[1.0] * len(rows))
+    if loaded is None:
+        build()
+        return
+    with pytest.raises((InconsistentGvar, MalformedRow)) as built:
+        build()
+    assert type(built.value) is type(loaded)
+    line = loaded.context.pop("line")
+    assert built.value.context == {"row": line - 2, **loaded.context}
+    assert str(built.value).split(": ", 1)[1] == str(loaded).split(": ", 1)[1]
 
 
 def _load(load, path):

@@ -213,20 +213,19 @@ class TestStaggered:
             panel_from_staggered(multi_fixture(), StaggeredTarget(1, 3))
 
     def test_duplicate_id_period_row(self):
-        # a second period-2 row for t1, built in code rather than read from a file
+        # a second period-2 row for t1, built in code rather than read from a
+        # file, is rejected when the panel is built, as the loader rejects it
         data = multi_fixture()
-        dup = MultiPeriodPanel(
-            ids=(*data.ids, "t1"),
-            gvar=np.append(data.gvar, 1),
-            t=np.append(data.t, 2),
-            s=np.append(data.s, np.int8(1)),
-            y=np.append(data.y, 50.0),
-        )
         with pytest.raises(MalformedRow) as exc:
-            panel_from_staggered(dup, StaggeredTarget(1, 2))
-        assert exc.value.context == {"id": "t1"}
-        # a duplicate in a period the target does not read is left alone
-        assert panel_from_staggered(dup, StaggeredTarget(1, 1)).n == 6
+            MultiPeriodPanel(
+                ids=(*data.ids, "t1"),
+                gvar=np.append(data.gvar, 1),
+                t=np.append(data.t, 2),
+                s=np.append(data.s, np.int8(1)),
+                y=np.append(data.y, 50.0),
+            )
+        assert exc.value.context == {"row": 18, "id": "t1"}
+        assert str(exc.value) == "MultiPeriodPanel row 18: id t1 already has a row for t=2"
 
 
 def _pivot_by_rows(data, target):
@@ -241,12 +240,8 @@ def _pivot_by_rows(data, target):
     keep = treated | control
     pre, post = {}, {}
     for uid, per, s, y in zip(data.ids, data.t, data.s, data.y):
-        if uid not in keep or per not in (0, target.t):
-            continue
-        have = pre if per == 0 else post
-        if uid in have:
-            raise MalformedRow("duplicate row", id=uid)
-        have[uid] = (int(s), float(y))
+        if uid in keep and per in (0, target.t):
+            (pre if per == 0 else post)[uid] = (int(s), float(y))
     for period, have in ((0, pre), (target.t, post)):
         missing = [u for u in unit_ids if u in keep and u not in have]
         if missing:
@@ -261,7 +256,8 @@ def _pivot_by_rows(data, target):
 
 # per unit: an id, a cohort (0 = never treated), (s, y) in periods 0-2, and
 # two draws in 0-29 that below 3 name a period to leave out and one to repeat,
-# so every error of the pivot is drawn as well as valid panels
+# so a panel's repeated row and every error of the pivot are drawn as well as
+# valid panels
 _unit = st.tuples(
     st.text("abc", min_size=1, max_size=3),
     st.sampled_from([0, 1, 2]),
@@ -284,13 +280,22 @@ def test_pivot_matches_row_by_row_reference(units, data):
     gamma = data.draw(st.sampled_from(sorted({u[1] for u in units} - {0}) or [1]))
     target = StaggeredTarget(gamma, data.draw(st.integers(gamma, 2)))
     cols = list(zip(*rows))
-    panel = MultiPeriodPanel(
+    columns = dict(
         ids=np.array(cols[0], dtype=object), gvar=np.array(cols[1]), t=np.array(cols[2]),
         s=np.array(cols[3], dtype=np.int8), y=np.array(cols[4], dtype=np.float64),
     )
+    # a second row of one (id, t) is rejected when the panel is built, at
+    # the first such row
+    repeats = [i for i, row in enumerate(rows) if row[:3:2] in {r[:3:2] for r in rows[:i]}]
+    if repeats:
+        with pytest.raises(MalformedRow) as exc:
+            MultiPeriodPanel(**columns)
+        assert exc.value.context == {"row": repeats[0], "id": rows[repeats[0]][0]}
+        return
+    panel = MultiPeriodPanel(**columns)
     try:
         want = _pivot_by_rows(panel, target)
-    except (EmptyGroup, MalformedRow, MissingPeriod) as exc:
+    except (EmptyGroup, MissingPeriod) as exc:
         with pytest.raises(type(exc)) as got:
             panel_from_staggered(panel, target)
         assert got.value.context == exc.context
