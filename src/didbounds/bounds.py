@@ -362,12 +362,16 @@ _FORMULAS = {
 }
 
 
-def _samples(data, row: _Formula) -> dict:
-    """Each cell ``row`` reads, as a ``Sample``; an empty one raises ``EmptyCell``."""
-    return {sample: Sample(_delta_y(data, sample[1]) if sample[0] == "dY"
-                           else _rcs_cell(data, *sample[1:]) if sample[0] == "y"
-                           else _cell_y(data, *sample))
-            for sample in row.samples}
+def _samples(data, row: _Formula, memo: dict) -> dict:
+    """``memo`` with each cell ``row`` reads added, as a ``Sample``, keyed as
+    ``_Formula.samples`` keys it; an empty one raises ``EmptyCell``. Bounds
+    on one dataset that share a memo gather and sort each cell once."""
+    for sample in row.samples:
+        if sample not in memo:
+            memo[sample] = Sample(_delta_y(data, sample[1]) if sample[0] == "dY"
+                                  else _rcs_cell(data, *sample[1:]) if sample[0] == "y"
+                                  else _cell_y(data, *sample))
+    return memo
 
 
 def _endpoint(terms: tuple, samples: dict, shares: dict, minima: dict | None) -> float:
@@ -391,17 +395,20 @@ def _endpoint(terms: tuple, samples: dict, shares: dict, minima: dict | None) ->
     return total
 
 
-def _bound(parameter, data, assumptions, support_overrides=None, mix=None) -> BoundsResult:
+def _bound(parameter, data, assumptions, support_overrides=None, mix=None,
+           memo=None) -> BoundsResult:
     """The bound of row ``parameter`` of ``_FORMULAS``.
 
     tau_OOO and tau_OO_rcs read their cells, then take the weights ``mix``
     their caller computed (tau_OO_rcs) or compute the panel's, then check
     their shares; the other rows check their assumptions, compute their
-    weights and shares, and then read their cells and support minima.
+    weights and shares, and then read their cells and support minima. A
+    caller that bounds one dataset more than once may pass one ``memo`` dict
+    to every call, which then share each cell's ``Sample`` (``_samples``).
     """
     row = _FORMULAS[parameter]
     if row.dominance is None:
-        samples = _samples(data, row)
+        samples = _samples(data, row, {} if memo is None else memo)
         if mix is None:
             mix = (mixing_mono(data, assumptions.direction) if assumptions.monotone
                    else mixing_no_mono(data))
@@ -423,7 +430,7 @@ def _bound(parameter, data, assumptions, support_overrides=None, mix=None) -> Bo
         if positive:
             _require_positive(name, shares[name])
     if row.dominance is not None:
-        samples = _samples(data, row)
+        samples = _samples(data, row, {} if memo is None else memo)
         mix = MixingProportions(mix.p_ooo1, 1.0, "Joint", p_ono0=shares.get("p_ono0"),
                                 p_nno1=shares.get("p_nno1"), warnings=warns)
     minima = (_support_minima(data, row.support_minima, support_overrides)

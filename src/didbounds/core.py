@@ -132,14 +132,18 @@ def _sample(values, p: float, name: str) -> Sample:
 
 
 def trimmed_mean_lower(values, p: float) -> float:
-    """Mean over {v : v <= empirical_quantile(values, p)}.
+    """Mean over {v : v <= empirical_quantile(values, p)}; full mean at p=1.
 
-    Selection is by mask in original order, so p=1 reproduces the plain mean
-    bit-for-bit (same reduction order). ``values`` is an array or a ``Sample``.
+    Selection is by mask in original order, so the kept values reduce in the
+    same order as in the plain mean. At p=1 the quantile is the maximum and
+    every value is kept, so the plain mean is returned without a sort.
+    ``values`` is an array or a ``Sample``.
     """
     sample = _sample(values, p, "trimmed_mean_lower")
     arr = sample.values
-    return mean(arr[arr <= _sorted_quantile(sample.sorted, p)])
+    if p == 1.0:
+        return mean(arr)
+    return mean(arr.compress(arr <= _sorted_quantile(sample.sorted, p)))
 
 
 def trimmed_mean_upper(values, p: float) -> float:
@@ -153,12 +157,12 @@ def trimmed_mean_upper(values, p: float) -> float:
     arr = sample.values
     if p == 1.0:
         return mean(arr)
-    mask = arr > _sorted_quantile(sample.sorted, 1.0 - p)
-    if not mask.any():
+    kept = arr.compress(arr > _sorted_quantile(sample.sorted, 1.0 - p))
+    if kept.size == 0:
         raise EmptyTrimSet(
             f"upper tail beyond quantile({1.0 - p}) is empty (ties at maximum)", p=p
         )
-    return mean(arr[mask])
+    return mean(kept)
 
 
 def require_seed(seed) -> None:

@@ -15,13 +15,12 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from statistics import NormalDist
 
 import numpy as np
 
 from . import bounds as _bounds
 from .core import _forked_map, mean, require_seed
-from .data import MONO_POSITIVE, WITHOUT_MONOTONICITY, PanelDataset, _PackedIds
+from .data import MONO_POSITIVE, WITHOUT_MONOTONICITY, PanelDataset, _PackedIds, _SELECTED
 from .errors import EmptyCell, EstimationError, ValidationError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -45,11 +44,21 @@ def _norm_ppf(p: float) -> float:
     """Standard normal quantile, with p = 0 and p = 1 mapped to -inf and inf."""
     if p <= 0.0 or p >= 1.0:
         return -math.inf if p <= 0.0 else math.inf
+    # imported here so that importing the package does not pay for
+    # ``statistics``, which imports ``fractions`` and ``decimal``
+    from statistics import NormalDist
+
     return NormalDist().inv_cdf(p)
 
 
 @dataclass(frozen=True)
 class DgpConfig:
+    """The DGP's parameters: ``n`` units (at least 2), the correlations
+    ``rho_ca`` and ``rho_uv`` (each in (-1, 1)), the finite
+    ``outcome_intercept``, ``att`` and ``selection_shift``, and the seed of
+    the draws (an int or a list of ints, none negative). Any other value is a
+    ``ValidationError``."""
+
     n: int = 1000
     rho_ca: float = 0.7
     # 0.6 reproduces the reference true bounds / conditional moments exactly;
@@ -67,6 +76,9 @@ class DgpConfig:
             rho = getattr(self, name)
             if not (-1.0 < rho < 1.0):
                 raise ValidationError(f"{name} must be in (-1,1), got {rho}")
+        for name in ("outcome_intercept", "att", "selection_shift"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         require_seed(self.seed)
 
 
@@ -97,23 +109,39 @@ def _unit_ids(n: int) -> _PackedIds:
 
 
 def generate_panel(config: DgpConfig) -> PanelDataset:
-    """Draw a two-period panel from the DGP."""
+    """Draw a two-period panel from the DGP.
+
+    The latents are those of ``_latents``, combined by the same float
+    operations column by column, and each 0/1 column is one comparison:
+    ``s1`` is ``(shift * d + b) + v1 > 0``, which for a finite shift is
+    ``(shift + b) + v1 > 0`` where treated and ``b + v1 > 0`` where not. An
+    outcome is NaN where it is not selected.
+    """
     rng = np.random.default_rng(config.seed)
-    lat = _latents(rng, config.n, config)
-    d = (lat["a"] + lat["w"] > 0).astype(np.int8)
-    s0 = (lat["b"] + lat["v0"] > 0).astype(np.int8)
-    s1_0 = (lat["b"] + lat["v1"] > 0).astype(np.int8)
-    s1_1 = (config.selection_shift + lat["b"] + lat["v1"] > 0).astype(np.int8)
-    s1 = np.where(d == 1, s1_1, s1_0)
-    y0_star = lat["c"] + lat["u0"]
-    y1_star = (
-        config.outcome_intercept
-        + config.att * (d == 1)
-        + lat["c"]
-        + lat["u1"]
-    )
-    y0 = np.where(s0 == 1, y0_star, np.nan)
-    y1 = np.where(s1 == 1, y1_star, np.nan)
+    c, x1, u0, x3, u1, x5, b, w = rng.standard_normal((config.n, 8)).T
+    ca = math.sqrt(1.0 - config.rho_ca**2)
+    uv = math.sqrt(1.0 - config.rho_uv**2)
+    index = config.rho_ca * c   # a + w, a = rho_ca * c + ca * x1
+    index += ca * x1
+    index += w
+    d = (index > 0).astype(np.int8)
+    index = config.rho_uv * u0   # b + v0, v0 = rho_uv * u0 + uv * x3
+    index += uv * x3
+    index += b
+    s0 = (index > 0).astype(np.int8)
+    v1 = config.rho_uv * u1
+    v1 += uv * x5
+    index = config.selection_shift * d
+    index += b
+    index += v1
+    s1 = (index > 0).astype(np.int8)
+    y0 = c + u0
+    y0 *= _SELECTED.take(s0)
+    y1 = config.att * d   # (outcome_intercept + att * d + c) + u1
+    y1 += config.outcome_intercept
+    y1 += c
+    y1 += u1
+    y1 *= _SELECTED.take(s1)
     return PanelDataset.from_records(_unit_ids(config.n), d, s0, s1, y0, y1)
 
 
@@ -142,27 +170,18 @@ class OracleResult:
         }
 
 
-def _oracle_columns(obs0, sel_t, sel_c, unsel_c, treated, du) -> tuple:
-    """The oracle's eight per-draw statistics for one sign of the latents,
-    from its indicators: observed in period 0 (``z1 > 0``), observed in period
-    1 if treated (``z2 > -shift``), if untreated (``z2 > 0``), not observed in
-    period 1 if untreated (``z2 < 0``), treated (``z4 > 0``), and from ``du``,
-    the change in the outcome's error. An indicator column stays boolean."""
-    cond_t = obs0 & sel_t    # treated observed-both conditioning
-    cond_c = obs0 & sel_c    # control observed-both conditioning
-    at = cond_t.astype(float)
-    ac = cond_c.astype(float)
-    at_du = at * du
-    return (cond_c & sel_t & treated, obs0 & unsel_c & sel_t & treated, at, at_du,
-            at_du * du, ac, ac * du, cond_c & cond_t)
-
-
 def oracle_true_values(
     config: DgpConfig, mc_draws: int, seed: int = 123456789
 ) -> OracleResult:
     """True mixing proportion, conditional moments, and bounds by Monte Carlo
     integration over the exact joint normal latent structure, with antithetic
     variates. The trimmed tail means use closed-form truncated-normal moments.
+
+    Every statistic of a draw needs its period-0 index ``z1 = b + v0`` to be
+    positive, and the antithetic draw negates every latent, so at most one
+    draw of a pair counts: a pair's average is half the statistics of its
+    draw with ``z1 > 0``. Each pair is folded onto that draw by negating its
+    ``z2``, ``z4`` and ``du`` where ``z1 < 0``, which is exact.
     """
     if mc_draws < 10**5:
         raise ValidationError("mc_draws must be >= 1e5")
@@ -173,16 +192,18 @@ def oracle_true_values(
     reduction = 1_000_000
     shift = config.selection_shift
 
-    # accumulated sums over antithetic pair-averages. sq, cross and the
-    # indicator columns are sums of multiples of 1/4, exact in any order. The
+    # sums over antithetic pair-averages of the eight statistics. The
+    # indicator columns (0 OOO1, 1 ONO1, 2 treated and 5 control observed in
+    # both periods, 7 both) are halves of pair counts, exact in any order. The
     # du columns (3, 4, 6) are summed row after row within each reduction
     # block: a block drawn in pieces carries its running sum into the first row
-    # of the next piece, as acc.sum(axis=0) over the whole block would add it.
+    # of the next piece, as a sum over the whole block would add it.
+    counts = np.zeros(5, np.int64)   # pairs in columns 0, 1, 2, 5 and 7
     sums = np.zeros(8)
-    sq = np.zeros(2)   # for the delta-method se of p_true
-    cross = 0.0
     pairs = 0
-    buf = np.empty((min(_ORACLE_BLOCK, half), 8))
+    size = min(_ORACLE_BLOCK, half)
+    folded = np.empty((3, size))   # z2, z4 and du of each pair's counting draw
+    acc = np.empty((3, size))      # the pairs' du columns, one a row
     while pairs < half:
         end = min(pairs + reduction, half)
         part = None
@@ -190,25 +211,39 @@ def oracle_true_values(
             m = min(_ORACLE_BLOCK, end - pairs)
             lat = _latents(rng, m, config)
             z1 = lat["b"] + lat["v0"]
-            z2 = lat["b"] + lat["v1"]   # both counterfactual post indices
-            z4 = lat["a"] + lat["w"]
-            du = lat["u1"] - lat["u0"]
+            zs = folded[:, :m]
+            z2, z4, du = zs
+            np.add(lat["b"], lat["v1"], out=z2)   # both counterfactual post indices
+            np.add(lat["a"], lat["w"], out=z4)
+            np.subtract(lat["u1"], lat["u0"], out=du)
             del lat   # its 512 KB are free before the columns are built
-            # the antithetic draw negates every latent; negation is exact, so
-            # -z > 0 iff z < 0 and -z2 > -shift iff z2 < shift
-            plus = _oracle_columns(z1 > 0, z2 > -shift, z2 > 0, z2 < 0, z4 > 0, du)
-            minus = _oracle_columns(z1 < 0, z2 < shift, z2 < 0, z2 > 0, z4 < 0, -du)
-            acc = buf[:m]
-            for j, (p, q) in enumerate(zip(plus, minus)):
-                np.add(p, q, out=acc[:, j], dtype=float)
-            acc *= 0.5
-            sq += (acc[:, :2] ** 2).sum(axis=0)
-            cross += float((acc[:, 0] * acc[:, 1]).sum())
+            zs *= np.sign(z1)   # a pair whose z1 is 0 counts nowhere
+            obs = z1 != 0
+            at = z2 > -shift   # treated observed in both periods
+            at &= obs
+            ac = z2 > 0        # control observed in both periods
+            ac &= obs
+            treated = z4 > 0
+            both = ac & at
+            ono = z2 < 0       # observed at baseline and only if treated
+            ono &= at
+            ono &= treated
+            counts += (np.count_nonzero(both & treated), np.count_nonzero(ono),
+                       np.count_nonzero(at), np.count_nonzero(ac), np.count_nonzero(both))
+            block = acc[:, :m]
+            np.multiply(du, at, out=block[0])
+            np.multiply(du * du, at, out=block[1])
+            np.multiply(du, ac, out=block[2])
+            block += 0.0   # a zero as a pair's two draws add up to it, never -0.0
+            block *= 0.5
             if part is not None:
-                acc[0] += part
-            part = acc.sum(axis=0)
+                block[:, 0] += part
+            # running sums, row after row; the last are the sums so far
+            part = np.add.accumulate(block, axis=1, out=block)[:, -1].copy()
             pairs += m
-        sums += part
+        sums[[3, 4, 6]] += part
+    sums[[0, 1, 2, 5, 7]] = 0.5 * counts
+    sq = 0.25 * counts[:2]   # for the delta-method se of p_true
 
     pi_ooo1 = sums[0] / pairs
     pi_ono1 = sums[1] / pairs
@@ -221,7 +256,8 @@ def oracle_true_values(
     # delta-method MC standard error for p_true over antithetic pair-averages
     var1 = sq[0] / pairs - pi_ooo1**2
     var2 = sq[1] / pairs - pi_ono1**2
-    cov12 = cross / pairs - pi_ooo1 * pi_ono1
+    # no draw is in both OOO1 (z2 > 0) and ONO1 (z2 < 0): their cross moment is 0
+    cov12 = 0.0 - pi_ooo1 * pi_ono1
     tot = pi_ooo1 + pi_ono1
     d1 = pi_ono1 / tot**2
     d2 = -pi_ooo1 / tot**2
@@ -292,6 +328,10 @@ def _usual_did(panel: PanelDataset) -> float:
     """
 
     cells = panel.cells
+    # arm d's rows observed in period t, in row order: those whose code
+    # 4d + 2s0 + s1 without the other period's bit is 4d plus s_t's bit, which
+    # is 2 for t = 0 and 1 for t = 1
+    bits = (cells.code & 6, cells.code & 5)
 
     def cell_mean(d: int, period: int) -> float:
         rows = cells.count(d, 1) if period == 0 else cells.count(d, 0, 1) + cells.count(d, 1, 1)
@@ -299,11 +339,8 @@ def _usual_did(panel: PanelDataset) -> float:
             raise EmptyCell(
                 f"no observed outcomes with d={d}, t={period}", d=d, t=period
             )
-        # arm d's rows observed in the period, in row order: those whose code
-        # 4d + 2s0 + s1 has this d and s_t = 1
-        if period == 0:
-            return mean(panel.y0[(cells.code & 6) == 4 * d + 2])
-        return mean(panel.y1[(cells.code & 5) == 4 * d + 1])
+        y = panel.y0 if period == 0 else panel.y1
+        return mean(y.compress(bits[period] == 4 * d + 2 - period))
 
     return cell_mean(1, 1) - cell_mean(1, 0) - cell_mean(0, 1) + cell_mean(0, 0)
 
@@ -325,14 +362,16 @@ def _replicates(config: DgpConfig, asets: list, start: int, stop: int) -> list:
     """Replicates ``start``..``stop - 1``: per replicate the usual DiD and, per
     assumption set, ``(lb, ub, p_ooo1)``, each None where it failed. A failed
     usual DiD fails every set: its empty cell empties ``tau_OOO``'s (1,1,1)
-    or (0,1,1) cell."""
+    or (0,1,1) cell. Each set's bound is ``bounds_tau_ooo``'s, evaluated by
+    ``bounds._bound`` on one memo of the panel's samples, so that the sets
+    gather and sort each cell once."""
     seed = config.seed if isinstance(config.seed, (list, tuple)) else [config.seed]
     out = []
     for rep in range(start, stop):
         panel = generate_panel(replace(config, seed=[*seed, rep]))
         naive = _estimate(_usual_did, panel)
-        results = [None if naive is None else _estimate(_bounds.bounds_tau_ooo, panel, aset)
-                   for aset in asets]
+        bound = partial(_bounds._bound, "tau_OOO", panel, memo={})
+        results = [None if naive is None else _estimate(bound, aset) for aset in asets]
         out.append((naive, [None if res is None else (res.lb, res.ub, res.proportions.p_ooo1)
                             for res in results]))
     return out

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import inspect
 import io
 import os
 import pickle
@@ -297,10 +298,20 @@ class TestDatasetsBuiltInCode:
          {"row": 5, "column": "s1"}),
         ("panel", dict(y0=[1, 1, 1, 1, np.nan, 1], y1=[np.nan] * 6), MissingOutcome,
          {"row": 4, "column": "y0"}),
+        # an infinite selected outcome, which the loaders reject as a field
+        ("panel", dict(y1=[2.0, 2.0, np.inf, 2.0, 2.0, 2.0]), MalformedRow,
+         {"row": 2, "column": "y1"}),
+        # the first outcome that is not finite decides the error
+        ("panel", dict(y0=[1.0, -np.inf, np.nan, 1.0, 1.0, 1.0]), MalformedRow,
+         {"row": 1, "column": "y0"}),
+        ("panel", dict(y0=[1.0, np.nan, -np.inf, 1.0, 1.0, 1.0]), MissingOutcome,
+         {"row": 1, "column": "y0"}),
         ("rcs", dict(t=[0, 1, 0, 1, 0, 2]), ValidationError, {"row": 5, "column": "t"}),
+        ("rcs", dict(y=[1, 1, 1, 1, 1, np.inf]), MalformedRow, {"row": 5, "column": "y"}),
         ("rcs", dict(y=[1, 1, np.nan, 1, 1, 1]), MissingOutcome, {"row": 2, "column": "y"}),
         ("multi", dict(s=[1, 1, 1, 1, 1, 2]), ValidationError, {"row": 5, "column": "s"}),
         ("multi", dict(y=[np.nan, 1, 1, 1, 1, 1]), MissingOutcome, {"row": 0, "column": "y"}),
+        ("multi", dict(y=[1, -np.inf, 1, 1, 1, 1]), MalformedRow, {"row": 1, "column": "y"}),
         # a negative gvar dropped its unit from both groups, and a bound printed
         ("multi", dict(gvar=[0, 0, 1, 1, -1, -1]), ValidationError, {"row": 4, "column": "gvar"}),
         ("multi", dict(t=[0, 1, 0, -1, 0, 1]), ValidationError, {"row": 3, "column": "t"}),
@@ -322,6 +333,16 @@ class TestDatasetsBuiltInCode:
         with pytest.raises(error) as exc:
             cls(**{**valid, **columns})
         assert type(exc.value) is error and exc.value.context == context
+
+    def test_an_infinite_selected_outcome_fails_before_a_bound(self):
+        # a (0,1,1) unit with y0 = y1 = inf made bounds_tau_ooo raise a bare
+        # ZeroDivisionError under mono-pos and EmptyTrimSet without monotonicity
+        rows = [(1, 1, 1, 0.0, 1.0), (1, 1, 1, 0.0, 2.0), (1, 1, 0, 0.0, None),
+                (0, 1, 1, 0.0, 0.5), (0, 1, 1, np.inf, np.inf)]
+        with pytest.raises(MalformedRow) as exc:
+            make_panel(rows)
+        assert exc.value.context == {"row": 4, "column": "y0"}
+        assert str(exc.value) == "PanelDataset row 4: y0 is inf but selected"
 
     @pytest.mark.parametrize("gvar, t, error, context", [
         ([1, 1, 0, 0, -1, -1], [0, 1] * 3, ValidationError, {"row": 4, "column": "gvar"}),
@@ -485,9 +506,10 @@ def test_delta_y_column_is_y1_minus_y0_and_shared_by_takes(rows, seed):
 
 def test_delta_y_warns_only_where_both_periods_are_observed():
     # outcomes stored where their selection is 0 would overflow or be invalid
-    # if subtracted; only the rows observed in both periods are
+    # if subtracted; only the rows observed in both periods are. An infinite
+    # outcome may be stored only where it is not selected
     big = [1e308, -1e308, np.inf, np.inf]
-    data = PanelDataset.from_records(["a", "b", "c", "d"], [1, 1, 0, 0], [1, 0, 1, 0],
+    data = PanelDataset.from_records(["a", "b", "c", "d"], [1, 1, 0, 0], [1, 0, 0, 0],
                                      [0, 1, 0, 0], big, [-v for v in big])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -495,6 +517,22 @@ def test_delta_y_warns_only_where_both_periods_are_observed():
     panel = make_panel([(1, 1, 1, -1e308, 1e308), (0, 1, 1, 0.0, 1.0)])
     with pytest.warns(RuntimeWarning, match="overflow"):
         panel.cells
+
+
+@pytest.mark.parametrize("n", [8_192, 8_193])
+def test_counts_are_eight_count_nonzero_passes(n):
+    # up to 8,192 rows (_BINCOUNT_ROWS) the counts come from one bincount,
+    # above it from a count_nonzero a cell; a take is counted by its own size
+    data = random_panel(n, 7)
+    idx = np.random.default_rng(8).integers(0, n, size=n)
+    small = random_panel(50, 9)
+    for cells in (data.cells, data.take(idx).cells, data.take(idx[:100]).cells,
+                  data.take(idx).take(idx[::-1]).cells,
+                  small.take(np.arange(n) % 50).cells):
+        want = [np.count_nonzero(cells.code == k) for k in range(8)]
+        assert cells.counts.dtype == np.intp and cells.counts.shape == (2, 2, 2)
+        assert cells.counts.ravel().tolist() == want
+        assert cells._count == cells.counts.tolist()
 
 
 def test_taken_cells_make_no_array_wider_than_the_code():
@@ -930,6 +968,31 @@ def test_load_scratch_does_not_grow_with_the_file(kind, tmp_path):
         scratch[n] = peak - retained
         del data
     assert scratch[200_000] <= scratch[50_000] + data_module._CHUNK
+
+
+def test_a_quoted_first_piece_is_not_held_for_the_whole_load(tmp_path):
+    # from a piece with a '"' on, csv.reader reads the rest of the file; once
+    # it is past that piece, nothing holds the piece's text, so a load whose
+    # first record is quoted holds one decoded piece at a time, not two
+    lines = _valid_csv("panel", 50_000, "\n").split("\n")
+    lines[1] = '"' + lines[1].replace(",", '",', 1)
+    path = tmp_path / "quoted.csv"
+    path.write_text("\n".join(lines), encoding="ascii")
+    source, start = inspect.getsourcelines(data_module._texts)
+    decode = start + next(i for i, line in enumerate(source) if ".decode()" in line)
+    held = []
+    with open(path, "rb") as fh:
+        tracemalloc.start()
+        try:
+            for _ in data_module._blocks(data_module._texts(fh)):
+                # the pieces' texts still traced, each where it was decoded
+                held.append(sum(trace.size for trace in tracemalloc.take_snapshot().traces
+                                if trace.traceback[0].filename == data_module.__file__
+                                and trace.traceback[0].lineno == decode))
+        finally:
+            tracemalloc.stop()
+    assert len(held) > 5
+    assert 0 < max(held[1:]) < 1.5 * data_module._CHUNK
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))

@@ -26,6 +26,7 @@ from didbounds import core, simulation
 from didbounds.simulation import _usual_did
 
 import reference_oracle
+import reference_panel
 from conftest import make_panel, panel_rows
 
 _rho = st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True)
@@ -48,6 +49,14 @@ class TestConfig:
             DgpConfig(n=1)
         with pytest.raises(ValidationError):
             DgpConfig(rho_uv=1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["att", "outcome_intercept", "selection_shift"])
+    def test_non_finite_parameters(self, name, value):
+        # an infinite att made generate_panel raise MissingOutcome ("y1 is NaN
+        # but selected") after a RuntimeWarning, and a NaN shift drew a panel
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            DgpConfig(n=50, seed=1, **{name: value})
 
     @pytest.mark.parametrize("seed", [-1, [4, -2], (-1, 0), np.int64(-3)])
     def test_negative_seed(self, seed):
@@ -111,6 +120,26 @@ class TestGenerator:
         assert np.all(s1_1)
         data = generate_panel(cfg)
         assert np.all(data.s1[data.d == 1] == 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 3000), rho_ca=_rho, rho_uv=_rho,
+           shift=st.one_of(st.sampled_from([0.0, -0.0, 50.0, -50.0]), st.floats(-4, 4)),
+           att=st.floats(-10, 10), intercept=st.floats(-10, 10),
+           seed=st.one_of(st.integers(0, 2**32), st.lists(st.integers(0, 2**32), max_size=3)))
+    @example(n=2000, rho_ca=0.7, rho_uv=0.6, shift=1.5, att=4.0, intercept=5.0, seed=[7, 0])
+    @example(n=20, rho_ca=0.7, rho_uv=0.6, shift=0.0, att=-0.0, intercept=0.0, seed=1)
+    @example(n=300, rho_ca=-0.5, rho_uv=0.3, shift=-1.0, att=-2.0, intercept=-0.0, seed=3)
+    @example(n=300, rho_ca=0.7, rho_uv=0.6, shift=50.0, att=4.0, intercept=5.0, seed=3)
+    def test_matches_reference_bit_for_bit(self, n, rho_ca, rho_uv, shift, att, intercept,
+                                           seed):
+        cfg = DgpConfig(n=n, rho_ca=rho_ca, rho_uv=rho_uv, selection_shift=shift, att=att,
+                        outcome_intercept=intercept, seed=seed)
+        got, want = generate_panel(cfg), reference_panel.generate_panel(cfg)
+        for name in ("d", "s0", "s1", "y0", "y1"):
+            column = getattr(got, name)
+            assert column.dtype == getattr(want, name).dtype, name
+            assert column.tobytes() == getattr(want, name).tobytes(), name
+        assert got.ids.tolist() == want.ids.tolist()
 
     def test_att_enters_treated_post_outcomes(self):
         small = generate_panel(DgpConfig(n=50000, seed=4, att=0.0))
@@ -398,6 +427,20 @@ class TestWorkerLayout:
                                coverage="interval", oracle_draws=100_000)
         assert [row.failed_reps for row in rows] == [3, 4]
         assert _row_bits(rows) == reference
+
+    def test_sets_sharing_a_panel_match_separate_bounds(self, layout):
+        # each replicate's two sets share one memo of its cells' samples; the
+        # rows are those of one bounds_tau_ooo call per set and panel
+        cfg, reps = DgpConfig(n=2000, seed=3), 6
+        rows = run_monte_carlo(cfg, reps, ["mono-pos", "nomono"])
+        for row, aset in zip(rows, (MONO_POSITIVE, WITHOUT_MONOTONICITY)):
+            results = [bounds_tau_ooo(generate_panel(replace(cfg, seed=[3, rep])), aset)
+                       for rep in range(reps)]
+            assert row.failed_reps == 0
+            assert [v.hex() for v in row.lbs] == [res.lb.hex() for res in results]
+            assert [v.hex() for v in row.ubs] == [res.ub.hex() for res in results]
+            ps = [res.proportions.p_ooo1 for res in results]
+            assert row.mean_p_ooo1.hex() == float(np.mean(ps)).hex()
 
     def test_rows_match_serial_calls(self, layout):
         rows = run_monte_carlo(self.CFG, 23, ["mono-pos", "nomono"])

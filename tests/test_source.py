@@ -2,6 +2,9 @@
 library's ``ast`` reads each module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +78,15 @@ def test_every_private_name_is_used():
     unused = {f"{module}:{line}": name for module, tree in trees.items()
               for name, line in _private_definitions(tree).items() if name not in reads}
     assert unused == {}, "private names the package never reads (module:line: name)"
+
+
+def test_importing_the_package_leaves_out_what_it_uses_only_when_it_runs():
+    # statistics (and so fractions and decimal) is needed only by the
+    # oracle's normal quantile, multiprocessing only by a run on workers
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SOURCE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, didbounds; "
+            "print(sorted({'statistics', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
