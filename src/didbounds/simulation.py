@@ -111,37 +111,17 @@ def _unit_ids(n: int) -> _PackedIds:
 def generate_panel(config: DgpConfig) -> PanelDataset:
     """Draw a two-period panel from the DGP.
 
-    The latents are those of ``_latents``, combined by the same float
-    operations column by column, and each 0/1 column is one comparison:
-    ``s1`` is ``(shift * d + b) + v1 > 0``, which for a finite shift is
-    ``(shift + b) + v1 > 0`` where treated and ``b + v1 > 0`` where not. An
-    outcome is NaN where it is not selected.
+    Each 0/1 column is one comparison: ``s1`` is ``(shift * d + b) + v1 > 0``,
+    which for a finite shift is ``(shift + b) + v1 > 0`` where treated and
+    ``b + v1 > 0`` where not. An outcome is NaN where it is not selected.
     """
-    rng = np.random.default_rng(config.seed)
-    c, x1, u0, x3, u1, x5, b, w = rng.standard_normal((config.n, 8)).T
-    ca = math.sqrt(1.0 - config.rho_ca**2)
-    uv = math.sqrt(1.0 - config.rho_uv**2)
-    index = config.rho_ca * c   # a + w, a = rho_ca * c + ca * x1
-    index += ca * x1
-    index += w
-    d = (index > 0).astype(np.int8)
-    index = config.rho_uv * u0   # b + v0, v0 = rho_uv * u0 + uv * x3
-    index += uv * x3
-    index += b
-    s0 = (index > 0).astype(np.int8)
-    v1 = config.rho_uv * u1
-    v1 += uv * x5
-    index = config.selection_shift * d
-    index += b
-    index += v1
-    s1 = (index > 0).astype(np.int8)
-    y0 = c + u0
-    y0 *= _SELECTED.take(s0)
-    y1 = config.att * d   # (outcome_intercept + att * d + c) + u1
-    y1 += config.outcome_intercept
-    y1 += c
-    y1 += u1
-    y1 *= _SELECTED.take(s1)
+    lat = _latents(np.random.default_rng(config.seed), config.n, config)
+    d = (lat["a"] + lat["w"] > 0).astype(np.int8)
+    s0 = (lat["b"] + lat["v0"] > 0).astype(np.int8)
+    s1 = (config.selection_shift * d + lat["b"] + lat["v1"] > 0).astype(np.int8)
+    y0 = (lat["c"] + lat["u0"]) * _SELECTED.take(s0)
+    y1 = ((config.outcome_intercept + config.att * d + lat["c"] + lat["u1"])
+          * _SELECTED.take(s1))
     return PanelDataset.from_records(_unit_ids(config.n), d, s0, s1, y0, y1)
 
 

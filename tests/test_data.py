@@ -298,9 +298,14 @@ class TestDatasetsBuiltInCode:
          {"row": 5, "column": "s1"}),
         ("panel", dict(y0=[1, 1, 1, 1, np.nan, 1], y1=[np.nan] * 6), MissingOutcome,
          {"row": 4, "column": "y0"}),
-        # an infinite selected outcome, which the loaders reject as a field
-        ("panel", dict(y1=[2.0, 2.0, np.inf, 2.0, 2.0, 2.0]), MalformedRow,
-         {"row": 2, "column": "y1"}),
+        # a (0,1,1) unit with y0 = y1 = inf, a NaN Delta Y, made
+        # bounds_tau_ooo raise a bare ZeroDivisionError; the loaders reject
+        # such a field
+        ("panel", dict(y0=[1.0, 1.0, np.inf, 1.0, 1.0, 1.0],
+                       y1=[2.0, 2.0, np.inf, 2.0, 2.0, 2.0]), MalformedRow,
+         {"row": 2, "column": "y0"}),
+        ("panel", dict(y1=[2.0, 2.0, 2.0, 2.0, np.inf, 2.0]), MalformedRow,
+         {"row": 4, "column": "y1"}),
         # the first outcome that is not finite decides the error
         ("panel", dict(y0=[1.0, -np.inf, np.nan, 1.0, 1.0, 1.0]), MalformedRow,
          {"row": 1, "column": "y0"}),
@@ -333,16 +338,6 @@ class TestDatasetsBuiltInCode:
         with pytest.raises(error) as exc:
             cls(**{**valid, **columns})
         assert type(exc.value) is error and exc.value.context == context
-
-    def test_an_infinite_selected_outcome_fails_before_a_bound(self):
-        # a (0,1,1) unit with y0 = y1 = inf made bounds_tau_ooo raise a bare
-        # ZeroDivisionError under mono-pos and EmptyTrimSet without monotonicity
-        rows = [(1, 1, 1, 0.0, 1.0), (1, 1, 1, 0.0, 2.0), (1, 1, 0, 0.0, None),
-                (0, 1, 1, 0.0, 0.5), (0, 1, 1, np.inf, np.inf)]
-        with pytest.raises(MalformedRow) as exc:
-            make_panel(rows)
-        assert exc.value.context == {"row": 4, "column": "y0"}
-        assert str(exc.value) == "PanelDataset row 4: y0 is inf but selected"
 
     @pytest.mark.parametrize("gvar, t, error, context", [
         ([1, 1, 0, 0, -1, -1], [0, 1] * 3, ValidationError, {"row": 4, "column": "gvar"}),
