@@ -338,7 +338,7 @@ class PanelDataset:
         """The (d, s0, s1) cell summary, built on first use and kept with the
         dataset; its ΔY column is computed here, once, and shared by every take."""
         code = 4 * self.d + 2 * self.s0 + self.s1
-        # a row not observed in both periods subtracts from a NaN, which gives
+        # a row not observed in both periods has its y1 made NaN, so it gives
         # NaN and raises no floating-point warning, whatever its outcomes hold
         delta = self.y1 * _SELECTED.take(self.s0 & self.s1) - self.y0
         delta.setflags(write=False)
