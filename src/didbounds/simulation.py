@@ -116,12 +116,13 @@ def generate_panel(config: DgpConfig) -> PanelDataset:
     ``b + v1 > 0`` where not. An outcome is NaN where it is not selected.
     """
     lat = _latents(np.random.default_rng(config.seed), config.n, config)
+    # floats, since an int parameter times the int8 ``d`` would stay int8
+    att, shift = float(config.att), float(config.selection_shift)
     d = (lat["a"] + lat["w"] > 0).astype(np.int8)
     s0 = (lat["b"] + lat["v0"] > 0).astype(np.int8)
-    s1 = (config.selection_shift * d + lat["b"] + lat["v1"] > 0).astype(np.int8)
+    s1 = (shift * d + lat["b"] + lat["v1"] > 0).astype(np.int8)
     y0 = (lat["c"] + lat["u0"]) * _SELECTED.take(s0)
-    y1 = ((config.outcome_intercept + config.att * d + lat["c"] + lat["u1"])
-          * _SELECTED.take(s1))
+    y1 = (config.outcome_intercept + att * d + lat["c"] + lat["u1"]) * _SELECTED.take(s1)
     return PanelDataset.from_records(_unit_ids(config.n), d, s0, s1, y0, y1)
 
 

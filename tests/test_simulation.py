@@ -123,13 +123,18 @@ class TestGenerator:
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 3000), rho_ca=_rho, rho_uv=_rho,
-           shift=st.one_of(st.sampled_from([0.0, -0.0, 50.0, -50.0]), st.floats(-4, 4)),
-           att=st.floats(-10, 10), intercept=st.floats(-10, 10),
+           shift=st.one_of(st.sampled_from([0.0, -0.0, 50.0, -50.0]), st.floats(-4, 4),
+                           st.integers(-300, 300)),
+           att=st.one_of(st.floats(-10, 10), st.integers(-300, 300)),
+           intercept=st.one_of(st.floats(-10, 10), st.integers(-300, 300)),
            seed=st.one_of(st.integers(0, 2**32), st.lists(st.integers(0, 2**32), max_size=3)))
     @example(n=2000, rho_ca=0.7, rho_uv=0.6, shift=1.5, att=4.0, intercept=5.0, seed=[7, 0])
     @example(n=20, rho_ca=0.7, rho_uv=0.6, shift=0.0, att=-0.0, intercept=0.0, seed=1)
     @example(n=300, rho_ca=-0.5, rho_uv=0.3, shift=-1.0, att=-2.0, intercept=-0.0, seed=3)
     @example(n=300, rho_ca=0.7, rho_uv=0.6, shift=50.0, att=4.0, intercept=5.0, seed=3)
+    # int parameters, whose sums and products leave the range of an int8 column
+    @example(n=300, rho_ca=0.7, rho_uv=0.6, shift=200, att=100, intercept=50, seed=3)
+    @example(n=300, rho_ca=0.7, rho_uv=0.6, shift=-200, att=-100, intercept=-50, seed=3)
     def test_matches_reference_bit_for_bit(self, n, rho_ca, rho_uv, shift, att, intercept,
                                            seed):
         cfg = DgpConfig(n=n, rho_ca=rho_ca, rho_uv=rho_uv, selection_shift=shift, att=att,
@@ -428,33 +433,26 @@ class TestWorkerLayout:
         assert [row.failed_reps for row in rows] == [3, 4]
         assert _row_bits(rows) == reference
 
-    def test_sets_sharing_a_panel_match_separate_bounds(self, layout):
-        # each replicate's two sets share one memo of its cells' samples; the
-        # rows are those of one bounds_tau_ooo call per set and panel
-        cfg, reps = DgpConfig(n=2000, seed=3), 6
+    # n = 2,000 at seed 3: no replicate fails; each replicate's two sets share
+    # one memo of its cells' samples
+    @pytest.mark.parametrize("cfg, reps", [(CFG, 23), (DgpConfig(n=2000, seed=3), 6)],
+                             ids=["n20", "n2000"])
+    def test_rows_match_serial_calls(self, layout, cfg, reps):
         rows = run_monte_carlo(cfg, reps, ["mono-pos", "nomono"])
         for row, aset in zip(rows, (MONO_POSITIVE, WITHOUT_MONOTONICITY)):
-            results = [bounds_tau_ooo(generate_panel(replace(cfg, seed=[3, rep])), aset)
-                       for rep in range(reps)]
-            assert row.failed_reps == 0
-            assert [v.hex() for v in row.lbs] == [res.lb.hex() for res in results]
-            assert [v.hex() for v in row.ubs] == [res.ub.hex() for res in results]
-            ps = [res.proportions.p_ooo1 for res in results]
-            assert row.mean_p_ooo1.hex() == float(np.mean(ps)).hex()
-
-    def test_rows_match_serial_calls(self, layout):
-        rows = run_monte_carlo(self.CFG, 23, ["mono-pos", "nomono"])
-        for row, aset in zip(rows, (MONO_POSITIVE, WITHOUT_MONOTONICITY)):
-            lbs, ubs = [], []
-            for rep in range(23):
+            lbs, ubs, ps = [], [], []
+            for rep in range(reps):
                 try:
-                    res = bounds_tau_ooo(generate_panel(replace(self.CFG, seed=[1, rep])), aset)
+                    res = bounds_tau_ooo(generate_panel(replace(cfg, seed=[cfg.seed, rep])), aset)
                 except EstimationError:
                     continue
                 lbs.append(res.lb)
                 ubs.append(res.ub)
-            assert row.lbs == lbs and row.ubs == ubs
-            assert row.failed_reps == 23 - len(lbs)
+                ps.append(res.proportions.p_ooo1)
+            assert [v.hex() for v in row.lbs] == [v.hex() for v in lbs]
+            assert [v.hex() for v in row.ubs] == [v.hex() for v in ubs]
+            assert row.mean_p_ooo1.hex() == float(np.mean(ps)).hex()
+            assert row.failed_reps == reps - len(lbs)
 
     @staticmethod
     def _empty_cells(monkeypatch, cells: dict):
