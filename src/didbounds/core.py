@@ -107,12 +107,15 @@ def empirical_quantile(values, q: float) -> float:
     """Smallest sample value whose empirical CDF weakly exceeds q.
 
     Type-1 / left-continuous inverse restricted to sample points; q in (0,1].
+    A sample holding NaN is a ``ValidationError``.
     """
     if not (0.0 < q <= 1.0) or math.isnan(q):
         raise QOutOfRange(f"q must be in (0,1], got {q}", q=q)
     arr = np.sort(np.asarray(values, dtype=np.float64))
     if arr.size == 0:
         raise EmptyCell("empirical_quantile of empty sample")
+    if math.isnan(arr[-1]):  # np.sort puts NaN last
+        raise ValidationError("empirical_quantile of a sample holding NaN")
     return _sorted_quantile(arr, q)
 
 
@@ -128,7 +131,17 @@ def _sample(values, p: float, name: str) -> Sample:
     sample = values if isinstance(values, Sample) else Sample(values)
     if sample.values.size == 0:
         raise EmptyCell(f"{name} of empty sample")
+    if p < 1.0 and math.isnan(sample.sorted[-1]):  # np.sort puts NaN last
+        raise ValidationError(f"{name} of a sample holding NaN")
     return sample
+
+
+def _full_mean(arr: np.ndarray, name: str) -> float:
+    """The plain mean; a NaN one from a NaN value is a ``ValidationError``."""
+    value = mean(arr)
+    if math.isnan(value) and np.isnan(arr).any():
+        raise ValidationError(f"{name} of a sample holding NaN")
+    return value
 
 
 def trimmed_mean_lower(values, p: float) -> float:
@@ -137,12 +150,13 @@ def trimmed_mean_lower(values, p: float) -> float:
     Selection is by mask in original order, so the kept values reduce in the
     same order as in the plain mean. At p=1 the quantile is the maximum and
     every value is kept, so the plain mean is returned without a sort.
-    ``values`` is an array or a ``Sample``.
+    ``values`` is an array or a ``Sample``; one holding NaN is a
+    ``ValidationError``.
     """
     sample = _sample(values, p, "trimmed_mean_lower")
     arr = sample.values
     if p == 1.0:
-        return mean(arr)
+        return _full_mean(arr, "trimmed_mean_lower")
     return mean(arr.compress(arr <= _sorted_quantile(sample.sorted, p)))
 
 
@@ -151,12 +165,13 @@ def trimmed_mean_upper(values, p: float) -> float:
 
     The p=1 case is the analytic limit (the quantile domain excludes q=0).
     With heavy ties the strict tail can be empty; that is an estimation error.
-    ``values`` is an array or a ``Sample``.
+    ``values`` is an array or a ``Sample``; one holding NaN is a
+    ``ValidationError``.
     """
     sample = _sample(values, p, "trimmed_mean_upper")
     arr = sample.values
     if p == 1.0:
-        return mean(arr)
+        return _full_mean(arr, "trimmed_mean_upper")
     kept = arr.compress(arr > _sorted_quantile(sample.sorted, 1.0 - p))
     if kept.size == 0:
         raise EmptyTrimSet(
@@ -166,13 +181,16 @@ def trimmed_mean_upper(values, p: float) -> float:
 
 
 def require_seed(seed) -> None:
-    """``ValidationError`` for a negative integer seed, or one in a seed list.
+    """``ValidationError`` for a seed that is not an integer or a list of
+    integers, or that is or holds a negative one.
 
-    ``np.random.default_rng`` refuses them with a ``ValueError``; checking when
-    a seed is set turns that into a flag error.
+    ``np.random.default_rng`` refuses them with a ``TypeError`` or ``ValueError``;
+    checking when a seed is set turns that into a flag error.
     """
     for part in seed if isinstance(seed, (list, tuple)) else (seed,):
-        if isinstance(part, (int, np.integer)) and part < 0:
+        if not isinstance(part, (int, np.integer)):
+            raise ValidationError(f"seed must be an integer or a list of integers, got {seed!r}")
+        if part < 0:
             raise ValidationError(f"seed must be non-negative, got {part}", seed=int(part))
 
 

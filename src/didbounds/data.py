@@ -26,7 +26,8 @@ Either way a block is one text and each field's byte offsets in it
 and one set of converters reads the rest: a 0/1 field and an integer of up
 to 18 ASCII digits in numpy, any other integer by ``int()``, an outcome by
 ``float()`` of its own text, and ids as bytes. Each column of the file is
-one array, grown as each piece's records are converted (``_grown``).
+one array of its first block's dtype, grown as each piece's records are
+converted (``_grown``), up to the first block with a faulty record.
 """
 
 from __future__ import annotations
@@ -684,89 +685,74 @@ def _read_columns(path, header, convert):
     records are numbered from 2, after the header. ``convert`` returns the
     block's typed arrays and its record checks (see ``_raise_first``), whose
     faults quote no field but the first each check rejects. Each array is
-    written at the end of its column of the file as soon as it is made
-    (``_convert_blocks``), and the block is dropped, so that a load holds
-    about one block at a time and each column once.
+    written at the end of its column of the file as soon as it is made, and
+    each check's mask as its rows (``_grown``); the block is dropped, so
+    that a load holds about one block at a time and each column once.
 
-    Returns the columns of the whole file, as writable arrays, its checks,
-    and the ``MalformedRow`` of the first record with the wrong number of
-    fields or None. The columns hold the records before that one, which the
-    caller checks before it raises the error. Text that is not UTF-8,
-    anywhere in the file, raises ``MalformedRow`` before any other fault; so
-    does a field longer than ``csv.field_size_limit()``, even after a width
-    error.
+    Returns the columns, as writable arrays, and the checks, the last of
+    them the width check: the first record not ``len(header)`` wide, up to
+    which its block is converted. The first block that holds a fault is the
+    last converted, so a fault's rows are that block's; the rest of the
+    file is only split. So text that is not UTF-8, anywhere in the file,
+    raises ``MalformedRow`` before any other fault, and so does a field
+    longer than ``csv.field_size_limit()`` or a quoting error.
     """
+    k = len(header)
+    columns = checks = None
+    start = 0
     with open(path, "rb") as fh:
         texts = _texts(fh)
+        blocks = _data_blocks(_blocks(texts), header, path)
         try:
-            columns, checks, error = _convert_blocks(_data_blocks(_blocks(texts), header, path),
-                                                     len(header), convert)
+            for fields, widths in blocks:
+                bad = np.flatnonzero(widths != k)[:1]
+                size = int(bad[0]) if bad.size else widths.size
+                # the records before the first not k wide, by column
+                arrays, found = convert([fields[j:size * k:k] for j in range(k)], start)
+                found = [(np.flatnonzero(mask), fault, warn) for mask, fault, warn in found]
+                found.append((bad, lambda i, got=widths[bad].tolist(): MalformedRow(
+                    f"line {i + 2}: expected {k} fields, got {got[0]}", line=i + 2), False))
+                if columns is None:
+                    columns = [np.empty(0, array.dtype) for array in arrays]
+                    checks = [(np.empty(0, np.intp), fault, warn) for _, fault, warn in found]
+                for j, array in enumerate(arrays):
+                    columns[j] = _grown(columns[j], array)
+                for j, (rows, fault, warn) in enumerate(found):
+                    if rows.size:
+                        checks[j] = (_grown(checks[j][0], rows + start), fault, warn)
+                start += size
+                del fields, arrays  # before the next block is read
+                if any(rows.size and not warn for rows, _, warn in found):
+                    deque(blocks, maxlen=0)  # only split, since csv.reader may still raise
+                    break
         except MalformedRow:
             deque(texts, maxlen=0)  # a byte that is not UTF-8, anywhere, comes first
             raise
     if columns is None:
         raise EmptyFile(f"{path}: no data rows", path=str(path))
-    return columns, checks, error
+    return columns, checks
 
 
 def _grown(column: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``column`` with ``values`` after its own, resized in place to the
     exact length (``ndarray.resize``, a ``realloc``): no block's part is kept
-    and none is joined at the end of the file. A block of another dtype
-    (``_integers``'s objects) first turns the column into the dtype of both."""
-    dtype = np.result_type(column, values)
-    if dtype != column.dtype:
-        column = column.astype(dtype)
+    and none is joined at the end of the file. Every block gives a column
+    the dtype its first block gave it."""
     n = column.size
     column.resize(n + values.size, refcheck=False)  # the loader holds its only reference
     column[n:] = values
     return column
 
 
-def _convert_blocks(blocks, k, convert) -> tuple:
-    """Each block converted (see ``_read_columns``) and written at the end of
-    the file's columns and checks (``_grown``), a check's mask turned into
-    its rows; and the ``MalformedRow`` of the first record not ``k`` wide or
-    None. A check's fault is that of the first block it rejects a record of,
-    since a fault quotes only the first record its check rejects (a warning
-    quotes none). Columns and checks are None if there is no block."""
-    columns = checks = None
-    start = 0
-    for fields, widths in blocks:
-        bad = np.flatnonzero(widths != k)
-        size = int(bad[0]) if bad.size else widths.size
-        # the records before the first not k wide, by column
-        arrays, block_checks = convert([fields[j:size * k:k] for j in range(k)], start)
-        if columns is None:
-            columns = [np.empty(0, array.dtype) for array in arrays]
-            checks = [(np.empty(0, np.intp), fault, warn) for _, fault, warn in block_checks]
-        for j, array in enumerate(arrays):
-            columns[j] = _grown(columns[j], array)
-        for j, (mask, fault, warn) in enumerate(block_checks):
-            rows = np.flatnonzero(mask)
-            if rows.size:
-                before, first_fault, _ = checks[j]
-                if before.size:
-                    fault = first_fault
-                checks[j] = (_grown(before, rows + start), fault, warn)
-        start += size
-        del fields, arrays, block_checks  # before the next block is read
-        if bad.size:
-            deque(blocks, maxlen=0)  # csv.reader raises on a later record before any is checked
-            return columns, checks, MalformedRow(
-                f"line {start + 2}: expected {k} fields, got {widths[size]}", line=start + 2)
-    return columns, checks, None
-
-
-def _raise_first(checks, after=None):
+def _raise_first(checks, stacklevel=3):
     """Warn and raise as checking the records one by one, in file order, would.
 
     ``checks`` are the checks of one record in the order a record goes
     through them, each ``(rows, fault, warn)``: ``rows`` are the records
     that fail it, in file order, and ``fault(i)`` gives record ``i``'s error
     or, with ``warn``, its ``DataWarning`` text. The first failing
-    (record, check) raises its error after the warnings that come before it;
-    ``after`` is raised when no check fails.
+    (record, check) raises its error after the warnings that come before it,
+    each issued at ``stacklevel`` (the loader's caller).
     """
     faults = [(int(rows[0]), k) for k, (rows, _, warn) in enumerate(checks)
               if not warn and rows.size]
@@ -776,37 +762,28 @@ def _raise_first(checks, after=None):
     for i, k in warned:
         if first is not None and (i, k) > first:
             break
-        warnings.warn(checks[k][1](i), DataWarning, stacklevel=3)
+        warnings.warn(checks[k][1](i), DataWarning, stacklevel=stacklevel)
     if first is not None:
         raise checks[first[1]][1](first[0])
-    if after is not None:
-        raise after
 
 
 def _parse(convert, fields, fill):
-    """``convert`` of each field, and the mask of the fields it rejects with a
-    ``ValueError``, whose values are ``fill``."""
-    try:
-        return list(map(convert, fields)), np.zeros(len(fields), bool)
-    except ValueError:
-        pass
+    """``convert`` of each field up to the first it rejects with a
+    ``ValueError``, and the mask of that one; the values from it on are
+    ``fill``, since no later field of the column can fault first."""
     values, rejected = [], np.zeros(len(fields), bool)
-    for i, field in enumerate(fields):  # a field is rejected: find every one
-        try:
-            values.append(convert(field))
-        except ValueError:
-            values.append(fill)
-            rejected[i] = True
+    try:
+        values.extend(map(convert, fields))  # keeps the values before a rejected field
+    except ValueError:
+        rejected[len(values)] = True
+        values += [fill] * (len(fields) - len(values))
     return values, rejected
 
 
-_INT64_MAX = np.iinfo(np.int64).max
-
-
 def _integers(column: _Fields) -> tuple:
-    """A column of integers as int64, as objects if one overflows int64 so
-    that the checks still run and find it; and the mask of the fields
-    ``int()`` rejects, whose values are 0.
+    """A column of integers as int64, the mask of the first field ``int()``
+    rejects (``_parse``) and that of the values of 2**63 or more, all stored
+    as 0; a value below -2**63 is stored as -1, which the sign check rejects.
 
     A field of 1 to ``_DIGITS`` ASCII digits is converted here, a digit at a
     time; any other goes through ``int()`` (``_parse``), as a sign, spaces,
@@ -822,14 +799,15 @@ def _integers(column: _Fields) -> tuple:
         values = np.where(more, values * 10 + digit, values)
     slow = ~fast
     rejected = np.zeros(lengths.size, bool)
+    huge = np.zeros(lengths.size, bool)
     if slow.any():
         parsed, rejected[slow] = _parse(int, column[slow].strings(), 0)
         try:
             values[slow] = parsed
-        except OverflowError:
-            values = values.astype(object)
-            values[slow] = parsed
-    return values, rejected
+        except OverflowError:  # a value outside int64
+            huge[slow] = [v >= 2**63 for v in parsed]
+            values[slow] = [v if -2**63 <= v < 2**63 else -1 if v < 0 else 0 for v in parsed]
+    return values, rejected, huge
 
 
 def _binary(column: _Fields, col):
@@ -845,9 +823,9 @@ def _binary(column: _Fields, col):
 def _outcome(column: _Fields, s, col):
     """An outcome column as float64, NaN where its selection ``s`` is 0, and its checks.
 
-    Each non-blank field goes through ``float()`` once, as its own text. A
-    selected outcome must not be blank; a present one must be numeric and
-    finite, and is dropped with a warning where the unit is not selected.
+    Each non-blank field goes through ``float()`` at most once, as its own
+    text. A selected outcome must not be blank; a present one must be numeric
+    and finite, and is dropped with a warning where the unit is not selected.
     """
     n = len(column)
     blank = column.lengths() == 0
@@ -893,20 +871,21 @@ def _header_block(header, ids, columns, start):
     return tuple(arrays.values()), checks
 
 
-def load_panel_csv(path) -> PanelDataset:
+def _load_flat(path, header, build):
+    """A panel or cross-section file, checked (``_raise_first``), as ``build(ids, *columns)``."""
     ids = _PackedIds()
-    columns, checks, width_error = _read_columns(path, PANEL_HEADER,
-                                                 partial(_header_block, PANEL_HEADER, ids))
-    _raise_first(checks, width_error)
-    return PanelDataset.from_records(ids, *columns)
+    columns, checks = _read_columns(path, header, partial(_header_block, header, ids))
+    _raise_first(checks, stacklevel=4)
+    return build(ids, *columns)
+
+
+def load_panel_csv(path) -> PanelDataset:
+    # from_records is looked up on each call, so that a wrapper of it sees the load
+    return _load_flat(path, PANEL_HEADER, PanelDataset.from_records)
 
 
 def load_rcs_csv(path) -> RcsDataset:
-    ids = _PackedIds()
-    columns, checks, width_error = _read_columns(path, RCS_HEADER,
-                                                 partial(_header_block, RCS_HEADER, ids))
-    _raise_first(checks, width_error)
-    data = RcsDataset(ids, *columns)
+    data = _load_flat(path, RCS_HEADER, RcsDataset)
     if not 0.0 < data.lam < 1.0:
         raise DegenerateSampling(
             f"post-period sampling share must lie strictly in (0,1), got {data.lam}",
@@ -936,8 +915,8 @@ def _multi_block(seen, columns, start):
     (``_first_rows``), which ``_unit_codes`` turns into the unit's code."""
     ids, gvar, t, s, y = columns
     unit = _first_rows(seen, ids.strings(), start)
-    gvar, gvar_rejected = _integers(gvar)
-    t, t_rejected = _integers(t)
+    gvar, gvar_rejected, gvar_huge = _integers(gvar)
+    t, t_rejected, t_huge = _integers(t)
     s, s_check = _binary(s, "s")
     y, y_checks = _outcome(y, s, "y")
     return (unit, gvar, t, s, y), [
@@ -947,7 +926,7 @@ def _multi_block(seen, columns, start):
         ((gvar < 0) | (t < 0),
          lambda i: MalformedRow(f"line {i + 2}: gvar/t must be non-negative", line=i + 2),
          False),
-        ((gvar > _INT64_MAX) | (t > _INT64_MAX),
+        (gvar_huge | t_huge,
          lambda i: MalformedRow(f"line {i + 2}: gvar/t must be below 2**63", line=i + 2),
          False),
         s_check,
@@ -997,15 +976,14 @@ def load_multi_csv(path) -> MultiPeriodPanel:
     (``_first_rows``, then ``_unit_codes``) and checked (``_unit_faults``);
     its ids are built from the units on their first read (``_UnitIds``)."""
     seen = {}
-    (first, gvar, t, s, y), checks, width_error = _read_columns(
-        path, MULTI_HEADER, partial(_multi_block, seen))
+    (first, gvar, t, s, y), checks = _read_columns(path, MULTI_HEADER, partial(_multi_block, seen))
     names, code = _unit_codes(seen, first)  # the codes are written over first
     del seen  # its hash table is not kept
     _raise_first([
         *checks[:3],
         *_unit_faults(names, code, gvar, t, lambda i: (f"line {i + 2}", {"line": i + 2})),
         *checks[3:],
-    ], width_error)
+    ])
     has_baseline = np.zeros(names.size, bool)
     has_baseline[code[t == 0]] = True
     missing = names[~has_baseline].tolist()

@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import bounds as _bounds
-from .core import _forked_map, mean, require_seed
+from .core import _forked_map, mean, require_finite, require_seed
 from .data import MONO_POSITIVE, WITHOUT_MONOTONICITY, PanelDataset, _PackedIds, _SELECTED
 from .errors import EmptyCell, EstimationError, ValidationError
 
@@ -56,8 +56,8 @@ class DgpConfig:
     """The DGP's parameters: ``n`` units (at least 2), the correlations
     ``rho_ca`` and ``rho_uv`` (each in (-1, 1)), the finite
     ``outcome_intercept``, ``att`` and ``selection_shift``, and the seed of
-    the draws (an int or a list of ints, none negative). Any other value is a
-    ``ValidationError``."""
+    the draws (an int or a list of ints, none negative; numpy integers too).
+    Any other value is a ``ValidationError`` when the config is built."""
 
     n: int = 1000
     rho_ca: float = 0.7
@@ -70,6 +70,8 @@ class DgpConfig:
     seed: object = 0
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValidationError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValidationError("n must be >= 2")
         for name in ("rho_ca", "rho_uv"):
@@ -305,7 +307,7 @@ def _usual_did(panel: PanelDataset) -> float:
 
     This is the estimand whose selection bias the Monte Carlo study reports.
     It differs from ``bounds.naive_did``, the balanced-panel contrast on units
-    observed in both periods.
+    observed in both periods. One that overflows raises ``NonFiniteEstimate``.
     """
 
     cells = panel.cells
@@ -323,7 +325,8 @@ def _usual_did(panel: PanelDataset) -> float:
         y = panel.y0 if period == 0 else panel.y1
         return mean(y.compress(bits[period] == 4 * d + 2 - period))
 
-    return cell_mean(1, 1) - cell_mean(1, 0) - cell_mean(0, 1) + cell_mean(0, 0)
+    return require_finite(
+        "usual_did", cell_mean(1, 1) - cell_mean(1, 0) - cell_mean(0, 1) + cell_mean(0, 0))
 
 
 def _mean(values: list) -> float:

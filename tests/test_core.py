@@ -48,6 +48,12 @@ class TestEmpiricalQuantile:
     def test_singleton(self):
         assert empirical_quantile([7.5], 0.3) == 7.5
 
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_a_nan_value_is_a_validation_error(self, q):
+        # np.sort puts the NaN last, where q = 0.5 read 2.0 and q = 1 read NaN
+        with pytest.raises(ValidationError, match="empirical_quantile of a sample holding NaN"):
+            empirical_quantile([1.0, 2.0, np.nan], q)
+
     def test_ties(self):
         assert empirical_quantile([1.0, 1.0, 2.0], 0.5) == 1.0
         assert empirical_quantile([1.0, 1.0, 2.0], 0.9) == 2.0
@@ -158,6 +164,22 @@ class TestTrimmedMeans:
     def test_empty_sample(self):
         with pytest.raises(EmptyCell):
             trimmed_mean_lower([], 0.5)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    @pytest.mark.parametrize("fn", [trimmed_mean_lower, trimmed_mean_upper])
+    @pytest.mark.parametrize("values", [[1.0, 2.0, np.nan], [np.nan], [np.nan, 3.0, -1.0]])
+    def test_a_nan_value_is_a_validation_error(self, fn, p, values):
+        # on [1, 2, nan] at p = 0.5 the lower tail dropped the NaN (1.5) and
+        # the upper raised EmptyTrimSet; at p = 1 both returned NaN
+        for arg in (values, Sample(values)):
+            with pytest.raises(ValidationError, match=f"{fn.__name__} of a sample holding NaN"):
+                fn(arg, p)
+
+    def test_a_nan_full_mean_of_values_without_nan_is_returned(self):
+        # inf and -inf sum to NaN: only a NaN value is a validation error
+        for fn in (trimmed_mean_lower, trimmed_mean_upper):
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(fn([np.inf, -np.inf, 1.0], 1.0))
 
     def test_upper_empty_strict_tail_on_constant_sample(self):
         with pytest.raises(EmptyTrimSet):

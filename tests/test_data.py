@@ -1018,8 +1018,9 @@ def test_load_from_a_pipe_equals_load_from_the_file(kind, tmp_path):
 
 def test_gvar_beyond_int64_after_int64_blocks_is_a_malformed_row(tmp_path):
     # blocks of 1 and 3 records: the gvar column is int64 for two blocks or
-    # more, then one block's integers are objects (``_integers``), then int64
-    # again; the later inconsistent gvar of u0 does not come first
+    # more, then one block holds a gvar that ``_integers`` flags as beyond
+    # int64, then int64 again; the later inconsistent gvar of u0 does not
+    # come first
     header, load, reference = LOADERS["multi"]
     records = [[f"u{i}", "0", "0", "1", "1.0"] for i in range(6)]
     records += [["u6", "99999999999999999999", "0", "1", "1.0"], ["u0", "2", "1", "0", ""],
@@ -1036,6 +1037,133 @@ def test_gvar_beyond_int64_after_int64_blocks_is_a_malformed_row(tmp_path):
                     load(path)
             assert str(got.value) == str(want.value)
             assert got.value.context == want.value.context == {"line": 8}
+
+
+@pytest.mark.parametrize("value", ["100000000000000000000", "-100000000000000000000"])
+@pytest.mark.parametrize("column", [1, 2], ids=["gvar", "t"])
+def test_integers_beyond_int64_in_a_middle_block_match_the_reference(column, value, tmp_path):
+    # the gvar and t columns stay int64 through every block: a value of
+    # 2**63 or more is flagged, one below -2**63 is -1, which the sign check
+    # rejects; either way the reference's error, at its record
+    header, load, reference = LOADERS["multi"]
+    records = [[f"u{i}", "0", "0", "1", "1.0"] for i in range(9)]
+    records[4][column] = value
+    path = tmp_path / "beyond.csv"
+    for text in _texts(header, records):
+        path.write_bytes(text.encode("utf-8"))
+        want, _ = _load(reference, path)
+        assert str(want) in ("line 6: gvar/t must be below 2**63",
+                             "line 6: gvar/t must be non-negative")
+        for block in (1, 3):
+            with mock.patch.multiple(data_module, _BLOCK=block, _CHUNK=block):
+                got, _ = _load(load, path)
+            assert type(got) is MalformedRow
+            assert str(got) == str(want)
+            assert got.context == want.context == {"line": 6}
+    fields, _ = data_module._plain_fields(b"12\n-100000000000000000000\n100000000000000000000\nx\n")
+    values, rejected, huge = data_module._integers(fields)
+    assert values.dtype == np.int64
+    assert values.tolist() == [12, -1, 0, 0]
+    assert rejected.tolist() == [False, False, False, True]
+    assert huge.tolist() == [False, False, True, False]
+
+
+def _counting(monkeypatch, name):
+    """The (start, records) of each block that the loaders' converter ``name``
+    is given, as a load goes on."""
+    calls = []
+    convert = getattr(data_module, name)
+
+    def counted(*args):
+        calls.append((args[-1], len(args[-2][0])))
+        return convert(*args)
+
+    monkeypatch.setattr(data_module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_no_block_after_the_first_faulty_block_is_converted(kind, monkeypatch, tmp_path):
+    # a fault on line 3 of 200 records: the rest of the file is only split,
+    # since no later record can fault first
+    header, load, reference = LOADERS[kind]
+    record = {"panel": "a,1,1,1,1.0,2.0", "rcs": "a,0,1,1,1.0", "multi": "a,0,0,1,1.0"}[kind]
+    records = [record.replace("a", f"u{i}", 1).split(",") for i in range(200)]
+    records[1][3] = "2"
+    calls = _counting(monkeypatch, "_multi_block" if kind == "multi" else "_header_block")
+    path = tmp_path / "faulty.csv"
+    for text in _texts(header, records):
+        path.write_bytes(text.encode("utf-8"))
+        want, _ = _load(reference, path)
+        assert str(want) == f"line 3: {header[3]} must be 0 or 1, got '2'"
+        for block in (3, 64):
+            calls.clear()
+            with mock.patch.multiple(data_module, _BLOCK=block, _CHUNK=block):
+                got, _ = _load(load, path)
+            assert type(got) is type(want) and str(got) == str(want)
+            assert got.context == want.context
+            start, size = calls[-1]
+            assert start <= 1 < start + size  # the last block converted holds the fault
+            assert sum(size for _, size in calls) < 200
+
+
+@pytest.mark.parametrize("later", ["utf8", "field-limit", "unclosed-quote"])
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_a_later_fault_of_the_text_comes_before_an_earlier_value_fault(kind, later,
+                                                                       tmp_path):
+    # the blocks after the faulty one are still decoded and split, so text
+    # that is not UTF-8, a field over the size limit, and a quote left open
+    # until a field is over it, each many blocks later, raise first
+    header, load, reference = LOADERS[kind]
+    record = {"panel": "a,1,1,1,1.0,2.0", "rcs": "a,0,1,1,1.0", "multi": "a,0,0,1,1.0"}[kind]
+    lines = [",".join(header)] + [record.replace("a", f"u{i}", 1) for i in range(60)]
+    lines[2] = lines[2].replace(",1.0", ",abc", 1)
+    if later == "utf8":
+        lines[40] = "\u00e9" + lines[40]
+    elif later == "field-limit":
+        lines[40] = "x" * 140_000 + lines[40]
+    else:
+        lines[40] = '"' + lines[40]
+        lines += [record.replace("a", f"v{i}", 1) for i in range(10_000)]
+    raw = ("\n".join(lines) + "\n").encode("utf-8")
+    if later == "utf8":
+        raw = raw.replace("\u00e9".encode("utf-8"), b"\xe9")
+    path = tmp_path / "late.csv"
+    path.write_bytes(raw)
+    want, _ = _load(reference, path)
+    assert type(want) is MalformedRow
+    assert want.context["line"] >= 41
+    for block in (1, 3, data_module._BLOCK):
+        with mock.patch.multiple(data_module, _BLOCK=block, _CHUNK=block):
+            got, _ = _load(load, path)
+        assert type(got) is MalformedRow
+        assert str(got) == str(want) and got.context == want.context
+
+
+@pytest.mark.parametrize("unit_fault", ["gvar", "repeat"])
+def test_a_unit_fault_comes_before_a_record_fault_in_a_later_block(unit_fault, monkeypatch,
+                                                                   tmp_path):
+    # conversion ends with the block of the record's fault, and the unit
+    # rules see every record up to it
+    header, load, reference = LOADERS["multi"]
+    records = [[f"u{i}", "0", "0", "1", "1.0"] for i in range(40)]
+    records[3] = ["u0", "2", "1", "1", "1.0"] if unit_fault == "gvar" else ["u0", "0", "0", "1", "1.0"]
+    records[30][3] = "2"
+    calls = _counting(monkeypatch, "_multi_block")
+    path = tmp_path / "units.csv"
+    for text in _texts(header, records):
+        path.write_bytes(text.encode("utf-8"))
+        want, _ = _load(reference, path)
+        assert type(want) is (InconsistentGvar if unit_fault == "gvar" else MalformedRow)
+        assert want.context == {"line": 5, "id": "u0"}
+        for block in (1, 3, data_module._BLOCK):
+            calls.clear()
+            with mock.patch.multiple(data_module, _BLOCK=block, _CHUNK=block):
+                got, _ = _load(load, path)
+            assert type(got) is type(want)
+            assert str(got) == str(want) and got.context == want.context
+            if block < data_module._BLOCK:
+                assert sum(size for _, size in calls) < 40
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))

@@ -12,6 +12,7 @@ from didbounds import (
     MONO_NEGATIVE,
     MONO_POSITIVE,
     WITHOUT_MONOTONICITY,
+    BootstrapSpec,
     DgpConfig,
     PanelDataset,
     bounds_tau_ooo,
@@ -21,7 +22,7 @@ from didbounds import (
     oracle_true_values,
     run_monte_carlo,
 )
-from didbounds.errors import EmptyCell, EstimationError, ValidationError
+from didbounds.errors import EmptyCell, EstimationError, NonFiniteEstimate, ValidationError
 from didbounds import core, simulation
 from didbounds.simulation import _usual_did
 
@@ -57,6 +58,19 @@ class TestConfig:
         # but selected") after a RuntimeWarning, and a NaN shift drew a panel
         with pytest.raises(ValidationError, match=f"{name} must be finite"):
             DgpConfig(n=50, seed=1, **{name: value})
+
+    def test_non_integer_size_and_seed(self):
+        # n = 10.0 raised numpy's bare TypeError in generate_panel, and a
+        # float seed built and then failed in SeedSequence
+        with pytest.raises(ValidationError, match="n must be an integer, got 10.0"):
+            DgpConfig(n=10.0, seed=1)
+        for seed in (1.5, [1, 2.5], "3", None):
+            with pytest.raises(ValidationError, match="seed must be an integer or a list"):
+                DgpConfig(n=10, seed=seed)
+            with pytest.raises(ValidationError, match="seed must be an integer or a list"):
+                BootstrapSpec(seed=seed)
+        cfg = DgpConfig(n=np.int64(10), seed=[np.int32(1), 2])
+        assert generate_panel(cfg).n == 10
 
     @pytest.mark.parametrize("seed", [-1, [4, -2], (-1, 0), np.int64(-3)])
     def test_negative_seed(self, seed):
@@ -297,6 +311,18 @@ class TestUsualDid:
 
 
 class TestMonteCarlo:
+    def test_an_overflowing_usual_did_fails_the_replicate_in_every_row(self):
+        # the usual DiD of att = 1e308 overflows to inf; it was averaged into
+        # mean_naive while every bound of the replicate failed
+        cfg = DgpConfig(n=200, seed=0, att=1e308)
+        with np.errstate(over="ignore"):  # the treated outcomes' sum overflows
+            with pytest.raises(NonFiniteEstimate, match="usual_did is not finite"):
+                _usual_did(generate_panel(replace(cfg, seed=[0, 0])))
+            rows = run_monte_carlo(cfg, 3, ["mono-pos", "nomono"])
+        for row in rows:
+            assert row.failed_reps == 3
+            assert math.isnan(row.mean_naive)
+
     def test_mean_naive_is_usual_did(self):
         cfg = DgpConfig(n=300, seed=7)
         row = run_monte_carlo(cfg, 5, ["mono-pos"])[0]
