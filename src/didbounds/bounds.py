@@ -386,7 +386,7 @@ def _endpoint(terms: tuple, samples: dict, shares: dict, minima: dict | None) ->
             if statistic == "min":
                 value = minima[sample]
             elif statistic == "mean":
-                value = mean(samples[sample].values)
+                value = samples[sample].row_mean
             elif statistic == "lower":
                 value = trimmed_mean_lower(samples[sample], shares[share])
             else:

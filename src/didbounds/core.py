@@ -1,10 +1,12 @@
 """Numerical primitives shared by every bound, and the forked-worker runner
 (``_forked_map``) that the bootstrap and the Monte Carlo share.
 
-Tie handling follows the estimator definitions literally: the lower tail keeps
-values <= the empirical quantile, the upper tail keeps values strictly above
-it, so under ties the retained mass may differ from the trim share. No
-fractional-weight trimming.
+A trimmed tail is a slice of its cell's sorted values, and its mean reduces
+in sorted order; a plain mean reduces in the values' given order. Tie handling
+follows the estimator definitions literally: the lower tail keeps values <= the
+empirical quantile, the upper tail keeps values strictly above it, so under
+ties the retained mass may differ from the trim share. No fractional-weight
+trimming.
 """
 
 from __future__ import annotations
@@ -65,18 +67,21 @@ def frechet_interval(p_a: float, p_b: float) -> FrechetInterval:
 
 
 class Sample:
-    """A cell's values in row order, and their sort once it is first needed.
+    """A cell's values as one array, which the first trimmed tail sorts in place.
 
-    Trimmed means of both tails of one cell share the sort: pass the same
-    ``Sample`` to ``trimmed_mean_lower`` and ``trimmed_mean_upper``.
+    The plain mean in the given order, ``row_mean`` (NaN if empty), is taken
+    first. Both tails of one cell share the sort: pass the same ``Sample`` to
+    ``trimmed_mean_lower`` and ``trimmed_mean_upper``.
     """
 
     def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64)
+        self.values = np.asarray(values, dtype=np.float64)  # taken over, not copied
+        self.row_mean = mean(self.values) if self.values.size else math.nan
 
     @cached_property
     def sorted(self) -> np.ndarray:
-        return np.sort(self.values)
+        self.values.sort()
+        return self.values
 
 
 def mean(arr: np.ndarray) -> float:
@@ -119,65 +124,51 @@ def empirical_quantile(values, q: float) -> float:
     return _sorted_quantile(arr, q)
 
 
-def _check_p(p: float) -> None:
+def _tail_mean(values, p: float, upper: bool) -> float:
+    """The mean of the slice of the sorted sample beyond the literal quantile
+    cut, or at p=1 the plain mean in the given order, without a sort. An array
+    is copied, so that the caller's keeps its order."""
+    name = f"trimmed_mean_{'upper' if upper else 'lower'}"
     if p <= 0.0 or math.isnan(p):
         raise PZero(f"trim share must be positive, got {p}", p=p)
     if p > 1.0:
         raise OutOfRange(f"trim share must be <= 1, got {p}", p=p)
-
-
-def _sample(values, p: float, name: str) -> Sample:
-    _check_p(p)
-    sample = values if isinstance(values, Sample) else Sample(values)
+    sample = values if isinstance(values, Sample) else Sample(np.array(values, dtype=np.float64))
     if sample.values.size == 0:
         raise EmptyCell(f"{name} of empty sample")
-    if p < 1.0 and math.isnan(sample.sorted[-1]):  # np.sort puts NaN last
+    # a NaN-free mean is NaN only from inf - inf
+    if math.isnan(sample.row_mean) and np.isnan(sample.values).any():
         raise ValidationError(f"{name} of a sample holding NaN")
-    return sample
-
-
-def _full_mean(arr: np.ndarray, name: str) -> float:
-    """The plain mean; a NaN one from a NaN value is a ``ValidationError``."""
-    value = mean(arr)
-    if math.isnan(value) and np.isnan(arr).any():
-        raise ValidationError(f"{name} of a sample holding NaN")
-    return value
+    if p == 1.0:
+        return sample.row_mean
+    arr = sample.sorted
+    end = arr.searchsorted(_sorted_quantile(arr, 1.0 - p if upper else p), "right")
+    kept = arr[end:] if upper else arr[:end]
+    if kept.size == 0:  # only an upper tail, under ties at the maximum
+        raise EmptyTrimSet(f"upper tail beyond quantile({1.0 - p}) is empty "
+                           "(ties at maximum)", p=p)
+    return mean(kept)
 
 
 def trimmed_mean_lower(values, p: float) -> float:
     """Mean over {v : v <= empirical_quantile(values, p)}; full mean at p=1.
 
-    Selection is by mask in original order, so the kept values reduce in the
-    same order as in the plain mean. At p=1 the quantile is the maximum and
-    every value is kept, so the plain mean is returned without a sort.
-    ``values`` is an array or a ``Sample``; one holding NaN is a
-    ``ValidationError``.
+    The kept values are a slice of the sorted sample and reduce in sorted
+    order. At p=1 the quantile is the maximum and every value is kept, so the
+    plain mean in the given order is returned. ``values`` is an array, which is
+    not changed, or a ``Sample``; one holding NaN is a ``ValidationError``.
     """
-    sample = _sample(values, p, "trimmed_mean_lower")
-    arr = sample.values
-    if p == 1.0:
-        return _full_mean(arr, "trimmed_mean_lower")
-    return mean(arr.compress(arr <= _sorted_quantile(sample.sorted, p)))
+    return _tail_mean(values, p, upper=False)
 
 
 def trimmed_mean_upper(values, p: float) -> float:
     """Mean over {v : v > empirical_quantile(values, 1-p)}; full mean at p=1.
 
-    The p=1 case is the analytic limit (the quantile domain excludes q=0).
-    With heavy ties the strict tail can be empty; that is an estimation error.
-    ``values`` is an array or a ``Sample``; one holding NaN is a
-    ``ValidationError``.
+    A slice of the sorted sample, as in ``trimmed_mean_lower``. The p=1 case is
+    the analytic limit (the quantile domain excludes q=0). With heavy ties the
+    strict tail can be empty; that is an estimation error (``EmptyTrimSet``).
     """
-    sample = _sample(values, p, "trimmed_mean_upper")
-    arr = sample.values
-    if p == 1.0:
-        return _full_mean(arr, "trimmed_mean_upper")
-    kept = arr.compress(arr > _sorted_quantile(sample.sorted, 1.0 - p))
-    if kept.size == 0:
-        raise EmptyTrimSet(
-            f"upper tail beyond quantile({1.0 - p}) is empty (ties at maximum)", p=p
-        )
-    return mean(kept)
+    return _tail_mean(values, p, upper=True)
 
 
 def require_seed(seed) -> None:

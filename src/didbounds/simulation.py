@@ -330,8 +330,13 @@ def _usual_did(panel: PanelDataset) -> float:
 
 
 def _mean(values: list) -> float:
-    """``np.mean`` of a list in its order, or NaN if it is empty."""
-    return float(np.mean(values)) if values else math.nan
+    """``np.mean`` of a list of finite values, NaN if it is empty; where their
+    sum overflows, the sum of each over the count, within the values' range."""
+    with np.errstate(over="ignore"):
+        value = float(np.mean(values)) if values else math.nan
+        if math.isinf(value):
+            value = float(np.clip(np.sum(np.divide(values, len(values))), min(values), max(values)))
+    return value
 
 
 def _estimate(fn, *args):

@@ -5,7 +5,15 @@ written out one function each: the reference the table of bound formulas in
 Each function checks its assumptions, computes its weights and shares, reads
 its cells and support minima, and sums its terms in the order the bound's
 display prints them.
+
+``trimmed_mean_lower_mask`` and ``trimmed_mean_upper_mask`` keep the earlier
+rule of ``didbounds.core``'s tails: the values on the tail's side of the
+literal quantile cut, selected by a mask and summed in their given order. They
+are the reference ``core``'s tails, slices of the sorted cell, are checked
+against.
 """
+
+import math
 
 import numpy as np
 
@@ -21,9 +29,58 @@ from didbounds.bounds import (
     mixing_mono,
     mixing_no_mono,
 )
-from didbounds.core import Sample, mean, trimmed_mean_lower, trimmed_mean_upper
-from didbounds.errors import InvalidAssumptions
+from didbounds.core import (
+    Sample,
+    _sorted_quantile,
+    mean,
+    trimmed_mean_lower,
+    trimmed_mean_upper,
+)
+from didbounds.errors import (
+    EmptyCell,
+    EmptyTrimSet,
+    InvalidAssumptions,
+    OutOfRange,
+    PZero,
+    ValidationError,
+)
 from didbounds.extensions import rcs_weights
+
+
+def _mask_tail(values, p, upper):
+    name = f"trimmed_mean_{'upper' if upper else 'lower'}"
+    if p <= 0.0 or math.isnan(p):
+        raise PZero(f"trim share must be positive, got {p}", p=p)
+    if p > 1.0:
+        raise OutOfRange(f"trim share must be <= 1, got {p}", p=p)
+    arr = np.array(values, dtype=np.float64)
+    if arr.size == 0:
+        raise EmptyCell(f"{name} of empty sample")
+    if p == 1.0:
+        value = mean(arr)
+        if math.isnan(value) and np.isnan(arr).any():
+            raise ValidationError(f"{name} of a sample holding NaN")
+        return value
+    ordered = np.sort(arr)
+    if math.isnan(ordered[-1]):
+        raise ValidationError(f"{name} of a sample holding NaN")
+    if not upper:
+        return mean(arr.compress(arr <= _sorted_quantile(ordered, p)))
+    kept = arr.compress(arr > _sorted_quantile(ordered, 1.0 - p))
+    if kept.size == 0:
+        raise EmptyTrimSet(f"upper tail beyond quantile({1.0 - p}) is empty "
+                           "(ties at maximum)", p=p)
+    return mean(kept)
+
+
+def trimmed_mean_lower_mask(values, p):
+    """Mean of the values <= empirical_quantile(values, p), in their order."""
+    return _mask_tail(values, p, upper=False)
+
+
+def trimmed_mean_upper_mask(values, p):
+    """Mean of the values > empirical_quantile(values, 1 - p), in their order."""
+    return _mask_tail(values, p, upper=True)
 
 
 def _delta_y(data, d):

@@ -1,3 +1,5 @@
+import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from didbounds import (
     MONO_POSITIVE,
     WITHOUT_MONOTONICITY,
     AssumptionSet,
+    DgpConfig,
     MultiPeriodPanel,
     PanelDataset,
     StaggeredTarget,
@@ -19,6 +22,7 @@ from didbounds import (
     bounds_tau_ooo,
     bounds_tau_oo_rcs,
     bounds_staggered,
+    generate_panel,
     group_proportion,
     mixing_mono,
     mixing_no_mono,
@@ -35,7 +39,15 @@ from didbounds.bounds import _FORMULAS
 from didbounds.extensions import RCS_VARIANTS
 
 import reference_bounds
-from conftest import copy_rows, make_panel, make_rcs, outcomes, panel_rows, rcs_rows
+from conftest import (
+    copy_rows,
+    make_panel,
+    make_rcs,
+    outcomes,
+    panel_rows,
+    random_panel,
+    rcs_rows,
+)
 
 DOMINANCE = {
     "ono": AssumptionSet("with_monotonicity", "positive",
@@ -272,21 +284,38 @@ def _outcome(fn, data):
         return exc.code
 
 
+def _order_free(terms, mix) -> bool:
+    """Whether every one of ``terms`` is a support minimum or a trimmed tail
+    at a share below 1, a slice of a sorted cell: no term reduces in row order."""
+    shares = {"p_ooo1": mix.p_ooo1, "p_ooo0": mix.p_ooo0, "p_ono0": mix.p_ono0,
+              "p_nno1": mix.p_nno1}
+    shares.update({f"1 - {k}": 1.0 - v for k, v in shares.items() if v is not None})
+    return all(statistic == "min" or statistic in ("lower", "upper") and shares[share] < 1.0
+               for _, statistic, _, share in terms)
+
+
 @given(rows=panel_rows, data=st.data())
 def test_bounds_invariant_to_row_order(rows, data):
     order = data.draw(st.permutations(range(len(rows))))
     panel = make_panel(rows)
     shuffled = make_panel([rows[i] for i in order])
-    # summation order moves the last ulp, which is relative to the outcomes'
-    # size, not to a bound that may sit near 0
+    # a plain mean's summation order moves the last ulp, which is relative to
+    # the outcomes' size, not to a bound that may sit near 0; an endpoint
+    # without one is the same bit for bit
     scale = 1.0 + max((abs(v) for r in rows for v in r[3:] if v is not None), default=0.0)
+    bits = lambda x: np.float64(x).view(np.uint64)
     for name, fn in ALL_BOUNDS.items():
         ref, got = _outcome(fn, panel), _outcome(fn, shuffled)
         if isinstance(ref, str):
             assert got == ref, name
             continue
-        assert got.lb == pytest.approx(ref.lb, rel=1e-12, abs=1e-12 * scale), name
-        assert got.ub == pytest.approx(ref.ub, rel=1e-12, abs=1e-12 * scale), name
+        row = _FORMULAS[ref.parameter]
+        for end, terms in (("lb", row.lb), ("ub", row.ub)):
+            want, value = getattr(ref, end), getattr(got, end)
+            if _order_free(terms, ref.proportions):
+                assert bits(value) == bits(want), (name, end)
+            else:
+                assert value == pytest.approx(want, rel=1e-12, abs=1e-12 * scale), (name, end)
         # weights and support minima are count ratios and minima: exact
         assert got.proportions.to_dict() == ref.proportions.to_dict(), name
         assert got.support_minima == ref.support_minima, name
@@ -568,3 +597,48 @@ def test_formula_table_reads_observed_cells_and_its_own_shares():
     rcs = _FORMULAS["tau_OO_rcs"]
     assert rcs.lb[2] == rcs.ub[2] == pre_means
     assert rcs.terms[2:4] == rcs.terms[-2:] == pre_means
+
+
+def _columns(data) -> list:
+    """The bytes of a dataset's columns but its ids, and of its cells' code
+    and outcome columns (a panel's shared Delta Y among them)."""
+    return ([getattr(data, f.name).tobytes() for f in fields(data) if f.name != "ids"]
+            + [data.cells.code.tobytes()] + [y.tobytes() for y in data.cells._outcomes])
+
+
+def test_bounds_leave_their_datasets_columns_unchanged():
+    # each cell the tails sort in place is a fresh gather of its rows; the
+    # cross-section samples unit i in period i % 2
+    rng = np.random.default_rng(5)
+    panel = generate_panel(DgpConfig(n=600, seed=7))
+    by_period = ((panel.s0, panel.y0), (panel.s1, panel.y1))
+    rcs = make_rcs([(i % 2, panel.d[i], by_period[i % 2][0][i],
+                     by_period[i % 2][1][i] if by_period[i % 2][0][i] else None)
+                    for i in range(panel.n)])
+    before = [_columns(panel), _columns(rcs)]
+    for data in (panel, panel.take(rng.integers(0, 600, 600))):
+        for fn in ALL_BOUNDS.values():
+            assert not isinstance(_outcome(fn, data), str)
+    for data in (rcs, rcs.take(rng.integers(0, 600, 600))):
+        for variant in RCS_VARIANTS:
+            for aset in (WITHOUT_MONOTONICITY, MONO_POSITIVE):
+                bounds_tau_oo_rcs(data, variant, aset)
+    assert [_columns(panel), _columns(rcs)] == before
+
+
+def test_a_bound_on_a_take_holds_one_array_per_cell():
+    # a nomono tau_OOO bound on a take of 100,000 rows: its two Delta Y cells,
+    # each one gather sorted in place, and their transient masks and row
+    # indices; a sorted copy beside each cell came to about 9 bytes a row
+    n = 100_000
+    panel = generate_panel(DgpConfig(n=n, seed=7))
+    panel.cells  # built untraced, as a bootstrap's parent has them
+    take = panel.take(np.random.default_rng(0).integers(0, n, n))
+    tracemalloc.start()
+    try:
+        res = bounds_tau_ooo(take, WITHOUT_MONOTONICITY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.proportions.p_ooo1 < 1.0 and res.proportions.p_ooo0 < 1.0
+    assert peak < 8 * n

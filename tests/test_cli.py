@@ -472,7 +472,9 @@ def test_malformed_file_exits_2(tmp_path, capsys, argv, raw, line):
 
 # stdout of each panel command on generate_panel(DgpConfig(n=300, seed=7)),
 # recorded from the CLI when every bound built its own masks over the full
-# arrays; regenerate it only for a change of output that is meant
+# arrays; the entries whose trimmed tails moved by a few ulps were recorded
+# again when a tail became a slice of its sorted cell, summed in sorted
+# order. Regenerate it only for a change of output that is meant
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "panel_cli.json").read_text(encoding="utf-8")
 )
@@ -517,7 +519,9 @@ def _golden_inputs(tmp_path) -> dict:
 
 # stdout of the commands that share the CLI's load/bound/CI/emit path, on the
 # files of _golden_inputs, recorded from the CLI when each command had its own
-# branch in cli.run and the staggered pivot read a stored unit list
+# branch in cli.run and the staggered pivot read a stored unit list; the
+# entries with a trimmed tail that moved by a few ulps were recorded again, on
+# the same files, when a tail became a slice of its sorted cell
 GOLDEN_COMMANDS = json.loads(
     (Path(__file__).parent / "golden" / "cli_commands.json").read_text(encoding="utf-8")
 )

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import signal
@@ -22,6 +23,7 @@ from didbounds import (
     trimmed_mean_upper,
 )
 from didbounds.errors import (
+    DidBoundsError,
     EmptyCell,
     EmptyTrimSet,
     EstimationError,
@@ -31,9 +33,10 @@ from didbounds.errors import (
     ValidationError,
     WorkerDied,
 )
-from didbounds import core
+from didbounds import bounds, core
 from didbounds.core import Sample, _forked_map, _sorted_quantile, mean
 
+import reference_bounds
 from conftest import make_panel
 
 
@@ -237,18 +240,94 @@ class TestTrimmedMeans:
             assert got == want, fn.__name__
 
     def test_bound_sorts_each_cell_once(self, mixed_panel, monkeypatch):
-        # both tails of the treated and the control dY share one sort each
+        # both tails of the treated and the control dY share one sort each,
+        # made in place on the cell's one array
         sorts = []
-        real_sort = np.sort
 
-        def counting_sort(a, *args, **kwargs):
-            sorts.append(len(a))
-            return real_sort(a, *args, **kwargs)
+        class CountingArray(np.ndarray):
+            def sort(self, *args, **kwargs):
+                sorts.append(len(self))
+                super().sort(*args, **kwargs)
 
-        monkeypatch.setattr(np, "sort", counting_sort)
+        class CountingSample(Sample):
+            def __init__(self, values):
+                super().__init__(values)
+                self.values = self.values.view(CountingArray)
+
+        monkeypatch.setattr(bounds, "Sample", CountingSample)
+        monkeypatch.setattr(np, "sort", lambda *args, **kwargs: pytest.fail("a copy was sorted"))
         res = bounds_tau_ooo(mixed_panel, WITHOUT_MONOTONICITY)
         assert res.proportions.p_ooo1 < 1.0 and res.proportions.p_ooo0 < 1.0
         assert sorted(sorts) == [3, 5]
+
+
+@st.composite
+def _cells(draw):
+    """A cell of up to 100 values, ties common, and a share: a quarter of the
+    cells rounded to integers small enough to sum exactly, and one in twenty
+    holding a NaN."""
+    rounded = draw(st.integers(0, 3)) == 0
+    element = st.floats(-1e6, 1e6)
+    if not rounded:
+        element = st.one_of(element, st.floats(-1e300, 1e300),
+                            st.sampled_from([-2.0, -0.0, 0.0, 1.5, 3.0]))
+    values = draw(st.lists(element, max_size=100))
+    if rounded:
+        values = [float(v) for v in np.round(values)]
+    if draw(st.integers(0, 19)) == 0:
+        values.insert(draw(st.integers(0, len(values))), math.nan)
+    n = max(len(values), 1)
+    p = draw(st.one_of(st.floats(0.0, 1.0), st.integers(1, n).map(lambda k: k / n),
+                       st.sampled_from([1.0, 1.5, math.nan, 5e-324])))
+    return values, p, rounded
+
+
+def _value_or_code(fn, *args):
+    try:
+        return fn(*args)
+    except DidBoundsError as exc:
+        return exc.code
+
+
+@settings(max_examples=500)
+@given(cell=_cells(), data=st.data())
+@example(cell=([2.0, 2.0, 2.0], 0.5, True), data=None)
+@example(cell=([1.0, -0.0, 0.0, -0.0], 0.75, False), data=None)
+def test_slice_tails_match_the_mask_rule(cell, data):
+    # a tail is a slice of the sorted cell; the mask rule keeps the same
+    # values in their given order, so only the summation order differs
+    values, p, rounded = cell
+    bits = lambda x: np.float64(x).view(np.uint64)
+    for fn, mask_fn, upper in ((trimmed_mean_lower, reference_bounds.trimmed_mean_lower_mask,
+                                False),
+                               (trimmed_mean_upper, reference_bounds.trimmed_mean_upper_mask,
+                                True)):
+        got, want = _value_or_code(fn, values, p), _value_or_code(mask_fn, values, p)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want, fn.__name__
+            continue
+        if rounded:
+            assert bits(got) == bits(want), fn.__name__
+        arr = np.array(values)
+        if p < 1.0:
+            cut = empirical_quantile(arr, 1.0 - p if upper else p)
+            arr = arr[arr > cut] if upper else arr[arr <= cut]
+            permuted = values if data is None else data.draw(st.permutations(values))
+            assert bits(fn(permuted, p)) == bits(got), fn.__name__
+        assert abs(got - want) <= 64 * np.finfo(np.float64).eps * np.abs(arr).max(), fn.__name__
+
+
+def test_trimmed_means_leave_the_callers_array_unchanged():
+    values = np.random.default_rng(3).standard_normal(101)
+    before = values.copy()
+    sample = Sample(values.copy())
+    for fn in (trimmed_mean_lower, trimmed_mean_upper):
+        for p in (0.3, 1.0):
+            fn(values, p)
+            fn(sample, p)
+    assert values.tobytes() == before.tobytes()
+    # a Sample holds its own array, sorted in place by its first tail
+    assert sample.sorted.tobytes() == np.sort(before).tobytes()
 
 
 class TestFrechet:

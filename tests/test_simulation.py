@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import tracemalloc
 from dataclasses import astuple, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -323,6 +324,20 @@ class TestMonteCarlo:
             assert row.failed_reps == 3
             assert math.isnan(row.mean_naive)
 
+    def test_means_of_replicates_whose_sum_overflows_are_finite(self):
+        # 1,000 replicates of att = 1e306 (most fail at n = 20): each estimate
+        # is finite, and the means of all three columns were inf
+        cfg = DgpConfig(n=20, seed=0, att=1e306)
+        with np.errstate(over="ignore"):
+            rows = run_monte_carlo(cfg, 1000, ["mono-pos", "nomono"])
+        for row in rows:
+            assert row.failed_reps < 1000
+            for value, values in ((row.mean_lb, row.lbs), (row.mean_ub, row.ubs)):
+                assert math.isinf(sum(values))
+                assert value == pytest.approx(float(sum(map(Fraction, values)) / len(values)),
+                                              rel=1e-12)
+            assert 1e305 < row.mean_naive < 1e307
+
     def test_mean_naive_is_usual_did(self):
         cfg = DgpConfig(n=300, seed=7)
         row = run_monte_carlo(cfg, 5, ["mono-pos"])[0]
@@ -551,3 +566,23 @@ class TestWorkerLayout:
         with pytest.raises(ValidationError, match="mc_draws must be >= 1e5"):
             run_monte_carlo(self.CFG, 23, ["mono-pos"], coverage="interval",
                             oracle_draws=99_999)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+@example([1.5e308, 1.5e308])
+@example([1.7976931348623157e308] * 3)
+@example([-1.7976931348623157e308] * 9)
+def test_mean_of_finite_replicates(values):
+    # np.mean's bits where it is finite; where the sum overflows, a finite
+    # mean within the values' range and near the exact one
+    with np.errstate(over="ignore"):
+        plain = float(np.mean(values)) if values else math.nan
+    got = simulation._mean(values)
+    if not values:
+        assert math.isnan(got)
+    elif math.isfinite(plain):
+        assert np.float64(got).view(np.uint64) == np.float64(plain).view(np.uint64)
+    else:
+        exact = float(sum(map(Fraction, values)) / len(values))
+        assert min(values) <= got <= max(values)
+        assert abs(got - exact) <= 1e-12 * max(map(abs, values))
