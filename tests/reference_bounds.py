@@ -6,11 +6,10 @@ Each function checks its assumptions, computes its weights and shares, reads
 its cells and support minima, and sums its terms in the order the bound's
 display prints them.
 
-``trimmed_mean_lower_mask`` and ``trimmed_mean_upper_mask`` keep the earlier
-rule of ``didbounds.core``'s tails: the values on the tail's side of the
-literal quantile cut, selected by a mask and summed in their given order. They
-are the reference ``core``'s tails, slices of the sorted cell, are checked
-against.
+``trimmed_mean_lower_mask`` and ``trimmed_mean_upper_mask`` take a trimmed
+tail by mask: the values on the tail's side of the literal quantile cut,
+summed in their given order. They are the reference that ``didbounds.core``'s
+tails, slices of the sorted cell summed in sorted order, are checked against.
 """
 
 import math

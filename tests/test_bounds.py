@@ -627,9 +627,10 @@ def test_bounds_leave_their_datasets_columns_unchanged():
 
 
 def test_a_bound_on_a_take_holds_one_array_per_cell():
-    # a nomono tau_OOO bound on a take of 100,000 rows: its two Delta Y cells,
-    # each one gather sorted in place, and their transient masks and row
-    # indices; a sorted copy beside each cell came to about 9 bytes a row
+    # a nomono tau_OOO bound on a take of 100,000 rows holds its two Delta Y
+    # cells, each one gather sorted in place, and their transient masks and
+    # row indices: about 5.5 traced bytes a row. A sorted copy beside each
+    # cell would add about 3.5
     n = 100_000
     panel = generate_panel(DgpConfig(n=n, seed=7))
     panel.cells  # built untraced, as a bootstrap's parent has them
