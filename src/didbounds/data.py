@@ -8,7 +8,8 @@ dtype that owns its data is frozen in place, not copied; a view is copied,
 since its base could still be written) and passes the loaders' checks: equal
 lengths, 0/1 ``int8`` columns, and no NaN outcome where it is selected; a
 staggered panel also has no negative ``gvar`` or ``t``, one ``gvar`` a unit
-and one row a (unit, ``t``) (``_unit_faults``). No bound reads ids, so they
+and one row a (unit, ``t``) (``_unit_faults``, run once a panel: a loaded
+panel's units come checked by its loader). No bound reads ids, so they
 stay unbuilt until ``ids`` is first read, which builds the object array once
 (``_gather_column``): a loaded or generated panel's or a cross-section's
 from one text and offsets (``_PackedIds``), a staggered panel's and its 2x2
@@ -196,12 +197,14 @@ class _PackedIds:
 
 class _UnitIds:
     """A staggered panel's ids, or its 2x2 panel's, as the units' ids and
-    each row's index into them: arrays of its ``_units``, kept anyway."""
+    each row's index into them: arrays of its ``_units``, kept anyway.
+    ``checked`` is set only by ``load_multi_csv``, for the columns it hands
+    over with them, whose unit rules it has checked (``_unit_faults``)."""
 
-    __slots__ = ("names", "codes")
+    __slots__ = ("names", "codes", "checked")
 
-    def __init__(self, names: np.ndarray, codes: np.ndarray):
-        self.names, self.codes = names, codes
+    def __init__(self, names: np.ndarray, codes: np.ndarray, checked: bool = False):
+        self.names, self.codes, self.checked = names, codes, checked
 
     def __len__(self) -> int:
         return self.codes.size
@@ -394,11 +397,13 @@ class MultiPeriodPanel:
 
     def __post_init__(self):
         """The columns frozen and checked (``_freeze_columns``), and the rows'
-        units coded (``_units``): kept from a loader's ``_UnitIds``, else by
+        units coded (``_units``): kept from a ``_UnitIds``, else by
         ``_unit_codes`` of ``str`` of the ids. Then, as on loading, a negative
         ``gvar`` or ``t`` is a ``ValidationError``, then a unit whose ``gvar``
         changes or a second row of one (id, t) is a fault (``_unit_faults``),
-        each on the first such row, before anything reads a unit's rows."""
+        each on the first such row, before anything reads a unit's rows. The
+        unit rules run once: not again on units ``load_multi_csv`` checked
+        (``_UnitIds.checked``)."""
         _freeze_columns(self)
         kind = type(self).__name__
         for name in ("gvar", "t"):
@@ -413,8 +418,9 @@ class MultiPeriodPanel:
         else:
             seen = {}
             names, code = _unit_codes(seen, _first_rows(seen, list(map(str, self.ids))))
-        _raise_first(_unit_faults(names, code, self.gvar, self.t,
-                                  lambda i: (f"{kind} row {i}", {"row": i})))
+        if not getattr(packed, "checked", False):
+            _raise_first(_unit_faults(names, code, self.gvar, self.t,
+                                      lambda i: (f"{kind} row {i}", {"row": i})))
         vars(self)["_units"] = (names, code)
 
     @property
@@ -942,8 +948,9 @@ def _unit_faults(names, code, gvar, t, at) -> list:
     ``at(i)`` gives how row ``i``'s fault begins and its context.
 
     Each row's (unit, ``t``) is one int64 key, ``t`` counted from its least
-    value, or ranked if the keys would overflow; a stable sort keeps the
-    rows of one key in order."""
+    value, or ranked if the keys would overflow. The key is sorted in place,
+    and a repeat is two equal neighbours; only then is the key built again
+    and stably ordered, which keeps the rows of one key in file order."""
     first = np.full(names.size, code.size)
     np.minimum.at(first, code, np.arange(code.size))  # each unit's first row
     earlier = gvar[first]
@@ -951,12 +958,15 @@ def _unit_faults(names, code, gvar, t, at) -> list:
     period, low = t, int(t.min(initial=0))
     if names.size * (int(t.max(initial=0)) - low + 1) > 2**63:
         period, low = np.unique(t, return_inverse=True)[1], 0
-    key = code * (int(period.max(initial=0)) - low + 1)
+    scale = int(period.max(initial=0)) - low + 1
+    key = code * scale
     key += period
     key -= low
-    order = np.argsort(key, kind="stable")
-    key.sort(kind="stable")
-    repeated = np.sort(order[1:][key[1:] == key[:-1]])
+    key.sort()
+    repeated = np.empty(0, np.intp)
+    if (key[1:] == key[:-1]).any():
+        order = np.argsort(code * scale + period - low, kind="stable")
+        repeated = np.sort(order[1:][key[1:] == key[:-1]])
 
     def fault(error, i, message):
         place, context = at(i)
@@ -973,8 +983,9 @@ def _unit_faults(names, code, gvar, t, at) -> list:
 
 def load_multi_csv(path) -> MultiPeriodPanel:
     """A staggered panel, its rows' units coded as the file is read
-    (``_first_rows``, then ``_unit_codes``) and checked (``_unit_faults``);
-    its ids are built from the units on their first read (``_UnitIds``)."""
+    (``_first_rows``, then ``_unit_codes``) and checked once
+    (``_unit_faults``), and handed to the panel as checked; its ids are
+    built from the units on their first read (``_UnitIds``)."""
     seen = {}
     (first, gvar, t, s, y), checks = _read_columns(path, MULTI_HEADER, partial(_multi_block, seen))
     names, code = _unit_codes(seen, first)  # the codes are written over first
@@ -989,7 +1000,7 @@ def load_multi_csv(path) -> MultiPeriodPanel:
     missing = names[~has_baseline].tolist()
     if missing:
         raise MissingBaseline(f"ids without a period-0 row: {missing[:5]}", ids=missing)
-    return MultiPeriodPanel(_UnitIds(names, code), gvar, t, s, y)
+    return MultiPeriodPanel(_UnitIds(names, code, checked=True), gvar, t, s, y)
 
 
 def _format_outcome(v) -> str:

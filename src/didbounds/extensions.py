@@ -120,8 +120,11 @@ def panel_from_staggered(
 
     Units keep the panel's codes (``MultiPeriodPanel._units``), in first-seen
     order, so a cell's outcomes keep the rows' order; ``data`` has at most
-    one row a (unit, t), which its constructor checks. The panel's ids are
-    its units' (``_UnitIds``), built only if they are read.
+    one row a (unit, t), which its constructor or loader checks. Each
+    period's rows are pivoted in turn, period 0 and then t: those of kept
+    units give each unit's row in that period, so that only the period's
+    mask is as long as ``data``. The panel's ids are its units'
+    (``_UnitIds``), built only if they are read.
     """
     unit_ids, unit = data._units
     treated = np.zeros(unit_ids.size, dtype=bool)
@@ -134,11 +137,11 @@ def panel_from_staggered(
         raise EmptyGroup("no never-treated units", gamma=0)
     keep = treated | control
 
-    rows = np.flatnonzero(keep[unit] & ((data.t == 0) | (data.t == target.t)))
-    is_post = data.t[rows] != 0
     at = np.full((2, unit_ids.size), -1)   # [pre/post, unit] -> row
-    at[is_post.astype(np.intp), unit[rows]] = rows
-    for period, have in ((0, at[0]), (target.t, at[1])):
+    for have, period in zip(at, (0, target.t)):
+        rows = np.flatnonzero(data.t == period)
+        rows = rows[keep[unit[rows]]]
+        have[unit[rows]] = rows
         missing = unit_ids[keep & (have < 0)].tolist()
         if missing:
             raise MissingPeriod(
