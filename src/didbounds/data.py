@@ -197,9 +197,8 @@ class _PackedIds:
 
 class _UnitIds:
     """A staggered panel's ids, or its 2x2 panel's, as the units' ids and
-    each row's index into them: arrays of its ``_units``, kept anyway.
-    ``checked`` is set only by ``load_multi_csv``, for the columns it hands
-    over with them, whose unit rules it has checked (``_unit_faults``)."""
+    each row's index into them: arrays of its ``_units``, kept anyway;
+    ``checked`` marks the units ``load_multi_csv`` hands over, checked."""
 
     __slots__ = ("names", "codes", "checked")
 
@@ -401,9 +400,8 @@ class MultiPeriodPanel:
         ``_unit_codes`` of ``str`` of the ids. Then, as on loading, a negative
         ``gvar`` or ``t`` is a ``ValidationError``, then a unit whose ``gvar``
         changes or a second row of one (id, t) is a fault (``_unit_faults``),
-        each on the first such row, before anything reads a unit's rows. The
-        unit rules run once: not again on units ``load_multi_csv`` checked
-        (``_UnitIds.checked``)."""
+        each on the first such row, before anything reads a unit's rows;
+        units that ``load_multi_csv`` checked are not checked again."""
         _freeze_columns(self)
         kind = type(self).__name__
         for name in ("gvar", "t"):
@@ -432,7 +430,7 @@ class MultiPeriodPanel:
 
 
 # records converted at a time from a file that has a '"' (see _blocks), and
-# rows coded at a time (see _unit_codes)
+# rows coded or keys compared at a time (see _unit_codes, _unit_faults)
 _BLOCK = 4096
 
 # bytes read at a time (see _texts)
@@ -948,23 +946,26 @@ def _unit_faults(names, code, gvar, t, at) -> list:
     ``at(i)`` gives how row ``i``'s fault begins and its context.
 
     Each row's (unit, ``t``) is one int64 key, ``t`` counted from its least
-    value, or ranked if the keys would overflow. The key is sorted in place,
-    and a repeat is two equal neighbours; only then is the key built again
-    and stably ordered, which keeps the rows of one key in file order."""
+    value, or ranked if the keys would overflow, built in the one array a
+    row long that the check makes. It is sorted in place, and a repeat is
+    two equal neighbours; only then is the key built again and stably
+    ordered, which keeps the rows of one key in file order."""
     first = np.full(names.size, code.size)
     np.minimum.at(first, code, np.arange(code.size))  # each unit's first row
     earlier = gvar[first]
-    changed = np.flatnonzero(gvar != earlier[code])
+    key = earlier[code]
+    key -= gvar
+    changed = np.flatnonzero(key)
     period, low = t, int(t.min(initial=0))
     if names.size * (int(t.max(initial=0)) - low + 1) > 2**63:
         period, low = np.unique(t, return_inverse=True)[1], 0
     scale = int(period.max(initial=0)) - low + 1
-    key = code * scale
+    np.multiply(code, scale, out=key)
     key += period
     key -= low
     key.sort()
     repeated = np.empty(0, np.intp)
-    if (key[1:] == key[:-1]).any():
+    if not all(np.diff(key[a:a + _BLOCK + 1]).all() for a in range(0, key.size, _BLOCK)):
         order = np.argsort(code * scale + period - low, kind="stable")
         repeated = np.sort(order[1:][key[1:] == key[:-1]])
 

@@ -389,6 +389,22 @@ class TestDatasetsBuiltInCode:
         assert again._units[0] is names and again._units[1] is code
         assert exc.value.context == {"row": 399, "id": names[code[-1]]}
 
+    def test_a_staggered_panel_checks_its_unit_rules_once(self, tmp_path):
+        # the loader checks its units in file order and hands them over as
+        # checked; a panel coded from str ids, or from units it is handed
+        # unmarked, checks them itself
+        path = tmp_path / "multi.csv"
+        path.write_bytes(_valid_csv("multi", 400, "\n").encode("ascii"))
+        with mock.patch.object(data_module, "_unit_faults",
+                               wraps=data_module._unit_faults) as check:
+            loaded = load_multi_csv(path)
+            assert check.call_count == 1
+            columns = loaded.gvar, loaded.t, loaded.s, loaded.y
+            MultiPeriodPanel(list(loaded.ids), *columns)
+            assert check.call_count == 2
+            MultiPeriodPanel(data_module._UnitIds(*loaded._units), *columns)
+            assert check.call_count == 3
+
     def test_unselected_nan_outcomes_and_bool_columns_are_valid(self):
         data = PanelDataset.from_records("ab", np.array([False, True]), [True, False],
                                          [0, 1], [1.0, np.nan], [np.nan, 2.0])
@@ -772,6 +788,35 @@ def test_staggered_unit_rules_have_one_home(rows, tmp_path_factory):
     assert str(built.value).split(": ", 1)[1] == str(loaded).split(": ", 1)[1]
 
 
+def test_staggered_unit_faults_at_scale_match_the_reference(tmp_path):
+    # 200,000 records: valid, then one (id, t) repeated near the end, then
+    # one gvar changed; the loader and the panel built from the file's
+    # columns fail as the row-by-row reference does, or not at all
+    lines = _valid_csv("multi", 200_000, "\n").splitlines()
+    repeat, change = list(lines), list(lines)
+    uid, gvar, _, s, y = repeat[-2].split(",")
+    repeat[-2] = ",".join([uid, gvar, "0", s, y])  # the last unit's t=0 again
+    uid, gvar, t, s, y = change[-7].split(",")
+    change[-7] = ",".join([uid, str(4 - int(gvar)), t, s, y])
+    for k, text in enumerate([lines, repeat, change]):
+        path = tmp_path / f"multi-{k}.csv"
+        path.write_text("\n".join(text) + "\n", encoding="ascii")
+        ids, gvar, t, s, y = zip(*(line.split(",") for line in text[1:]))
+        columns = (ids, np.array(gvar, np.int64), np.array(t, np.int64), np.array(s, np.int8),
+                   [float(v) if v else np.nan for v in y])
+        built = _load(lambda _: MultiPeriodPanel(*columns), path)[0]
+        loaded, want = (_load(load, path)[0] for load in LOADERS["multi"][1:])
+        if k == 0:
+            assert loaded.unit_ids == want.unit_ids == built.unit_ids
+            assert loaded._units[1].tolist() == want._units[1].tolist()
+            continue
+        assert type(loaded) is type(built) is type(want)
+        assert (str(loaded), loaded.context) == (str(want), want.context)
+        line = want.context.pop("line")
+        assert built.context == {"row": line - 2, **want.context}
+        assert str(built) == str(loaded).replace(f"line {line}", f"MultiPeriodPanel row {line - 2}")
+
+
 def _load(load, path):
     """What loading gives: the dataset or the exception, and the warnings."""
     with warnings.catch_warnings(record=True) as caught:
@@ -904,9 +949,10 @@ def test_text_that_is_not_utf8_is_a_malformed_row(kind, bom, newline, bad_line, 
         assert exc.value.context == {"line": bad_line}
 
 
-def _valid_csv(kind, n, newline):
+def _valid_csv(kind, n, newline, periods=4):
     """A valid file of about ``n`` records, outcomes written as ``repr`` gives
-    them and blank where the unit is not selected."""
+    them and blank where the unit is not selected; a staggered file has
+    ``periods`` records a unit."""
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2, (n, 3)).tolist()
     ys = [[repr(v) for v in row] for row in rng.normal(size=(n, 2)).tolist()]
@@ -916,9 +962,9 @@ def _valid_csv(kind, n, newline):
     elif kind == "rcs":
         lines = [f"u{i},{t},{d},{s},{y[0] if s else ''}"
                  for i, ((t, d, s), y) in enumerate(zip(bits, ys))]
-    else:  # four periods per unit
-        lines = [f"u{i // 4},{2 * (i // 4 % 2)},{i % 4},{s},{y[0] if s else ''}"
-                 for i, ((s, _, _), y) in enumerate(zip(bits, ys))]
+    else:
+        lines = [f"u{i // periods},{2 * (i // periods % 2)},{i % periods},{s},"
+                 f"{y[0] if s else ''}" for i, ((s, _, _), y) in enumerate(zip(bits, ys))]
     return newline.join([",".join(LOADERS[kind][0])] + lines) + newline
 
 
@@ -943,16 +989,18 @@ def test_load_memory_follows_the_dataset(kind, newline, tmp_path):
     assert peak - retained < 2 * path.stat().st_size
 
 
-@pytest.mark.parametrize("kind", ["panel", "rcs"])
+@pytest.mark.parametrize("kind", ["panel", "rcs", "multi"])
 def test_load_scratch_does_not_grow_with_the_file(kind, tmp_path):
     # each block is written into its columns as it is converted, so a load's
     # scratch memory is about one piece's field strings however long the
     # file; joining each column's blocks at the end of the file took a copy
-    # of the column. (The staggered loader's dict of ids grows with its units.)
+    # of the column. The staggered loader's dict of ids grows with its units,
+    # not its records, so its files hold 12,500 units at 4 and at 16 periods;
+    # its unit rules take a few bytes a record once, below the read's peak
     scratch = {}
     for n in (50_000, 200_000):
         path = tmp_path / f"valid-{n}.csv"
-        path.write_bytes(_valid_csv(kind, n, "\n").encode("ascii"))
+        path.write_bytes(_valid_csv(kind, n, "\n", n // 12_500).encode("ascii"))
         tracemalloc.start()
         try:
             data = LOADERS[kind][1](path)
@@ -962,7 +1010,7 @@ def test_load_scratch_does_not_grow_with_the_file(kind, tmp_path):
         assert len(vars(data)["_packed_ids"]) == n
         scratch[n] = peak - retained
         del data
-    assert scratch[200_000] <= scratch[50_000] + data_module._CHUNK
+    assert scratch[200_000] <= scratch[50_000] + (2 if kind == "multi" else 1) * data_module._CHUNK
 
 
 def test_a_quoted_first_piece_is_not_held_for_the_whole_load(tmp_path):
