@@ -946,10 +946,10 @@ def _unit_faults(names, code, gvar, t, at) -> list:
     ``at(i)`` gives how row ``i``'s fault begins and its context.
 
     Each row's (unit, ``t``) is one int64 key, ``t`` counted from its least
-    value, or ranked if the keys would overflow, built in the one array a
-    row long that the check makes. It is sorted in place, and a repeat is
-    two equal neighbours; only then is the key built again and stably
-    ordered, which keeps the rows of one key in file order."""
+    value, or ranked if the keys would overflow. The keys are built in one
+    array a row long and sorted in place, and a repeat is two equal
+    neighbours; only then are they built again and stably ordered, which
+    keeps the rows of one key in file order."""
     first = np.full(names.size, code.size)
     np.minimum.at(first, code, np.arange(code.size))  # each unit's first row
     earlier = gvar[first]
@@ -957,7 +957,7 @@ def _unit_faults(names, code, gvar, t, at) -> list:
     key -= gvar
     changed = np.flatnonzero(key)
     period, low = t, int(t.min(initial=0))
-    if names.size * (int(t.max(initial=0)) - low + 1) > 2**63:
+    if names.size * (int(t.max(initial=0)) - low + 1) >= 2**63:
         period, low = np.unique(t, return_inverse=True)[1], 0
     scale = int(period.max(initial=0)) - low + 1
     np.multiply(code, scale, out=key)

@@ -372,6 +372,17 @@ class TestDatasetsBuiltInCode:
                              y=[1.0] * 5)
         assert exc.value.context == {"row": 4, "id": "b"}
 
+    def test_one_unit_may_span_every_int64_period(self, tmp_path):
+        # the unit's periods 0 and 2**63 - 1 span 2**63 keys, one more than
+        # int64 holds; the periods are ranked first, as for many units
+        t = [0, 2**63 - 1]
+        built = MultiPeriodPanel(ids=["a", "a"], gvar=[0, 0], t=t, s=[1, 1], y=[1.0, 1.0])
+        path = _write(tmp_path, "id,gvar,t,s,y\n" + "".join(f"a,0,{p},1,1.0\n" for p in t))
+        assert load_multi_csv(path).t.tolist() == built.t.tolist() == t
+        with pytest.raises(MalformedRow) as exc:
+            MultiPeriodPanel(ids=["a"] * 3, gvar=[0] * 3, t=t + [0], s=[1] * 3, y=[1.0] * 3)
+        assert exc.value.context == {"row": 2, "id": "a"}
+
     def test_a_loaded_staggered_panel_codes_no_row_again(self, tmp_path):
         path = tmp_path / "multi.csv"
         path.write_bytes(_valid_csv("multi", 400, "\n").encode("ascii"))
@@ -996,7 +1007,7 @@ def test_load_scratch_does_not_grow_with_the_file(kind, tmp_path):
     # file; joining each column's blocks at the end of the file took a copy
     # of the column. The staggered loader's dict of ids grows with its units,
     # not its records, so its files hold 12,500 units at 4 and at 16 periods;
-    # its unit rules take a few bytes a record once, below the read's peak
+    # its unit rules, checked once, hold one int64 key a record
     scratch = {}
     for n in (50_000, 200_000):
         path = tmp_path / f"valid-{n}.csv"
