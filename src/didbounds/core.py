@@ -1,5 +1,7 @@
 """Numerical primitives shared by every bound, and the forked-worker runner
-(``_forked_map``) that the bootstrap and the Monte Carlo share.
+(``_forked_map``) that the bootstrap and the Monte Carlo share. Its workers are
+started by ``os.fork`` and talk to the parent over plain pipes, so no run
+imports ``multiprocessing``.
 
 A trimmed tail is a slice of its cell's sorted values, and its mean reduces
 in sorted order; a plain mean reduces in the values' given order. Tie handling
@@ -13,6 +15,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -197,53 +201,100 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _serve(tasks: list, conn) -> None:
-    """A forked worker: answer each task index with ``(raised, result or exception)``."""
-    while True:
-        i = conn.recv()
+# set in a worker of ``_forked_map`` after it is forked, so that a call made
+# there runs in-process
+_in_worker = False
+
+
+def _read(fd: int, size: int) -> bytes:
+    """``size`` bytes from the pipe ``fd``, or fewer if it reaches EOF first."""
+    chunks = []
+    while size:
+        chunk = os.read(fd, size)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _serve(tasks: list, tasks_in: int, replies_out: int) -> None:
+    """A forked worker: answer each task index read from ``tasks_in`` with a
+    length-prefixed pickle of ``(raised, result or exception)``, until EOF."""
+    global _in_worker
+    _in_worker = True
+    while index := _read(tasks_in, 8):
         try:
-            reply = False, tasks[i]()
+            reply = False, tasks[int.from_bytes(index, "little")]()
         except Exception as exc:
             reply = True, exc
-        conn.send(reply)
+        data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        view = memoryview(len(data).to_bytes(8, "little") + data)
+        while view:
+            view = view[os.write(replies_out, view):]
+
+
+def _reply(fd: int):
+    """A worker's next reply from its pipe ``fd``, or None if the pipe
+    reaches EOF before the reply is whole."""
+    header = _read(fd, 8)
+    size = int.from_bytes(header, "little")
+    data = _read(fd, size)
+    return pickle.loads(data) if len(header) == 8 and len(data) == size else None
 
 
 def _forked_map(tasks: list) -> list:
     """``[task() for task in tasks]`` of zero-argument callables, on forked workers.
 
-    ``min(CPUs, len(tasks))`` workers inherit ``tasks`` at fork, so no task is
-    pickled, and get one task index at a time. Results come back in task order;
-    the first exception in task order, or ``WorkerDied`` for a task whose worker
-    ended, is raised once the tasks before it are done, and every worker is
-    killed and joined. With one worker, or in a daemonic process, they run here.
+    ``min(CPUs, len(tasks))`` workers are started by ``os.fork``, so they
+    inherit ``tasks`` and no task is pickled. Each reads task indices, one at a
+    time, from one pipe and writes its replies to another. Results come back in
+    task order; the first exception in task order, or ``WorkerDied`` for a task
+    whose worker's reply pipe reached EOF, is raised once the tasks before it
+    are done, and every worker is killed and reaped. The parent closes a
+    worker's ends of its pipes before the next fork, so that EOF means that
+    worker died. With one worker, or inside a worker of this map or a daemonic
+    ``multiprocessing`` process, the tasks run here. A worker leaves only by
+    ``os._exit``.
     """
     workers = min(_worker_count(), len(tasks))
-    if workers > 1:
-        # imported here so that importing the package does not pay for it
-        import multiprocessing.connection
-    if workers < 2 or multiprocessing.current_process().daemon:
+    mp = sys.modules.get("multiprocessing")   # looked up, so that it is never imported
+    if workers < 2 or _in_worker or (mp is not None and mp.current_process().daemon):
         return [task() for task in tasks]
-    context = multiprocessing.get_context("fork")
-    procs, idle, running, done, results, sent = [], [], {}, {}, [], 0
+    # imported here so that importing the package does not pay for them
+    import select
+    import signal
+
+    pids, pipes, idle, running, done, results, sent = [], {}, [], {}, {}, [], 0
     try:
         for _ in range(workers):
-            conn, end = context.Pipe()
-            (proc := context.Process(target=_serve, args=(tasks, end), daemon=True)).start()
-            procs.append((proc, conn))
-            end.close()  # before the next fork, so that EOF on conn means this worker died
-            idle.append(conn)
+            tasks_in, tasks_out = os.pipe()
+            replies_in, replies_out = os.pipe()
+            pipes[replies_in] = tasks_out
+            if (pid := os.fork()) == 0:
+                try:
+                    for fd in (*pipes, *pipes.values()):   # the parent's ends
+                        os.close(fd)
+                    _serve(tasks, tasks_in, replies_out)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(tasks_in)   # before the next fork, so that EOF on
+            os.close(replies_out)   # replies_in means this worker died
+            idle.append(replies_in)
         while len(results) < len(tasks):
             while idle and sent < len(tasks):
-                running[idle[0]] = sent
-                idle.pop(0).send(sent)
+                replies_in = idle.pop(0)
+                running[replies_in] = sent
+                os.write(pipes[replies_in], sent.to_bytes(8, "little"))
                 sent += 1
-            for conn in multiprocessing.connection.wait(list(running)):
-                i = running.pop(conn)
-                try:
-                    done[i] = conn.recv()
-                    idle.append(conn)
-                except EOFError:
-                    done[i] = True, WorkerDied(f"a worker died running task {i}", task=i)
+            for replies_in in select.select(list(running), [], [])[0]:
+                i = running.pop(replies_in)
+                if (reply := _reply(replies_in)) is None:
+                    reply = True, WorkerDied(f"a worker died running task {i}", task=i)
+                else:
+                    idle.append(replies_in)
+                done[i] = reply
             while len(results) in done:
                 failed, value = done.pop(len(results))
                 if failed:
@@ -251,7 +302,8 @@ def _forked_map(tasks: list) -> list:
                 results.append(value)
         return results
     finally:
-        for proc, conn in procs:
-            proc.kill()
-            proc.join()
-            conn.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in (*pipes, *pipes.values()):
+            os.close(fd)

@@ -26,11 +26,11 @@ from .errors import EmptyCell, EstimationError, ValidationError
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # antithetic pairs the oracle draws at once; its memory grows with this, not
-# with mc_draws, and its results do not depend on it. At 8,192 pairs a
-# block's latents take 512 KB and its scratch about 2 MB, near a core's
-# cache; of 2,048 to 62,500 on a 2-core host, 4,096 and 8,192 ran fastest
-# and 62,500 about 30% slower
-_ORACLE_BLOCK = 8_192
+# with mc_draws, and its results do not depend on it. At 4,096 pairs a
+# block's latents take 256 KB and a 2,000,000-draw call's traced scratch
+# peaks at 0.65 MiB, against 1.30 MiB at 8,192; of 2,048 to 62,500 on a
+# 2-core host, 4,096 and 8,192 ran fastest and 62,500 about 30% slower
+_ORACLE_BLOCK = 4_096
 
 # Monte Carlo replicates per worker task; results do not depend on it
 _MC_BLOCK = 25
@@ -199,7 +199,7 @@ def oracle_true_values(
             np.add(lat["b"], lat["v1"], out=z2)   # both counterfactual post indices
             np.add(lat["a"], lat["w"], out=z4)
             np.subtract(lat["u1"], lat["u0"], out=du)
-            del lat   # its 512 KB are free before the columns are built
+            del lat   # its 256 KB are free before the columns are built
             zs *= np.sign(z1)   # a pair whose z1 is 0 counts nowhere
             obs = z1 != 0
             at = z2 > -shift   # treated observed in both periods

@@ -1,3 +1,4 @@
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -5,6 +6,13 @@ import pytest
 from hypothesis import strategies as st
 
 from didbounds import PanelDataset, RcsDataset
+
+
+def assert_no_children():
+    """Fail if this process has a child left, running or not yet reaped: the
+    check that every forked worker was killed and reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def make_panel(rows):

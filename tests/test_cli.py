@@ -3,7 +3,6 @@ import contextlib
 import inspect
 import io
 import json
-import multiprocessing
 import os
 import re
 import signal
@@ -21,7 +20,7 @@ import didbounds
 from didbounds import core, generate_panel, inference, write_panel_csv, DgpConfig
 from didbounds.cli import ASSUMPTION_FLAGS, _emit, build_parser, run
 
-from conftest import make_panel, panel_rows
+from conftest import assert_no_children, make_panel, panel_rows
 
 PANEL_CSV = """id,d,s0,s1,y0,y1
 a1,1,1,1,10,11
@@ -602,7 +601,7 @@ def test_dead_worker_is_reported_as_a_json_line(tmp_path, capsys, monkeypatch):
     assert code == 1 and out == "" and err.count("\n") == 1
     assert json.loads(err) == {"code": "WorkerDied", "message": "a worker died running task 3",
                                "context": {"task": 3}}
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 @pytest.mark.parametrize("command", CI_COMMANDS)
@@ -820,8 +819,7 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():
-    # run_monte_carlo imports it on first use, so that every command's start-up
-    # does not pay for it
+    # the workers of a run are started by os.fork, so no command imports it
     src = str(Path(didbounds.__file__).parents[1])
     code = "import sys, didbounds.cli; print('multiprocessing' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

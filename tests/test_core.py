@@ -1,10 +1,12 @@
 import math
-import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from didbounds import bounds, core
 from didbounds.core import Sample, _forked_map, _sorted_quantile, mean
 
 import reference_bounds
-from conftest import make_panel
+from conftest import assert_no_children, make_panel
 
 
 class TestEmpiricalQuantile:
@@ -381,7 +383,7 @@ def test_forked_map_stops_the_workers_at_the_first_failure(tmp_path, monkeypatch
     monkeypatch.setattr(core, "_worker_count", lambda: 2)
     with pytest.raises(RuntimeError, match="task 0"):
         _forked_map([partial(_fail_first, tmp_path, i) for i in range(4)])
-    assert multiprocessing.active_children() == []
+    assert_no_children()
     assert list(tmp_path.iterdir()) == []
 
 
@@ -408,7 +410,7 @@ def two_workers(monkeypatch):
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_dead_first_worker_fails_the_call(tmp_path, two_workers):
@@ -447,5 +449,41 @@ def test_forked_map_leaves_nothing_running(monkeypatch, tasks, error):
     else:
         with pytest.raises(error):
             _forked_map(tasks)
-    assert multiprocessing.active_children() == []
+    assert_no_children()
     assert threading.active_count() == threads
+
+
+def _pids():
+    """This process's id, and those of a two-task ``_forked_map`` run from here."""
+    return os.getpid(), _forked_map([os.getpid, os.getpid])
+
+
+def test_forked_map_in_one_of_its_workers_runs_in_process(two_workers):
+    outer = _forked_map([_pids, _pids])
+    assert len({pid for pid, _ in outer} | {os.getpid()}) == 3
+    for pid, inner in outer:
+        assert inner == [pid, pid]
+
+
+def test_a_run_on_workers_does_not_import_multiprocessing():
+    # a 2-worker bootstrap and a Monte Carlo run with its oracle fork (the
+    # fork count proves it) and leave multiprocessing out of sys.modules
+    src = str(Path(core.__file__).parents[1])
+    code = """if True:
+        import os, sys
+        from didbounds import (MONO_POSITIVE, BootstrapSpec, DgpConfig, bootstrap_ses,
+                               bounds_tau_ooo, generate_panel, run_monte_carlo)
+        from didbounds import core, inference
+        forks = []
+        os.register_at_fork(after_in_parent=lambda: forks.append(1))
+        core._worker_count = lambda: 2
+        data = generate_panel(DgpConfig(n=300, seed=7))
+        inference._BOOT_DRAWS = data.n
+        bootstrap_ses(data, lambda d: bounds_tau_ooo(d, MONO_POSITIVE), BootstrapSpec(reps=20, seed=1))
+        run_monte_carlo(DgpConfig(n=50, seed=1), 30, ["mono-pos"], coverage="interval",
+                        oracle_draws=100_000)
+        print(len(forks), 'multiprocessing' in sys.modules)
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert out.stdout == "4 False\n"

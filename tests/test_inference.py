@@ -27,7 +27,7 @@ from didbounds.errors import (
 from didbounds import core, inference
 from didbounds.inference import Z_95, Z_975, norm_cdf
 
-from conftest import make_panel, random_panel
+from conftest import assert_no_children, make_panel, random_panel
 
 
 class TestNormCdf:
@@ -247,7 +247,7 @@ class TestBootstrapWorkerLayout:
         # a task holds ceil(_BOOT_DRAWS / n) replicates
         monkeypatch.setattr(inference, "_BOOT_DRAWS", block * LAYOUT_DATA.n)
         yield
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_result_does_not_depend_on_layout(self, layout):
         res = bootstrap_ses(LAYOUT_DATA, _drops_some, LAYOUT_SPEC)
@@ -282,5 +282,5 @@ def test_bootstrap_in_a_pool_worker_runs_in_process(monkeypatch):
     monkeypatch.setattr(inference, "_BOOT_DRAWS", LAYOUT_DATA.n)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         inside = pool.map(_bootstrap_in_worker, [None])[0]
-    assert multiprocessing.active_children() == []
+    assert_no_children()
     assert _result_bits(inside) == _result_bits(_bootstrap_in_worker(None))

@@ -82,7 +82,8 @@ def test_every_private_name_is_used():
 
 def test_importing_the_package_leaves_out_what_it_uses_only_when_it_runs():
     # statistics (and so fractions and decimal) is needed only by the
-    # oracle's normal quantile, multiprocessing only by a run on workers
+    # oracle's normal quantile; multiprocessing is never imported, since the
+    # workers are started by os.fork
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SOURCE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
     code = ("import sys, didbounds; "
