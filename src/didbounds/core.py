@@ -253,9 +253,10 @@ def _forked_map(tasks: list) -> list:
     whose worker's reply pipe reached EOF, is raised once the tasks before it
     are done, and every worker is killed and reaped. The parent closes a
     worker's ends of its pipes before the next fork, so that EOF means that
-    worker died. With one worker, or inside a worker of this map or a daemonic
-    ``multiprocessing`` process, the tasks run here. A worker leaves only by
-    ``os._exit``.
+    worker died, and waits on the reply ends with ``poll``, which, unlike
+    ``select``, takes descriptors above 1023. With one worker, or inside a
+    worker of this map or a daemonic ``multiprocessing`` process, the tasks
+    run here. A worker leaves only by ``os._exit``.
     """
     workers = min(_worker_count(), len(tasks))
     mp = sys.modules.get("multiprocessing")   # looked up, so that it is never imported
@@ -266,6 +267,7 @@ def _forked_map(tasks: list) -> list:
     import signal
 
     pids, pipes, idle, running, done, results, sent = [], {}, [], {}, {}, [], 0
+    poller = select.poll()
     try:
         for _ in range(workers):
             tasks_in, tasks_out = os.pipe()
@@ -286,9 +288,11 @@ def _forked_map(tasks: list) -> list:
             while idle and sent < len(tasks):
                 replies_in = idle.pop(0)
                 running[replies_in] = sent
+                poller.register(replies_in, select.POLLIN)
                 os.write(pipes[replies_in], sent.to_bytes(8, "little"))
                 sent += 1
-            for replies_in in select.select(list(running), [], [])[0]:
+            for replies_in, _ in poller.poll():
+                poller.unregister(replies_in)
                 i = running.pop(replies_in)
                 if (reply := _reply(replies_in)) is None:
                     reply = True, WorkerDied(f"a worker died running task {i}", task=i)

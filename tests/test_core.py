@@ -453,6 +453,28 @@ def test_forked_map_leaves_nothing_running(monkeypatch, tasks, error):
     assert threading.active_count() == threads
 
 
+def test_forked_map_takes_pipes_above_descriptor_1023(two_workers):
+    # select() refuses a descriptor above 1023; hold the low ones open so
+    # that every pipe of the map lands above it
+    import resource
+
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if hard != resource.RLIM_INFINITY and hard < 1100:
+        pytest.skip(f"this process may open only {hard} descriptors")
+    if soft != resource.RLIM_INFINITY and soft < 1100:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (1100, hard))
+    held = []
+    try:
+        while (fd := os.open(os.devnull, os.O_RDONLY)) < 1024:
+            held.append(fd)
+        held.append(fd)
+        assert _forked_map([partial(pow, 2, i) for i in range(6)]) == [1, 2, 4, 8, 16, 32]
+    finally:
+        for fd in held:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+
 def _pids():
     """This process's id, and those of a two-task ``_forked_map`` run from here."""
     return os.getpid(), _forked_map([os.getpid, os.getpid])
