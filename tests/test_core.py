@@ -1,5 +1,6 @@
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -456,8 +457,6 @@ def test_forked_map_leaves_nothing_running(monkeypatch, tasks, error):
 def test_forked_map_takes_pipes_above_descriptor_1023(two_workers):
     # select() refuses a descriptor above 1023; hold the low ones open so
     # that every pipe of the map lands above it
-    import resource
-
     soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
     if hard != resource.RLIM_INFINITY and hard < 1100:
         pytest.skip(f"this process may open only {hard} descriptors")
