@@ -1,7 +1,7 @@
 """Numerical primitives shared by every bound, and the forked-worker runner
 (``_forked_map``) that the bootstrap and the Monte Carlo share. Its workers are
-started by ``os.fork`` and talk to the parent over plain pipes, so no run
-imports ``multiprocessing``.
+started by ``os.fork`` and pickle their replies to the parent over pipes, so
+no run imports ``multiprocessing``.
 
 A trimmed tail is a slice of its cell's sorted values, and its mean reduces
 in sorted order; a plain mean reduces in the values' given order. Tie handling
@@ -206,41 +206,20 @@ def _worker_count() -> int:
 _in_worker = False
 
 
-def _read(fd: int, size: int) -> bytes:
-    """``size`` bytes from the pipe ``fd``, or fewer if it reaches EOF first."""
-    chunks = []
-    while size:
-        chunk = os.read(fd, size)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
-
-
 def _serve(tasks: list, tasks_in: int, replies_out: int) -> None:
     """A forked worker: answer each task index read from ``tasks_in`` with a
-    length-prefixed pickle of ``(raised, result or exception)``, until EOF."""
+    pickle of ``(raised, result or exception)``, flushed to ``replies_out``,
+    until EOF. Both pipes are read and written as buffered files."""
     global _in_worker
     _in_worker = True
-    while index := _read(tasks_in, 8):
-        try:
-            reply = False, tasks[int.from_bytes(index, "little")]()
-        except Exception as exc:
-            reply = True, exc
-        data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-        view = memoryview(len(data).to_bytes(8, "little") + data)
-        while view:
-            view = view[os.write(replies_out, view):]
-
-
-def _reply(fd: int):
-    """A worker's next reply from its pipe ``fd``, or None if the pipe
-    reaches EOF before the reply is whole."""
-    header = _read(fd, 8)
-    size = int.from_bytes(header, "little")
-    data = _read(fd, size)
-    return pickle.loads(data) if len(header) == 8 and len(data) == size else None
+    with open(tasks_in, "rb") as indices, open(replies_out, "wb") as replies:
+        while index := indices.read(8):
+            try:
+                reply = False, tasks[int.from_bytes(index, "little")]()
+            except Exception as exc:
+                reply = True, exc
+            pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+            replies.flush()
 
 
 def _forked_map(tasks: list) -> list:
@@ -248,15 +227,17 @@ def _forked_map(tasks: list) -> list:
 
     ``min(CPUs, len(tasks))`` workers are started by ``os.fork``, so they
     inherit ``tasks`` and no task is pickled. Each reads task indices, one at a
-    time, from one pipe and writes its replies to another. Results come back in
-    task order; the first exception in task order, or ``WorkerDied`` for a task
-    whose worker's reply pipe reached EOF, is raised once the tasks before it
-    are done, and every worker is killed and reaped. The parent closes a
-    worker's ends of its pipes before the next fork, so that EOF means that
-    worker died, and waits on the reply ends with ``poll``, which, unlike
-    ``select``, takes descriptors above 1023. With one worker, or inside a
-    worker of this map or a daemonic ``multiprocessing`` process, the tasks
-    run here. A worker leaves only by ``os._exit``.
+    time, from one pipe and pickles its replies to another. Results come back
+    in task order; the first exception in task order, or ``WorkerDied`` for a
+    task whose reply pipe reached EOF before its pickle was whole, is raised
+    once the tasks before it are done, and every worker is killed and reaped.
+    The parent closes a worker's ends of its pipes before the next fork, so
+    that EOF means that worker died. It waits on the reply ends with ``poll``,
+    which, unlike ``select``, takes descriptors above 1023, and loads each
+    reply from a buffered reader; a worker has at most one reply in flight, so
+    no reader holds bytes that ``poll`` is not told of. With one worker, or
+    inside a worker of this map or a daemonic ``multiprocessing`` process, the
+    tasks run here. A worker leaves only by ``os._exit``.
     """
     workers = min(_worker_count(), len(tasks))
     mp = sys.modules.get("multiprocessing")   # looked up, so that it is never imported
@@ -266,7 +247,7 @@ def _forked_map(tasks: list) -> list:
     import select
     import signal
 
-    pids, pipes, idle, running, done, results, sent = [], {}, [], {}, {}, [], 0
+    pids, pipes, readers, idle, running, done, results, sent = [], {}, {}, [], {}, {}, [], 0
     poller = select.poll()
     try:
         for _ in range(workers):
@@ -283,6 +264,8 @@ def _forked_map(tasks: list) -> list:
             pids.append(pid)
             os.close(tasks_in)   # before the next fork, so that EOF on
             os.close(replies_out)   # replies_in means this worker died
+            # closefd=False: the finally closes each descriptor once
+            readers[replies_in] = open(replies_in, "rb", closefd=False)
             idle.append(replies_in)
         while len(results) < len(tasks):
             while idle and sent < len(tasks):
@@ -294,11 +277,12 @@ def _forked_map(tasks: list) -> list:
             for replies_in, _ in poller.poll():
                 poller.unregister(replies_in)
                 i = running.pop(replies_in)
-                if (reply := _reply(replies_in)) is None:
-                    reply = True, WorkerDied(f"a worker died running task {i}", task=i)
+                try:
+                    done[i] = pickle.load(readers[replies_in])
+                except (EOFError, pickle.UnpicklingError):   # died before or while replying
+                    done[i] = True, WorkerDied(f"a worker died running task {i}", task=i)
                 else:
                     idle.append(replies_in)
-                done[i] = reply
             while len(results) in done:
                 failed, value = done.pop(len(results))
                 if failed:

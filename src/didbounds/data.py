@@ -439,7 +439,7 @@ _CHUNK = 1 << 17
 # a line as reading a file with newline="" gives it: up to \r\n, \r or \n
 _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
-_COMMA, _CR, _LF, _ZERO = b",\r\n0"
+_COMMA, _LF, _ZERO = b",\n0"
 
 # the most digits a field converted in numpy has (see _integers): 10**18 < 2**63
 _DIGITS = 18
@@ -560,29 +560,22 @@ def _plain_fields(raw: bytes) -> tuple:
     """The records of plain text, with no ``"``, as ``csv.reader``'s excel
     dialect reads them, one a line, split on ``,``: their fields
     (``_Fields``) and each record's number of fields, a blank line's none.
-    A line ends at ``\\r\\n``, ``\\r`` or ``\\n``. None of these bytes, nor
-    ``,``, is part of a longer UTF-8 character, so the text is split as
+    A line ends at ``\\r\\n``, ``\\r`` or ``\\n``, each made a ``\\n`` first,
+    the ``\\r\\n`` before the ``\\r`` as in ``_LINE``. None of these bytes,
+    nor ``,``, is part of a longer UTF-8 character, so the text is split as
     bytes, in one numpy pass over them."""
-    if not raw.endswith((b"\n", b"\r")):
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not raw.endswith(b"\n"):
         raw += b"\n"  # the file's last line, which had no line end
     text = np.frombuffer(raw, np.uint8)
     sep = text == _LF
     sep |= text == _COMMA
-    crlf = None
-    if b"\r" in raw:
-        crlf = text == _CR  # then, each \r that a \n follows
-        sep |= crlf
-        crlf[-1] = False
-        crlf[:-1] &= text[1:] == _LF
-        sep[1:] &= ~crlf[:-1]  # the \n of a \r\n ends no field: its \r does
     ends = np.flatnonzero(sep)
     del sep
     starts = np.empty_like(ends)
     starts[0] = 0
     np.add(ends[:-1], 1, out=starts[1:])
-    if crlf is not None:
-        starts[1:] += crlf[ends[:-1]]  # a field after a \r\n starts after its \n
-    del crlf
     last = np.flatnonzero(text[ends] != _COMMA)  # the last field of each line
     widths = np.empty_like(last)
     widths[0] = last[0] + 1

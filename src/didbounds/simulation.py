@@ -227,6 +227,12 @@ def oracle_true_values(
         sums[[3, 4, 6]] += part
     sums[[0, 1, 2, 5, 7]] = 0.5 * counts
     sq = 0.25 * counts[:2]   # for the delta-method se of p_true
+    # an arm with no draw observed in both periods leaves its ratios 0/0:
+    # p_true, mu1 and mu2 for the treated, mu3 for the control
+    for d, count in ((1, counts[0] + counts[1]), (0, counts[3])):
+        if count == 0:
+            raise EmptyCell(f"no oracle draw with d={d} is observed in both periods",
+                            d=d, s0=1, s1=1)
 
     pi_ooo1 = sums[0] / pairs
     pi_ono1 = sums[1] / pairs

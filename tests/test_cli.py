@@ -275,6 +275,18 @@ class TestOtherCommands:
         assert payload["p_true"] == 1.0
         assert payload["lb_true"] == payload["ub_true"]
 
+    def test_oracle_with_no_treated_draw_observed_exits_3(self, capsys, recwarn):
+        # at shift -8 no draw of 100,000 is a treated unit observed in both
+        # periods; p_true was NaN, which json.dumps refused with a traceback
+        code, out, err = _run(
+            capsys,
+            ["oracle", "--seed", "1", "--selection-shift", "-8", "--mc-draws", "100000"],
+        )
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["code"] == "EmptyCell"
+        assert not recwarn.list
+
     def test_unknown_command_flag(self, capsys):
         code, _, _ = _run(capsys, ["bounds", "--nope"])
         assert code == 2

@@ -433,6 +433,21 @@ def test_dead_worker_fails_the_call_in_task_order(tmp_path, two_workers):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["done0", "done1"]
 
 
+def test_forked_map_returns_replies_larger_than_a_pipe_whole_and_in_order(two_workers):
+    # the first reply is far larger than a pipe's buffer, so it reaches the
+    # parent in many reads while the other worker answers too
+    sizes = [3_000_000, 10, 200_000]
+    assert _forked_map([partial(bytes, size) for size in sizes]) == list(map(bytes, sizes))
+
+
+def test_a_reply_that_fails_to_pickle_part_way_is_a_dead_worker(two_workers):
+    # the reply's 300 KB of bytes are written before its lambda fails to
+    # pickle: the parent reads a truncated pickle, then EOF
+    with pytest.raises(WorkerDied) as exc:
+        _forked_map([partial(int, 0), lambda: [bytes(300_000), lambda: 0], partial(int, 2)])
+    assert exc.value.context == {"task": 1}
+
+
 def _raise(exc):
     raise exc
 

@@ -205,6 +205,32 @@ class TestOracle:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_no_treated_draw_observed_in_both_periods_is_an_empty_cell(self, recwarn):
+        # at shift -8 a treated draw is observed in period 1 only if
+        # b + v1 > 8, which none of these 100,000 draws is: p_true, mu1 and
+        # mu2 would be 0/0, and the Monte Carlo would compare against NaN
+        cfg = DgpConfig(n=50, seed=1, selection_shift=-8.0)
+        with pytest.raises(EmptyCell) as exc:
+            oracle_true_values(cfg, 100_000, seed=1)
+        assert exc.value.context == {"d": 1, "s0": 1, "s1": 1}
+        with pytest.raises(EmptyCell):
+            run_monte_carlo(cfg, 3, ["mono-pos"], coverage="interval", oracle_draws=100_000)
+        assert not recwarn.list
+
+    def test_no_control_draw_observed_in_both_periods_is_an_empty_cell(self, monkeypatch):
+        # every folded z2 = b + v1 set to -0.5: the treated are observed in
+        # both periods (z2 > -1.5) and the control (z2 > 0) never are
+        def latents(rng, n, config):
+            lat = simulation_latents(rng, n, config)
+            lat["v1"] = -lat["b"] - 0.5 * np.sign(lat["b"] + lat["v0"])
+            return lat
+
+        simulation_latents = simulation._latents
+        monkeypatch.setattr(simulation, "_latents", latents)
+        with pytest.raises(EmptyCell) as exc:
+            oracle_true_values(DgpConfig(n=2), 100_000, seed=1)
+        assert exc.value.context == {"d": 0, "s0": 1, "s1": 1}
+
     def test_results_do_not_depend_on_block_size(self, monkeypatch):
         # 1,250,001 pairs: a full 1,000,000-pair reduction block and a partial
         # one; 30,001, 8,192 and 777 do not divide the reduction block
