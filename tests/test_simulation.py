@@ -220,12 +220,13 @@ class TestOracle:
     def test_no_control_draw_observed_in_both_periods_is_an_empty_cell(self, monkeypatch):
         # every folded z2 = b + v1 set to -0.5: the treated are observed in
         # both periods (z2 > -1.5) and the control (z2 > 0) never are
+        drawn = simulation._latents
+
         def latents(rng, n, config):
-            lat = simulation_latents(rng, n, config)
+            lat = drawn(rng, n, config)
             lat["v1"] = -lat["b"] - 0.5 * np.sign(lat["b"] + lat["v0"])
             return lat
 
-        simulation_latents = simulation._latents
         monkeypatch.setattr(simulation, "_latents", latents)
         with pytest.raises(EmptyCell) as exc:
             oracle_true_values(DgpConfig(n=2), 100_000, seed=1)
